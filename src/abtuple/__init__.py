@@ -30,6 +30,7 @@ from .tuples import (
     load_tuple,
     parse_tuple,
     property_cost,
+    property_work,
     rank,
     span,
     subset_sum,
@@ -103,6 +104,7 @@ __all__ = [
     "parse_tuple",
     "primitive_representative",
     "property_cost",
+    "property_work",
     "q_basis_certificate",
     "random_unimodular",
     "rank",

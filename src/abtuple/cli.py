@@ -2,8 +2,9 @@
 
 Every subcommand writes a JSON document to stdout and a one-line human
 summary to stderr.  Tuple files are either the line format (one element per
-line, whitespace-separated integer coordinates, ``#`` comments) or a JSON
-object ``{"dim": d, "elements": [[..], ..]}``; pass ``-`` to read stdin.
+line, whitespace-separated integer coordinates, ``#`` comments), a JSON
+object ``{"dim": d, "elements": [[..], ..]}`` or the bare JSON array of
+elements; pass ``-`` to read stdin.
 
 Exit codes: 0 success / affirmative, 1 negative result (property fails,
 certificate invalid, tuple unclassified, audit failure, enumeration found a

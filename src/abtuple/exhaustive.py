@@ -21,7 +21,7 @@ byte-identical no matter how many workers ran.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -33,7 +33,7 @@ from .tuples import (
     current_budget,
     equal_pair,
     has_property,
-    property_cost,
+    property_work,
     rank,
 )
 from .lattice import zero_vector
@@ -77,8 +77,9 @@ def universe_size(job: EnumerationJob) -> int:
 
 
 def nominal_bill(job: EnumerationJob) -> int:
-    """Total nominal comparison count for the property pass alone."""
-    return universe_size(job) * property_cost(job.q, job.q, job.s)
+    """Subset sums the property pass forms at most: universe size times
+    ``property_work(q, q, s)``."""
+    return universe_size(job) * property_work(job.q, job.q, job.s)
 
 
 def _chunk_elements(job: EnumerationJob, grid, first_idx: int):
@@ -170,8 +171,10 @@ def run_enumeration(job: EnumerationJob) -> dict:
     bill = nominal_bill(job)
     if bill > limit:
         raise BudgetExceeded(
-            f"enumeration costs {bill} nominal comparisons, budget is {limit}"
+            f"enumeration forms up to {bill} subset sums, budget is {limit}"
         )
+    # Every per-tuple check then uses the resolved limit, not the environment.
+    job = replace(job, budget=limit)
     grid = value_grid(job.dim, job.bound)
     chunk_args = [(job, g) for g in range(len(grid))]
     if job.jobs == 1:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -96,14 +97,18 @@ def parse_text(text: str) -> GroupTuple:
 
 
 def parse_json_obj(obj) -> GroupTuple:
-    """JSON form: {"dim": n, "elements": [[...], ...]}."""
-    if not isinstance(obj, dict):
-        raise TupleFormatError("tuple JSON must be an object")
-    try:
-        dim = int(obj["dim"])
-        elements = obj["elements"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TupleFormatError(f"bad tuple JSON: {exc}") from None
+    """JSON form: {"dim": n, "elements": [[...], ...]}, or the bare elements
+    array, whose dimension is that of its first row."""
+    if isinstance(obj, list):
+        dim, elements = None, obj
+    elif isinstance(obj, dict):
+        try:
+            dim = int(obj["dim"])
+            elements = obj["elements"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TupleFormatError(f"bad tuple JSON: {exc}") from None
+    else:
+        raise TupleFormatError("tuple JSON must be an object or an array")
     if not isinstance(elements, list):
         raise TupleFormatError("'elements' must be a list of integer lists")
     rows = []
@@ -118,8 +123,7 @@ def parse_json_obj(obj) -> GroupTuple:
 
 def parse_tuple(text: str) -> GroupTuple:
     """Sniff JSON vs text by the first non-space character."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -226,8 +230,15 @@ class PropertyReport:
 
 
 def property_cost(q: int, r: int, s: int) -> int:
-    """Nominal comparison bill: windows times selection pairs."""
+    """Pairwise comparison count of a scan: windows times selection pairs.
+
+    Not the budget's bill; ``property_work`` counts what the check forms."""
     return comb(q, r) * comb(r, s) ** 2
+
+
+def property_work(q: int, r: int, s: int) -> int:
+    """Subset sums a full (P_{r,s}) check forms: windows times selections."""
+    return comb(q, r) * comb(r, s)
 
 
 def current_budget() -> int:
@@ -240,51 +251,58 @@ def current_budget() -> int:
         raise BudgetExceeded(f"{BUDGET_ENV} is not an integer: {raw!r}") from None
 
 
+def _packed(t: GroupTuple, s: int) -> list[int]:
+    """Each element as one int, its coordinates as digits in base M = 2sB + 1.
+
+    B is the largest |coordinate|, so every coordinate of a sum of s elements
+    lies in [-sB, sB], the digit range of the balanced base M.  Balanced
+    representations are unique, and packing is linear, so two packed s-sums
+    are equal exactly when the vector sums are.  Coordinate 0 is the least
+    significant digit.
+    """
+    bound = max(abs(x) for e in t.elements for x in e)
+    base = 2 * s * bound + 1
+    packed = []
+    for e in t.elements:
+        value = 0
+        for x in reversed(e):
+            value = value * base + x
+        packed.append(value)
+    return packed
+
+
 def has_property(
-    t: GroupTuple, r: int, s: int, budget: int | None = None, method: str = "lookup"
+    t: GroupTuple, r: int, s: int, budget: int | None = None
 ) -> PropertyReport:
     """Decide property (P_{r,s}) by exhaustive search.
 
     Windows (r-subsets of positions) are scanned in lexicographic order, and
     selections (s-subsets of a window) likewise; the first selection whose sum
     is matched by no other selection of its window is the failure witness.
+    Sums are formed once per selection on exactly packed integers (see
+    ``_packed``) and counted, so a window costs C(r, s) sums.
 
-    ``method`` selects the inner search: "scan" compares sums pairwise as
-    exact integer vectors (the reference path), "lookup" tabulates sums in a
-    dictionary first.  Both return identical reports.
-
-    Raises BudgetExceeded before any work when the nominal bill
-    ``property_cost(q, r, s)`` exceeds the budget (argument, else the
+    Raises BudgetExceeded before any work when the subset sums a full check
+    forms, ``property_work(q, r, s)``, exceed the budget (argument, else the
     ABTUPLE_BUDGET environment variable, else 10**9).
     """
     q = len(t)
     if not (1 <= s < r <= q):
         raise ValueError(f"need 1 <= s < r <= q, got q={q} r={r} s={s}")
-    if method not in ("scan", "lookup"):
-        raise ValueError(f"unknown method {method!r}")
     limit = current_budget() if budget is None else budget
-    bill = property_cost(q, r, s)
-    if bill > limit:
+    work = property_work(q, r, s)
+    if work > limit:
         raise BudgetExceeded(
-            f"(P_{{{r},{s}}}) check costs {bill} comparisons, budget is {limit}"
+            f"(P_{{{r},{s}}}) check forms {work} subset sums, budget is {limit}"
         )
 
+    packed = _packed(t, s)
     for window in combinations(range(q), r):
-        sums = [(sel, subset_sum(t, sel)) for sel in combinations(window, s)]
-        if method == "lookup":
-            counts: dict[Vector, int] = {}
-            for _, sv in sums:
-                counts[sv] = counts.get(sv, 0) + 1
-            for sel, sv in sums:
-                if counts[sv] < 2:
-                    return PropertyReport(
-                        q=q, r=r, s=s, holds=False, failure_witness=(window, sel)
-                    )
-        else:
-            for a, (sel, sv) in enumerate(sums):
-                if not any(
-                    b != a and other == sv for b, (_, other) in enumerate(sums)
-                ):
+        sums = list(map(sum, combinations([packed[i] for i in window], s)))
+        counts = Counter(sums)
+        if 1 in counts.values():
+            for sel, value in zip(combinations(window, s), sums):
+                if counts[value] == 1:
                     return PropertyReport(
                         q=q, r=r, s=s, holds=False, failure_witness=(window, sel)
                     )

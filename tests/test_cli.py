@@ -35,6 +35,11 @@ class TestRank:
         assert payload == {"dim": 3, "q": 4, "rank": 3}
         assert "rank 3" in err
 
+    def test_bare_json_array(self, capsys, tuple_file):
+        code, payload, _ = run_cli(capsys, "rank", tuple_file("[[0],[0],[2],[-2]]"))
+        assert code == 0
+        assert payload == {"dim": 1, "q": 4, "rank": 1}
+
     def test_stdin_dash(self, capsys, monkeypatch):
         import io
 

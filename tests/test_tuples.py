@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from abtuple.lattice import hnf_rows
 from abtuple.tuples import (
     BudgetExceeded,
     GroupTuple,
+    PropertyReport,
     TupleFormatError,
     equal_pair,
     group_tuple,
@@ -18,6 +20,7 @@ from abtuple.tuples import (
     load_tuple,
     parse_tuple,
     property_cost,
+    property_work,
     rank,
     span,
     subset_sum,
@@ -29,6 +32,46 @@ from abtuple.tuples import (
 EXAMPLE_FULL_RANK = ((1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 2, 5))
 TYPE_A_S3 = ((0, 0), (0, 0), (1, 0), (1, 0), (0, 1), (0, 1))
 TYPE_B_S3 = ((0, 0), (0, 0), (0, 0), (1, 0), (0, 1), (-1, -1))
+
+
+def scan_property(t, r, s):
+    """Reference (P_{r,s}) decision: compares exact vector sums pairwise."""
+    q = len(t)
+    for window in combinations(range(q), r):
+        sums = [(sel, subset_sum(t, sel)) for sel in combinations(window, s)]
+        for a, (sel, sv) in enumerate(sums):
+            if not any(b != a and other == sv for b, (_, other) in enumerate(sums)):
+                return PropertyReport(
+                    q=q, r=r, s=s, holds=False, failure_witness=(window, sel)
+                )
+    return PropertyReport(q=q, r=r, s=s, holds=True, failure_witness=None)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(tuple, r, s) draws for the differential test.
+
+    Small coordinates are scaled and shifted: a common shift moves every
+    s-sum alike, so equal-sum coincidences (and property holders) survive
+    while coordinates reach 10**12.  Scale 0 gives constant tuples, and the
+    all-zero tuple (B = 0) when the shift is zero too.
+    """
+    dim = draw(st.integers(1, 5), label="dim")
+    q = draw(st.integers(2, 7), label="q")
+    rows = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=q, max_size=q),
+        label="rows",
+    )
+    scale = draw(st.sampled_from([0, 1, 3, 10**12]), label="scale")
+    shift = draw(
+        st.tuples(*[st.integers(-(10**12), 10**12)] * dim), label="shift"
+    )
+    r = draw(st.integers(2, q), label="r")
+    s = draw(st.integers(1, r - 1), label="s")
+    t = group_tuple(
+        [[scale * x + c for x, c in zip(row, shift)] for row in rows], dim=dim
+    )
+    return t, r, s
 
 
 def small_tuples(max_dim=3, max_len=6, bound=4):
@@ -51,6 +94,7 @@ class TestParsing:
         t = parse_tuple('{"dim": 2, "elements": [[1, 2], [3, 4]]}')
         assert t.elements == ((1, 2), (3, 4))
         assert to_json_obj(t) == {"dim": 2, "elements": [[1, 2], [3, 4]]}
+        assert parse_tuple(" [[1, 2], [3, 4]]\n") == t
 
     def test_ragged_rejected(self):
         with pytest.raises(TupleFormatError):
@@ -71,6 +115,9 @@ class TestParsing:
             parse_tuple('{"dim": 2}')
         with pytest.raises(TupleFormatError):
             parse_tuple('{"dim": 2, "elements": [[true, false]]}')
+        for bad in ("[]", "[[]]", "[[1], 2]", "[[1], [2, 3]]", '"1"', "[1"):
+            with pytest.raises(TupleFormatError):
+                parse_tuple(bad)
 
     def test_load(self, tmp_path):
         p = tmp_path / "t.txt"
@@ -166,14 +213,21 @@ class TestHasProperty:
             has_property(t, 4, 2)
         with pytest.raises(ValueError):
             has_property(t, 2, 0)
-        with pytest.raises(ValueError):
-            has_property(t, 3, 2, method="hash")
 
     def test_budget(self):
         t = group_tuple([(i,) for i in range(10)])
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="252 subset sums, budget is 10"):
             has_property(t, 10, 5, budget=10)
         assert property_cost(10, 10, 5) == 63504
+        assert property_work(10, 10, 5) == 252
+        assert has_property(t, 10, 5, budget=252).holds is False
+
+    def test_budget_admits_wide_window(self):
+        # Billed by pairwise comparisons this check would be 3.4e10.
+        assert property_work(20, 20, 10) == 184756
+        t = group_tuple([(1 << i,) for i in range(20)])
+        rep = has_property(t, 20, 10)
+        assert rep.failure_witness == (tuple(range(20)), tuple(range(10)))
 
     def test_budget_env(self, monkeypatch):
         t = group_tuple([(0,), (1,), (2,)])
@@ -184,18 +238,19 @@ class TestHasProperty:
         with pytest.raises(BudgetExceeded):
             has_property(t, 3, 2)
 
-    @given(small_tuples(), st.data())
-    @settings(max_examples=120, deadline=None)
-    def test_scan_and_lookup_agree(self, t, data):
-        q = len(t)
-        if q < 2:
-            r, s = 0, 0
-            return
-        r = data.draw(st.integers(2, q), label="r")
-        s = data.draw(st.integers(1, r - 1), label="s")
-        a = has_property(t, r, s, method="scan")
-        b = has_property(t, r, s, method="lookup")
-        assert a == b
+    @given(kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_scan_and_lookup_agree(self, case):
+        t, r, s = case
+        assert has_property(t, r, s) == scan_property(t, r, s)
+
+    def test_packing_base_carries_s(self):
+        # With s=2 and B=1, (1,0)+(1,0) and (0,1)+(-1,0) pack to the same
+        # int in base 2B+1 = 3; base 2sB+1 = 5 keeps them apart.
+        t = group_tuple([(1, 0), (1, 0), (0, 1), (-1, 0)])
+        rep = has_property(t, 4, 2)
+        assert rep == scan_property(t, 4, 2)
+        assert rep.failure_witness == ((0, 1, 2, 3), (0, 1))
 
     @given(small_tuples(), st.data())
     @settings(max_examples=100, deadline=None)
