@@ -56,6 +56,7 @@ from .classify import (
     VARIANT_TYPE_A,
     VARIANT_TYPE_B,
     VARIANT_UNCLASSIFIED,
+    CertificateFormatError,
     Classification,
     canonical_pattern,
     classification_from_json_obj,
@@ -73,6 +74,7 @@ __all__ = [
     "GroupTuple",
     "PropertyReport",
     "TupleFormatError",
+    "CertificateFormatError",
     "Lattice",
     "AdequateBasisDecision",
     "AuditReport",

@@ -80,27 +80,71 @@ class Classification:
         return obj
 
 
+class CertificateFormatError(ValueError):
+    """Raised for a classification certificate document of the wrong shape."""
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_ints(x) -> bool:
+    return isinstance(x, list) and all(map(_is_int, x))
+
+
+_FIELD_TYPES = {
+    "variant": (lambda x: isinstance(x, str), "a string"),
+    "s": (_is_int, "an integer"),
+    "t": (_is_int, "an integer"),
+    "k": (_is_int, "an integer"),
+    "property_holds": (lambda x: x is None or isinstance(x, bool), "a boolean"),
+    "scaling": (_is_ints, "a list of integers"),
+    "permutation": (_is_ints, "a list of integers"),
+    "breakpoints": (_is_ints, "a list of integers"),
+    "basis": (
+        lambda x: isinstance(x, list) and all(map(_is_ints, x)),
+        "a list of integer lists",
+    ),
+}
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, default=_REQUIRED):
+    if key not in obj:
+        if default is _REQUIRED:
+            raise CertificateFormatError(f"certificate lacks the {key!r} field")
+        return default
+    check, kind = _FIELD_TYPES[key]
+    if not check(obj[key]):
+        raise CertificateFormatError(f"certificate field {key!r} must be {kind}")
+    return obj[key]
+
+
 def classification_from_json_obj(obj: dict) -> Classification:
-    variant = obj["variant"]
-    s = int(obj["s"])
+    """Parse a certificate document.  A non-object document or a missing or
+    mistyped field raises CertificateFormatError (a ValueError) naming it."""
+    if not isinstance(obj, dict):
+        raise CertificateFormatError("certificate must be a JSON object")
+    variant = _field(obj, "variant")
+    s = _field(obj, "s")
     if variant in (VARIANT_RANK_BELOW, VARIANT_UNCLASSIFIED):
         return Classification(
             variant=variant,
             s=s,
-            rank=int(obj.get("t", 0)),
-            property_holds=obj.get("property_holds"),
+            rank=_field(obj, "t", 0),
+            property_holds=_field(obj, "property_holds", None),
         )
     kwargs = dict(
         variant=variant,
         s=s,
         rank=s - 1,
-        scaling=tuple(obj["scaling"]),
-        permutation=tuple(p - 1 for p in obj["permutation"]),
-        basis=tuple(tuple(b) for b in obj["basis"]),
+        scaling=tuple(_field(obj, "scaling")),
+        permutation=tuple(p - 1 for p in _field(obj, "permutation")),
+        basis=tuple(map(tuple, _field(obj, "basis"))),
     )
     if variant == VARIANT_TYPE_B:
-        kwargs["k"] = int(obj["k"])
-        kwargs["breakpoints"] = tuple(obj["breakpoints"])
+        kwargs["k"] = _field(obj, "k")
+        kwargs["breakpoints"] = tuple(_field(obj, "breakpoints"))
     return Classification(**kwargs)
 
 
@@ -220,12 +264,13 @@ def _match_type_b(tp: GroupTuple, lat: Lattice, s: int):
     return None
 
 
-def classify(t: GroupTuple, s: int) -> Classification:
+def classify(t: GroupTuple, s: int, budget: int | None = None) -> Classification:
     """Decide rank-below / type A / type B / Unclassified for the tuple.
 
     Preconditions (ValueError): 2 <= s < q <= 2s and the zero element occurs
     in t.  Candidate translation constants are the distinct tuple values in
-    first-occurrence order; type A is matched before type B.
+    first-occurrence order; type A is matched before type B.  ``budget`` is
+    passed to the property check of an Unclassified result.
     """
     q = len(t)
     if not (2 <= s < q <= 2 * s):
@@ -266,7 +311,7 @@ def classify(t: GroupTuple, s: int) -> Classification:
                     k=k,
                     breakpoints=breaks,
                 )
-    prop = has_property(t, q, s)
+    prop = has_property(t, q, s, budget=budget)
     return Classification(
         variant=VARIANT_UNCLASSIFIED,
         s=s,

@@ -176,7 +176,6 @@ def _cmd_enumerate(args) -> int:
         dim=args.dim,
         bound=args.bound,
         jobs=args.jobs,
-        out=args.out,
     )
     report = run_enumeration(job)
     text = json.dumps(report, indent=2, sort_keys=True)

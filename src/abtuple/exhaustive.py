@@ -49,7 +49,6 @@ class EnumerationJob:
     bound: int
     require_zero: bool = True
     jobs: int = 1
-    out: str | None = None
     budget: int | None = None
 
     def validate(self) -> None:
@@ -120,7 +119,7 @@ def _examine(job: EnumerationJob, part: dict, elements) -> None:
     if equal_pair(t) is None:
         part["equal_pair_missing"].append({"elements": listed})
     if 2 <= job.s and job.q <= 2 * job.s:
-        cls = classify(t, job.s)
+        cls = classify(t, job.s, budget=job.budget)
         variant = cls.variant
         if variant == VARIANT_UNCLASSIFIED:
             part["unclassified"].append(
@@ -130,7 +129,7 @@ def _examine(job: EnumerationJob, part: dict, elements) -> None:
                     "property_holds": cls.property_holds,
                 }
             )
-        report = audit_claims(t, job.s)
+        report = audit_claims(t, job.s, budget=job.budget)
         if not report.all_pass:
             part["audit_failures"].append(
                 {

@@ -243,43 +243,66 @@ def primitive_representative(lat: Lattice, v: Vector) -> tuple[Vector, int]:
     return tuple(p), d
 
 
+def _bareiss_reduce(columns, dim: int) -> tuple[list[int], int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination of the dim-by-n integer matrix
+    whose columns are ``columns``.
+
+    Columns are taken in order; a column gets a pivot iff it is independent
+    of the columns before it, and the pivot row is the first nonzero one at
+    or below the current row.  Each step also clears the entries above the
+    pivot.  Returns (pivots, d, reduced): every pivot entry ends equal to d,
+    and column j of the first len(pivots) reduced rows holds d times the
+    coordinates of column j over the pivot columns.  Every division is exact
+    by Sylvester's identity (each entry is a minor of the input), so no
+    fraction is formed.  Each non-pivot column is re-checked in integers
+    against its recombination; a failure raises RuntimeError.
+    """
+    n = len(columns)
+    mat = [[col[c] for col in columns] for c in range(dim)]
+    pivots: list[int] = []
+    prev = 1
+    top = 0
+    for c in range(n):
+        sel = next((i for i in range(top, dim) if mat[i][c]), None)
+        if sel is None:
+            continue
+        mat[top], mat[sel] = mat[sel], mat[top]
+        prow = mat[top]
+        p = prow[c]
+        for i in range(dim):
+            if i != top:
+                f = mat[i][c]
+                mat[i] = [(p * x - f * y) // prev for x, y in zip(mat[i], prow)]
+        prev = p
+        pivots.append(c)
+        top += 1
+    reduced = mat[:top]
+    base = [columns[c] for c in pivots]
+    for j in range(n):
+        if j in pivots:
+            continue
+        coeffs = [row[j] for row in reduced]
+        for c in range(dim):
+            if prev * columns[j][c] != sum(n_k * b[c] for n_k, b in zip(coeffs, base)):
+                raise RuntimeError(f"column {j} fails its integer recombination")
+    return pivots, prev, reduced
+
+
 def solve_rational_combination(rows, target: Vector) -> tuple[Fraction, ...] | None:
     """Rational coefficients x with sum(x_i * rows_i) == target, or None.
 
-    Free coefficients (when the rows are dependent) are set to zero; the
-    recombination is verified exactly before returning.
+    One fraction-free elimination of ``rows + [target]`` (see
+    ``_bareiss_reduce``); the target is outside the span iff its column
+    pivots.  Free coefficients (when the rows are dependent) are set to zero;
+    the recombination is verified exactly, in integers, before returning.
     """
     k = len(rows)
-    dim = len(target)
-    aug = [
-        [Fraction(rows[i][c]) for i in range(k)] + [Fraction(target[c])]
-        for c in range(dim)
-    ]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(k):
-        sel = next((i for i in range(r, dim) if aug[i][c] != 0), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = aug[r][c]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(dim):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, dim):
-        if aug[i][k] != 0:
-            return None
+    pivots, d, reduced = _bareiss_reduce(list(rows) + [target], len(target))
+    if pivots and pivots[-1] == k:
+        return None
     x = [Fraction(0)] * k
-    for j, c in enumerate(pivot_cols):
-        x[c] = aug[j][k]
-    # Exact verification guards the rank-deficient corner cases.
-    for c in range(dim):
-        if sum(x[i] * rows[i][c] for i in range(k)) != target[c]:
-            return None
+    for row, c in zip(reduced, pivots):
+        x[c] = Fraction(row[k], d)
     return tuple(x)
 
 

@@ -35,10 +35,9 @@ from math import gcd, lcm
 from .classify import classify
 from .lattice import (
     Vector,
+    _bareiss_reduce,
     hnf_rows,
-    is_zero,
     primitive_representative,
-    solve_rational_combination,
     sublattice_index,
     zero_vector,
 )
@@ -89,52 +88,38 @@ class QBasisCertificate:
         }
 
 
-def _greedy_independent(t: GroupTuple, target_rank: int) -> list[int]:
-    chosen: list[int] = []
-    for i, e in enumerate(t.elements):
-        if is_zero(e):
-            continue
-        cand = hnf_rows([t.elements[j] for j in chosen] + [list(e)], t.dim)
-        if cand.rank > len(chosen):
-            chosen.append(i)
-            if len(chosen) == target_rank:
-                break
-    return chosen
-
-
 def q_basis_certificate(t: GroupTuple) -> QBasisCertificate:
     """Deterministic rational basis certificate (greedy indices, LCM scaling).
 
-    Raises ValueError on a rank-0 tuple.
+    One fraction-free elimination of the whole tuple (``_bareiss_reduce``)
+    gives both: its pivot columns are the greedy independent positions, and
+    the reduced column of element j holds d times its coordinates n_tau over
+    them, so the least multiplier l_tau is the lcm of |d| / gcd(n_tau, d)
+    and the exponent is n_tau * l_tau / d.  Raises ValueError on a rank-0
+    tuple.
     """
-    tr = rank(t)
+    chosen, d, reduced = _bareiss_reduce(t.elements, t.dim)
+    tr = len(chosen)
     if tr == 0:
         raise ValueError("rank-0 tuple admits no basis certificate")
-    chosen = _greedy_independent(t, tr)
-    base = [t.elements[i] for i in chosen]
-    coords: list[tuple[Fraction, ...]] = []
-    for e in t.elements:
-        x = solve_rational_combination(base, e)
-        if x is None:  # unreachable: base spans the tuple
-            raise RuntimeError("greedy base does not span the tuple")
-        coords.append(x)
     mult = []
-    for tau in range(tr):
+    for row in reduced:
         m = 1
-        for row in coords:
-            m = lcm(m, row[tau].denominator)
+        for n in row:
+            m = lcm(m, d // gcd(n, d))
         mult.append(m)
     exponents = tuple(
-        tuple(int(row[tau] * mult[tau]) for tau in range(tr)) for row in coords
+        tuple(row[j] * m // d for row, m in zip(reduced, mult))
+        for j in range(len(t))
     )
     eta_num = []
     eta_den = []
-    for tau in range(tr):
-        g = mult[tau]
-        for x in base[tau]:
+    for i, m in zip(chosen, mult):
+        g = m
+        for x in t.elements[i]:
             g = gcd(g, x)
-        eta_num.append(tuple(x // g for x in base[tau]))
-        eta_den.append(mult[tau] // g)
+        eta_num.append(tuple(x // g for x in t.elements[i]))
+        eta_den.append(m // g)
     return QBasisCertificate(
         indices=tuple(chosen),
         multipliers=tuple(mult),
@@ -145,7 +130,9 @@ def q_basis_certificate(t: GroupTuple) -> QBasisCertificate:
 
 
 def verify_certificate(t: GroupTuple, cert: QBasisCertificate) -> bool:
-    """Exact re-check of every certificate invariant.  Pure; no search."""
+    """Exact re-check of every certificate invariant, in integers.  Pure; no
+    search.  The recombination is checked with every eta scaled to the lcm of
+    the denominators."""
     tr = cert.rank
     q = len(t)
     if not (
@@ -169,19 +156,21 @@ def verify_certificate(t: GroupTuple, cert: QBasisCertificate) -> bool:
             return False
     if hnf_rows(cert.eta_num, t.dim).rank != tr:
         return False
-    etas = [cert.eta_row(tau) for tau in range(tr)]
     for tau, (i, l) in enumerate(zip(cert.indices, cert.multipliers)):
-        if any(Fraction(x) != l * y for x, y in zip(t.elements[i], etas[tau])):
+        den = cert.eta_den[tau]
+        if any(x * den != l * y for x, y in zip(t.elements[i], cert.eta_num[tau])):
             return False
         expected = tuple(l if u == tau else 0 for u in range(tr))
         if cert.exponents[i] != expected:
             return False
-    for i in range(q):
-        row = cert.exponents[i]
+    big = lcm(*cert.eta_den)
+    scaled = [
+        [x * (big // den) for x in num]
+        for num, den in zip(cert.eta_num, cert.eta_den)
+    ]
+    for e, row in zip(t.elements, cert.exponents):
         for c in range(t.dim):
-            if Fraction(t.elements[i][c]) != sum(
-                row[tau] * etas[tau][c] for tau in range(tr)
-            ):
+            if e[c] * big != sum(n * w[c] for n, w in zip(row, scaled)):
                 return False
     return True
 
@@ -422,12 +411,13 @@ def _one_based(indices) -> list[int]:
     return [i + 1 for i in indices]
 
 
-def audit_claims(t: GroupTuple, s: int) -> AuditReport:
+def audit_claims(t: GroupTuple, s: int, budget: int | None = None) -> AuditReport:
     """Audit the structural claims on a (P_{q,s}) instance containing zero.
 
     Preconditions (violations raise ValueError): 2 <= s < q <= 2s, the zero
     element occurs in t, and t has property (P_{q,s}) — the last is verified
-    here by exhaustive search.
+    here by exhaustive search.  ``budget`` is passed to every property check
+    and nested ``classify`` call the audit makes.
 
     The tuple is first normalized so the zero value occurs at least twice:
     when it does not, every element is translated by the first duplicated
@@ -440,7 +430,7 @@ def audit_claims(t: GroupTuple, s: int) -> AuditReport:
     zero = zero_vector(t.dim)
     if zero not in t.elements:
         raise ValueError("audit requires the zero element to occur in the tuple")
-    prop = has_property(t, q, s)
+    prop = has_property(t, q, s, budget=budget)
     if not prop.holds:
         raise ValueError(
             f"audit requires property (P_{{{q},{s}}}); it fails at "
@@ -560,7 +550,7 @@ def audit_claims(t: GroupTuple, s: int) -> AuditReport:
             }
 
             if 1 <= s_inner < n0:
-                inner = has_property(sub, n0, s_inner)
+                inner = has_property(sub, n0, s_inner, budget=budget)
                 w = dict(base_witness, r=n0, s=s_inner)
                 if not inner.holds:
                     window, sel = inner.failure_witness
@@ -598,7 +588,7 @@ def audit_claims(t: GroupTuple, s: int) -> AuditReport:
             )
 
             if 2 <= s_inner < n0 <= 2 * s_inner:
-                inner_cls = classify(sub, s_inner)
+                inner_cls = classify(sub, s_inner, budget=budget)
                 claims.append(
                     AuditClaim(
                         name="zero_axis_not_type_a",

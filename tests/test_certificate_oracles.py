@@ -1,0 +1,247 @@
+"""Differential tests of the fraction-free certificate paths against the
+per-element ``Fraction`` Gauss-Jordan code they replaced.
+
+The oracles below are the slow reference implementations: a ``Fraction``
+elimination per target vector, a greedy ``hnf_rows`` rank probe per element
+to pick the basis positions, and a ``Fraction`` re-check of the certificate.
+The library must agree with them on every result, ``None`` included, and on
+every verdict, tampered certificates included.
+"""
+
+import dataclasses
+from fractions import Fraction
+from math import gcd, lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abtuple.lattice import (
+    hnf_rows,
+    is_zero,
+    solve_integer_combination,
+    solve_rational_combination,
+)
+from abtuple.structure import QBasisCertificate, q_basis_certificate, verify_certificate
+from abtuple.tuples import group_tuple, rank
+
+BIG = 10**12
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+
+
+def oracle_solve(rows, target):
+    k = len(rows)
+    dim = len(target)
+    aug = [
+        [Fraction(rows[i][c]) for i in range(k)] + [Fraction(target[c])]
+        for c in range(dim)
+    ]
+    pivot_cols = []
+    r = 0
+    for c in range(k):
+        sel = next((i for i in range(r, dim) if aug[i][c] != 0), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        inv = aug[r][c]
+        aug[r] = [x / inv for x in aug[r]]
+        for i in range(dim):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivot_cols.append(c)
+        r += 1
+    for i in range(r, dim):
+        if aug[i][k] != 0:
+            return None
+    x = [Fraction(0)] * k
+    for j, c in enumerate(pivot_cols):
+        x[c] = aug[j][k]
+    for c in range(dim):
+        if sum(x[i] * rows[i][c] for i in range(k)) != target[c]:
+            return None
+    return tuple(x)
+
+
+def oracle_q_basis(t):
+    tr = rank(t)
+    if tr == 0:
+        raise ValueError("rank-0 tuple admits no basis certificate")
+    chosen = []
+    for i, e in enumerate(t.elements):
+        if is_zero(e):
+            continue
+        cand = hnf_rows([t.elements[j] for j in chosen] + [list(e)], t.dim)
+        if cand.rank > len(chosen):
+            chosen.append(i)
+            if len(chosen) == tr:
+                break
+    base = [t.elements[i] for i in chosen]
+    coords = [oracle_solve(base, e) for e in t.elements]
+    mult = []
+    for tau in range(tr):
+        m = 1
+        for row in coords:
+            m = lcm(m, row[tau].denominator)
+        mult.append(m)
+    exponents = tuple(
+        tuple(int(row[tau] * mult[tau]) for tau in range(tr)) for row in coords
+    )
+    eta_num = []
+    eta_den = []
+    for tau in range(tr):
+        g = mult[tau]
+        for x in base[tau]:
+            g = gcd(g, x)
+        eta_num.append(tuple(x // g for x in base[tau]))
+        eta_den.append(mult[tau] // g)
+    return QBasisCertificate(
+        indices=tuple(chosen),
+        multipliers=tuple(mult),
+        eta_num=tuple(eta_num),
+        eta_den=tuple(eta_den),
+        exponents=exponents,
+    )
+
+
+def oracle_verify(t, cert):
+    tr = cert.rank
+    q = len(t)
+    if not (
+        len(cert.multipliers) == tr
+        and len(cert.eta_num) == tr
+        and len(cert.eta_den) == tr
+        and len(cert.exponents) == q
+        and all(len(row) == tr for row in cert.exponents)
+        and all(len(r) == t.dim for r in cert.eta_num)
+    ):
+        return False
+    if len(set(cert.indices)) != tr or not all(0 <= i < q for i in cert.indices):
+        return False
+    if any(l <= 0 for l in cert.multipliers) or any(d <= 0 for d in cert.eta_den):
+        return False
+    for num, den in zip(cert.eta_num, cert.eta_den):
+        g = den
+        for x in num:
+            g = gcd(g, x)
+        if g != 1:
+            return False
+    if hnf_rows(cert.eta_num, t.dim).rank != tr:
+        return False
+    etas = [cert.eta_row(tau) for tau in range(tr)]
+    for tau, (i, l) in enumerate(zip(cert.indices, cert.multipliers)):
+        if any(Fraction(x) != l * y for x, y in zip(t.elements[i], etas[tau])):
+            return False
+        expected = tuple(l if u == tau else 0 for u in range(tr))
+        if cert.exponents[i] != expected:
+            return False
+    for i in range(q):
+        row = cert.exponents[i]
+        for c in range(t.dim):
+            if Fraction(t.elements[i][c]) != sum(
+                row[tau] * etas[tau][c] for tau in range(tr)
+            ):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+
+
+@st.composite
+def vector_lists(draw, min_size=1, max_size=8):
+    """(dim, rows) with dim 1..7: rows are small combinations of a few
+    generators (so the list is usually rank-deficient), raw coordinates up
+    to 10**12 in absolute value, or zero rows; leading zero rows are common,
+    and the combinations are scaled by 1, 3 or 10**12."""
+    dim = draw(st.integers(1, 7), label="dim")
+    small = st.tuples(*[st.integers(-5, 5)] * dim)
+    gens = draw(st.lists(small, min_size=1, max_size=dim), label="gens")
+    scale = draw(st.sampled_from((1, 3, BIG)), label="scale")
+    rows = [(0,) * dim] * draw(st.integers(0, 2), label="leading zeros")
+    n = draw(st.integers(min_size, max_size), label="n")
+    for _ in range(n):
+        kind = draw(st.sampled_from(("combo", "combo", "raw", "zero")))
+        if kind == "combo":
+            cs = draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+            row = tuple(scale * sum(c * g[j] for c, g in zip(cs, gens)) for j in range(dim))
+        elif kind == "raw":
+            row = draw(st.tuples(*[st.integers(-BIG, BIG)] * dim))
+        else:
+            row = (0,) * dim
+        rows.append(row)
+    return dim, rows
+
+
+# ---------------------------------------------------------------------------
+# Tests
+
+
+class TestSolverAgainstOracle:
+    @given(vector_lists(min_size=0, max_size=7), st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_rational_solution_matches(self, case, data):
+        dim, vecs = case
+        if not vecs:
+            return
+        target = data.draw(st.sampled_from(vecs), label="target")
+        rows = vecs[: data.draw(st.integers(0, len(vecs)), label="k")]
+        expected = oracle_solve(rows, target)
+        assert solve_rational_combination(rows, target) == expected
+        if expected is not None and all(f.denominator == 1 for f in expected):
+            integral = tuple(int(f) for f in expected)
+        else:
+            integral = None
+        assert solve_integer_combination(rows, target) == integral
+
+
+class TestQBasisAgainstOracle:
+    @given(vector_lists())
+    @settings(max_examples=250, deadline=None)
+    def test_certificate_matches(self, case):
+        dim, rows = case
+        t = group_tuple(rows, dim=dim)
+        if rank(t) == 0:
+            with pytest.raises(ValueError):
+                q_basis_certificate(t)
+            return
+        cert = q_basis_certificate(t)
+        assert cert == oracle_q_basis(t)
+        assert verify_certificate(t, cert) and oracle_verify(t, cert)
+
+
+class TestVerifyAgainstOracle:
+    @given(vector_lists(), st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_tampered_verdicts_match(self, case, data):
+        dim, rows = case
+        t = group_tuple(rows, dim=dim)
+        if rank(t) == 0:
+            return
+        cert = q_basis_certificate(t)
+        tr = cert.rank
+        field = data.draw(
+            st.sampled_from(("multipliers", "eta_num", "eta_den", "exponents")),
+            label="field",
+        )
+        delta = data.draw(st.sampled_from((-1, 1)), label="delta")
+        tau = data.draw(st.integers(0, tr - 1), label="tau")
+        if field == "multipliers" or field == "eta_den":
+            values = list(getattr(cert, field))
+            values[tau] += delta
+            bad = dataclasses.replace(cert, **{field: tuple(values)})
+        elif field == "eta_num":
+            c = data.draw(st.integers(0, dim - 1), label="coordinate")
+            nums = [list(r) for r in cert.eta_num]
+            nums[tau][c] += delta
+            bad = dataclasses.replace(cert, eta_num=tuple(map(tuple, nums)))
+        else:
+            i = data.draw(st.integers(0, len(t) - 1), label="position")
+            exps = [list(r) for r in cert.exponents]
+            exps[i][tau] += delta
+            bad = dataclasses.replace(cert, exponents=tuple(map(tuple, exps)))
+        assert verify_certificate(t, bad) == oracle_verify(t, bad)

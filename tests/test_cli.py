@@ -131,6 +131,37 @@ class TestVerify:
         assert payload == {"valid": False}
 
 
+    @pytest.mark.parametrize(
+        "cert, field",
+        [
+            ({"s": 2}, "variant"),
+            ({"variant": "type_b", "s": 2}, "scaling"),
+            (
+                {
+                    "variant": "type_b",
+                    "s": 2,
+                    "scaling": [0],
+                    "permutation": ["a"],
+                    "basis": [[2]],
+                    "k": 1,
+                    "breakpoints": [1],
+                },
+                "permutation",
+            ),
+            ([1, 2], "object"),
+        ],
+    )
+    def test_malformed_certificate_exit_two(
+        self, capsys, tuple_file, tmp_path, cert, field
+    ):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(cert))
+        tf = tuple_file("0\n0\n2\n-2\n")
+        code, payload, _ = run_cli(capsys, "verify", "--s", "2", tf, str(cert_file))
+        assert code == 2
+        assert field in payload["error"]
+
+
 class TestQBasis:
     def test_certificate(self, capsys, tuple_file):
         code, payload, _ = run_cli(

@@ -106,6 +106,14 @@ class TestEnumeration:
         with pytest.raises(BudgetExceeded):
             run_enumeration(job)
 
+    def test_nested_checks_use_job_budget(self, monkeypatch):
+        # classify and audit_claims re-check the property on holders; those
+        # checks must use the job's limit, not ABTUPLE_BUDGET.
+        job = EnumerationJob(s=2, q=4, dim=1, bound=2, budget=10**9)
+        expected = run_enumeration(job)
+        monkeypatch.setenv("ABTUPLE_BUDGET", "5")
+        assert run_enumeration(job) == expected
+
     def test_without_zero_tracking(self):
         # (1,1,1) holds (P_{3,2}) but contains no zero: counted, not classified.
         rep = run_enumeration(
