@@ -16,18 +16,23 @@ first-class and, when the tuple also satisfies (P_{q,s}), marks a
 counterexample candidate for the classification lemma.
 
 Since both patterns contain a zero entry, the translation constant must occur
-among the tuple's values; the candidate scan is therefore finite.  Type A and
-type B are mutually exclusive (A forces every value to have multiplicity 2,
-B forces multiplicity 1 on all nonzero values), so trying A first is a fixed
+among the tuple's values, and no scan over those values is needed.  The
+type-A test does not depend on the value subtracted: multiplicities are
+translation invariant, and because t contains zero the nonzero values of
+t - c generate span(t) for every value c of t; so type A is tried at t[0].
+In type B zero has multiplicity s+1-k >= 2 and every nonzero value
+multiplicity 1, so the constant is the one value that occurs more than once;
+with none, or several, the tuple is not type B.  Type A and type B are
+mutually exclusive (A forces every value to have multiplicity 2, B forces
+multiplicity 1 on all nonzero values), so trying A first is a fixed
 cosmetic order, not a semantic choice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .lattice import Lattice, Vector, hnf_rows, solve_integer_combination, vec_neg, zero_vector
+from .lattice import Lattice, Vector, _bareiss_reduce, hnf_rows, vec_neg, zero_vector
 from .tuples import (
     GroupTuple,
     has_property,
@@ -210,8 +215,60 @@ def _match_type_a(tp: GroupTuple, lat: Lattice, s: int):
     return perm, basis
 
 
+def _block_certificate(tp: GroupTuple, lat: Lattice, s: int, values):
+    """Type-B certificate pieces over the first s-1 independent ``values``.
+
+    One fraction-free elimination of ``values`` (``_bareiss_reduce``) picks
+    the basis: its first s-1 pivot columns, i.e. the greedy independent
+    values in the given order.  Every other value must read 0 or -d in each
+    row of the reduced matrix (coordinates 0 or -1 over the basis), and the
+    supports of the -1 coordinates must be nonempty and disjoint.  The basis
+    is reordered so each support becomes a consecutive block, in the order of
+    the remaining values; basis members outside every block go last, keeping
+    their relative order.  Returns (permutation, basis, k, breakpoints) with
+    k the number of remaining values; ValueError names the first failed
+    condition.
+    """
+    pivots, d, reduced = _bareiss_reduce(values, tp.dim)
+    chosen = pivots[: s - 1]
+    basis = [values[j] for j in chosen]
+    if hnf_rows(basis, tp.dim) != lat:
+        raise ValueError("chosen values do not form an integer basis of the span")
+    order: list[int] = []
+    breakpoints = []
+    for j in range(len(values)):
+        if j in chosen:
+            continue
+        column = [row[j] for row in reduced]
+        if any(x not in (0, -d) for x in column):
+            raise ValueError("remaining value does not reduce to a negated block sum")
+        sup = [i for i, x in enumerate(column) if x]
+        if not sup or any(i in order for i in sup):
+            raise ValueError("block supports are not disjoint and nonempty")
+        order.extend(sup)
+        breakpoints.append(len(order))
+    order.extend(i for i in range(s - 1) if i not in order)
+    basis = tuple(basis[i] for i in order)
+    k = len(breakpoints)
+    pattern = canonical_pattern(
+        VARIANT_TYPE_B, s, basis, k=k, breakpoints=tuple(breakpoints)
+    )
+    perm = _assign_positions(tp, pattern)
+    if perm is None:
+        raise ValueError("pattern does not rearrange the tuple")  # defensive
+    return perm, basis, k, tuple(breakpoints)
+
+
 def _match_type_b(tp: GroupTuple, lat: Lattice, s: int):
-    """Certificate pieces for the block-inverse pattern, or None."""
+    """Certificate pieces for the block-inverse pattern, or None.
+
+    Each block together with its negated sum is a zero-sum circuit and the
+    basis members outside every block are coloops, so on a type-B tuple any
+    s-1 independent nonzero values form an integer basis over which every
+    other nonzero value is a negated block sum.  The greedy basis of the
+    sorted nonzero values is therefore the lexicographically first subset
+    that certifies, and when it does not certify no subset does.
+    """
     if len(tp) != 2 * s:
         return None
     mults = value_multiplicities(tp)
@@ -225,52 +282,20 @@ def _match_type_b(tp: GroupTuple, lat: Lattice, s: int):
         c != 1 for v, c in mults if v != zero
     ):
         return None
-    for cand in combinations(nonzero, s - 1):
-        if hnf_rows(cand, tp.dim) != lat:
-            continue
-        rest = [v for v in nonzero if v not in cand]
-        supports = []
-        ok = True
-        seen: set[int] = set()
-        for w in rest:
-            coords = solve_integer_combination(cand, w)
-            if coords is None or any(c not in (0, -1) for c in coords):
-                ok = False
-                break
-            sup = {j for j, c in enumerate(coords) if c == -1}
-            if not sup or sup & seen:
-                ok = False
-                break
-            seen |= sup
-            supports.append(sorted(sup))
-        if not ok:
-            continue
-        # Reorder the basis so each support becomes a consecutive block;
-        # unsupported basis indices go last, preserving relative order.
-        order: list[int] = []
-        breakpoints = []
-        for sup in supports:
-            order.extend(sup)
-            breakpoints.append(len(order))
-        order.extend(j for j in range(s - 1) if j not in seen)
-        basis = tuple(cand[j] for j in order)
-        pattern = canonical_pattern(
-            VARIANT_TYPE_B, s, basis, k=k, breakpoints=tuple(breakpoints)
-        )
-        perm = _assign_positions(tp, pattern)
-        if perm is None:  # unreachable: pattern is a rearrangement of tp
-            continue
-        return perm, basis, k, tuple(breakpoints)
-    return None
+    try:
+        return _block_certificate(tp, lat, s, nonzero)
+    except ValueError:
+        return None
 
 
 def classify(t: GroupTuple, s: int, budget: int | None = None) -> Classification:
     """Decide rank-below / type A / type B / Unclassified for the tuple.
 
     Preconditions (ValueError): 2 <= s < q <= 2s and the zero element occurs
-    in t.  Candidate translation constants are the distinct tuple values in
-    first-occurrence order; type A is matched before type B.  ``budget`` is
-    passed to the property check of an Unclassified result.
+    in t.  Type A is matched first, translated by t[0]; then type B,
+    translated by the one value that occurs more than once (see the module
+    docstring).  ``budget`` is passed to the property check of an
+    Unclassified result.
     """
     q = len(t)
     if not (2 <= s < q <= 2 * s):
@@ -282,23 +307,22 @@ def classify(t: GroupTuple, s: int, budget: int | None = None) -> Classification
         return Classification(variant=VARIANT_RANK_BELOW, s=s, rank=tr)
     if tr == s - 1 and q == 2 * s:
         lat = span(t)
-        candidates = [v for v, _ in value_multiplicities(t)]
-        for c in candidates:
-            tp = translate(t, c)
-            m = _match_type_a(tp, lat, s)
-            if m is not None:
-                perm, basis = m
-                return Classification(
-                    variant=VARIANT_TYPE_A,
-                    s=s,
-                    rank=tr,
-                    scaling=c,
-                    permutation=perm,
-                    basis=basis,
-                )
-        for c in candidates:
-            tp = translate(t, c)
-            m = _match_type_b(tp, lat, s)
+        c = t.elements[0]
+        m = _match_type_a(translate(t, c), lat, s)
+        if m is not None:
+            perm, basis = m
+            return Classification(
+                variant=VARIANT_TYPE_A,
+                s=s,
+                rank=tr,
+                scaling=c,
+                permutation=perm,
+                basis=basis,
+            )
+        repeated = [v for v, n in value_multiplicities(t) if n > 1]
+        if len(repeated) == 1:
+            c = repeated[0]
+            m = _match_type_b(translate(t, c), lat, s)
             if m is not None:
                 perm, basis, k, breaks = m
                 return Classification(
@@ -373,13 +397,17 @@ def rebase_type_b(t: GroupTuple, c: Classification, chosen) -> Classification:
     must be independent; by the symmetry of the block pattern they then form
     an integer basis of the span and every other nonzero value is a negated
     sum of a block of them.  Returns the certificate over the new basis;
-    ValueError when the chosen values are dependent or (defensively) fail to
-    generate the span.
+    ValueError when a position is not an integer in 0..q-1, when the chosen
+    values are dependent, or when (defensively) they fail to generate the
+    span or the rest of the tuple fails the block pattern.
     """
     if c.variant != VARIANT_TYPE_B:
         raise ValueError("rebase applies to type-B certificates only")
     s = c.s
     chosen = tuple(chosen)
+    for p in chosen:
+        if not _is_int(p) or not 0 <= p < len(t):
+            raise ValueError(f"position {p!r} is not an integer in 0..{len(t) - 1}")
     if len(chosen) != s - 1 or len(set(chosen)) != s - 1:
         raise ValueError(f"need {s - 1} distinct positions")
     tp = translate(t, c.scaling)
@@ -390,44 +418,12 @@ def rebase_type_b(t: GroupTuple, c: Classification, chosen) -> Classification:
         if v == zero:
             raise ValueError(f"position {p + 1} carries the zero value")
         vals.append(v)
-    new_lat = hnf_rows(vals, t.dim)
-    if new_lat.rank < s - 1:
+    if hnf_rows(vals, t.dim).rank < s - 1:
         raise ValueError("chosen values are dependent")
-    if new_lat != span(t):
-        raise ValueError("chosen values do not form an integer basis of the span")
-
-    rest_vals = sorted(
-        v
-        for v in (e for i, e in enumerate(tp.elements) if i not in chosen)
-        if v != zero
+    rest = sorted(
+        v for i, v in enumerate(tp.elements) if i not in chosen and v != zero
     )
-    supports = []
-    seen: set[int] = set()
-    for w in rest_vals:
-        coords = solve_integer_combination(vals, w)
-        if coords is None or any(x not in (0, -1) for x in coords):
-            raise ValueError(
-                "remaining value does not reduce to a negated block sum"
-            )
-        sup = {j for j, x in enumerate(coords) if x == -1}
-        if not sup or sup & seen:
-            raise ValueError("block supports are not disjoint and nonempty")
-        seen |= sup
-        supports.append(sorted(sup))
-    order: list[int] = []
-    breakpoints = []
-    for sup in supports:
-        order.extend(sup)
-        breakpoints.append(len(order))
-    order.extend(j for j in range(s - 1) if j not in seen)
-    basis = tuple(vals[j] for j in order)
-    k = len(rest_vals)
-    pattern = canonical_pattern(
-        VARIANT_TYPE_B, s, basis, k=k, breakpoints=tuple(breakpoints)
-    )
-    perm = _assign_positions(tp, pattern)
-    if perm is None:
-        raise ValueError("pattern does not rearrange the tuple")  # defensive
+    perm, basis, k, breakpoints = _block_certificate(tp, span(t), s, vals + rest)
     return Classification(
         variant=VARIANT_TYPE_B,
         s=s,
@@ -436,5 +432,5 @@ def rebase_type_b(t: GroupTuple, c: Classification, chosen) -> Classification:
         permutation=perm,
         basis=basis,
         k=k,
-        breakpoints=tuple(breakpoints),
+        breakpoints=breakpoints,
     )

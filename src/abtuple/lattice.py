@@ -305,14 +305,3 @@ def solve_rational_combination(rows, target: Vector) -> tuple[Fraction, ...] | N
         x[c] = Fraction(row[k], d)
     return tuple(x)
 
-
-def solve_integer_combination(rows, target: Vector) -> tuple[int, ...] | None:
-    """Integer coefficients x with sum(x_i * rows_i) == target, or None.
-
-    Complete only for independent rows (the unique rational solution either is
-    or is not integral); callers here always pass independent rows.
-    """
-    x = solve_rational_combination(rows, target)
-    if x is None or any(f.denominator != 1 for f in x):
-        return None
-    return tuple(int(f) for f in x)

@@ -328,25 +328,22 @@ def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
     tr = lat.rank
     if tr == 0:
         raise ValueError("rank-0 tuple: adequate basis undefined")
+    # Zero elements never enter an independent subset, so they get no entry.
+    reps = [primitive_representative(lat, e) if any(e) else None for e in t.elements]
     refutation = []
     for subset in combinations(range(len(t)), tr):
         rows = [t.elements[i] for i in subset]
         if hnf_rows(rows, t.dim).rank < tr:
             continue
-        prims = []
-        mults = []
-        for i in subset:
-            p, d = primitive_representative(lat, t.elements[i])
-            prims.append(p)
-            mults.append(d)
+        prims, mults = zip(*(reps[i] for i in subset))
         idx = sublattice_index(hnf_rows(prims, t.dim), lat)
         if idx == 1:
             return AdequateBasisDecision(
                 exists=True,
                 witness=AdequateBasisWitness(
                     indices=subset,
-                    multipliers=tuple(mults),
-                    basis=tuple(prims),
+                    multipliers=mults,
+                    basis=prims,
                 ),
                 refutation=None,
             )

@@ -195,6 +195,9 @@ class TestRebase:
             rebase_type_b(t, c, (3,))
         with pytest.raises(ValueError, match="zero value"):
             rebase_type_b(t, c, (0, 3))
+        for bad in (9, -1, 4.0, True):
+            with pytest.raises(ValueError, match=rf"position {bad!r} is not an integer"):
+                rebase_type_b(t, c, (bad, 4))
 
     def test_dependent_choice_rejected(self):
         # Type B at s=3 with k=2: values beta_1, beta_2, -beta_1, -beta_2.

@@ -1,0 +1,308 @@
+"""Differential tests of the search-free classifier against the scans it
+replaced.
+
+The oracles below are the slow reference implementations: ``classify`` tries
+every distinct tuple value as the translation constant, first for type A and
+then for type B, and the type-B matcher scans ``combinations(nonzero, s-1)``
+in lexicographic order, probing each candidate basis with ``hnf_rows`` and
+solving every remaining value over it.  ``oracle_rebase`` solves each
+remaining value over the chosen basis the same way.  The library must return
+the same ``Classification`` and, on a refused rebase, the same ``ValueError``
+message.
+"""
+
+import random
+from itertools import combinations, permutations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abtuple.classify import (
+    VARIANT_TYPE_A,
+    VARIANT_TYPE_B,
+    VARIANT_UNCLASSIFIED,
+    Classification,
+    _assign_positions,
+    _match_type_a,
+    canonical_pattern,
+    classify,
+    rebase_type_b,
+)
+from abtuple.generators import GeneratorSpec, generate
+from abtuple.lattice import hnf_rows, solve_rational_combination, zero_vector
+from abtuple.tuples import (
+    group_tuple,
+    has_property,
+    rank,
+    span,
+    translate,
+    value_multiplicities,
+)
+
+# s = 3, k = 2 with two one-member blocks: each value sits in a circuit with
+# its negative, so a third of the pairs of nonzero values are dependent.
+K2_S3 = ((0, 0), (0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+
+
+def oracle_integer_solve(rows, target):
+    x = solve_rational_combination(rows, target)
+    if x is None or any(f.denominator != 1 for f in x):
+        return None
+    return tuple(int(f) for f in x)
+
+
+def _blocks(tp, s, basis, supports, k):
+    order = []
+    breakpoints = []
+    for sup in supports:
+        order.extend(sup)
+        breakpoints.append(len(order))
+    order.extend(j for j in range(s - 1) if not any(j in sup for sup in supports))
+    basis = tuple(basis[j] for j in order)
+    pattern = canonical_pattern(
+        VARIANT_TYPE_B, s, basis, k=k, breakpoints=tuple(breakpoints)
+    )
+    return _assign_positions(tp, pattern), basis, tuple(breakpoints)
+
+
+def oracle_match_type_b(tp, lat, s):
+    if len(tp) != 2 * s:
+        return None
+    mults = value_multiplicities(tp)
+    zero = zero_vector(tp.dim)
+    z = dict(mults).get(zero, 0)
+    k = s + 1 - z
+    if not (0 <= k <= s - 1):
+        return None
+    nonzero = sorted(v for v, c in mults if v != zero)
+    if len(nonzero) != s - 1 + k or any(c != 1 for v, c in mults if v != zero):
+        return None
+    for cand in combinations(nonzero, s - 1):
+        if hnf_rows(cand, tp.dim) != lat:
+            continue
+        supports = []
+        seen = set()
+        for w in (v for v in nonzero if v not in cand):
+            coords = oracle_integer_solve(cand, w)
+            if coords is None or any(c not in (0, -1) for c in coords):
+                break
+            sup = {j for j, c in enumerate(coords) if c == -1}
+            if not sup or sup & seen:
+                break
+            seen |= sup
+            supports.append(sorted(sup))
+        else:
+            perm, basis, breaks = _blocks(tp, s, cand, supports, k)
+            if perm is not None:
+                return perm, basis, k, breaks
+    return None
+
+
+def oracle_classify(t, s):
+    q = len(t)
+    if not (2 <= s < q <= 2 * s):
+        raise ValueError(f"classify requires 2 <= s < q <= 2s, got s={s}, q={q}")
+    if zero_vector(t.dim) not in t.elements:
+        raise ValueError("classify requires the zero element to occur in the tuple")
+    tr = rank(t)
+    if tr < s - 1:
+        return Classification(variant="rank_below", s=s, rank=tr)
+    if tr == s - 1 and q == 2 * s:
+        lat = span(t)
+        candidates = [v for v, _ in value_multiplicities(t)]
+        for c in candidates:
+            m = _match_type_a(translate(t, c), lat, s)
+            if m is not None:
+                perm, basis = m
+                return Classification(
+                    variant=VARIANT_TYPE_A,
+                    s=s,
+                    rank=tr,
+                    scaling=c,
+                    permutation=perm,
+                    basis=basis,
+                )
+        for c in candidates:
+            m = oracle_match_type_b(translate(t, c), lat, s)
+            if m is not None:
+                perm, basis, k, breaks = m
+                return Classification(
+                    variant=VARIANT_TYPE_B,
+                    s=s,
+                    rank=tr,
+                    scaling=c,
+                    permutation=perm,
+                    basis=basis,
+                    k=k,
+                    breakpoints=breaks,
+                )
+    return Classification(
+        variant=VARIANT_UNCLASSIFIED,
+        s=s,
+        rank=tr,
+        property_holds=has_property(t, q, s).holds,
+    )
+
+
+def oracle_rebase(t, c, chosen):
+    s = c.s
+    chosen = tuple(chosen)
+    if len(chosen) != s - 1 or len(set(chosen)) != s - 1:
+        raise ValueError(f"need {s - 1} distinct positions")
+    tp = translate(t, c.scaling)
+    zero = zero_vector(t.dim)
+    vals = []
+    for p in chosen:
+        v = tp.elements[p]
+        if v == zero:
+            raise ValueError(f"position {p + 1} carries the zero value")
+        vals.append(v)
+    new_lat = hnf_rows(vals, t.dim)
+    if new_lat.rank < s - 1:
+        raise ValueError("chosen values are dependent")
+    if new_lat != span(t):
+        raise ValueError("chosen values do not form an integer basis of the span")
+    rest = sorted(
+        v for v in (e for i, e in enumerate(tp.elements) if i not in chosen) if v != zero
+    )
+    supports = []
+    seen = set()
+    for w in rest:
+        coords = oracle_integer_solve(vals, w)
+        if coords is None or any(x not in (0, -1) for x in coords):
+            raise ValueError("remaining value does not reduce to a negated block sum")
+        sup = {j for j, x in enumerate(coords) if x == -1}
+        if not sup or sup & seen:
+            raise ValueError("block supports are not disjoint and nonempty")
+        seen |= sup
+        supports.append(sorted(sup))
+    perm, basis, breaks = _blocks(tp, s, vals, supports, len(rest))
+    if perm is None:
+        raise ValueError("pattern does not rearrange the tuple")
+    return Classification(
+        variant=VARIANT_TYPE_B,
+        s=s,
+        rank=c.rank,
+        scaling=c.scaling,
+        permutation=perm,
+        basis=basis,
+        k=len(rest),
+        breakpoints=breaks,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+
+
+@st.composite
+def generated_instances(draw, kinds=("a", "b"), max_s=6):
+    """(tuple, s): a generated type-A (odd s) or type-B instance in dimension
+    s-1 or s, scrambled by a slot permutation and re-centred on one of its
+    values, which keeps a zero entry."""
+    kind = draw(st.sampled_from(kinds), label="kind")
+    if kind == "a":
+        s = draw(st.sampled_from([x for x in (3, 5) if x <= max_s]), label="s")
+        k, breaks = 0, ()
+    else:
+        s = draw(st.integers(2, max_s), label="s")
+        k = draw(st.integers(0, s - 1), label="k")
+        breaks = tuple(sorted(draw(st.sets(st.integers(1, s - 1), min_size=k, max_size=k))))
+    seed = draw(st.integers(0, 10**6), label="seed")
+    spec = GeneratorSpec(
+        kind=kind,
+        s=s,
+        dim=s - 1 + draw(st.integers(0, 1), label="extra dim"),
+        k=k,
+        breakpoints=breaks,
+        seed=seed,
+        unimodular_bound=draw(st.sampled_from((0, 2, 10)), label="bound"),
+        permutation_seed=seed + 1,
+    )
+    t = generate(spec)
+    return translate(t, draw(st.sampled_from(t.elements), label="centre")), s
+
+
+def near_miss(t, rng, recentre=True):
+    """One coordinate bumped, one element doubled, negated, or replaced by a
+    copy of another, then (by default) re-centred on one of the values."""
+    elements = [list(e) for e in t.elements]
+    i, j = rng.sample(range(len(elements)), 2)
+    move = rng.randrange(4)
+    if move == 0:
+        elements[i][rng.randrange(t.dim)] += rng.choice((-1, 1))
+    elif move == 1:
+        elements[i] = [2 * x for x in elements[i]]
+    elif move == 2:
+        elements[i] = [-x for x in elements[i]]
+    else:
+        elements[i] = list(elements[j])
+    out = group_tuple(elements, dim=t.dim)
+    return translate(out, rng.choice(out.elements)) if recentre else out
+
+
+def assert_rebases_match(t, c):
+    """Every ordered choice of s-1 nonzero positions rebases as the oracle
+    does: the same certificate, or the same refusal."""
+    zero = zero_vector(t.dim)
+    tp = translate(t, c.scaling)
+    nonzero = [i for i, e in enumerate(tp.elements) if e != zero]
+    for chosen in permutations(nonzero, c.s - 1):
+        try:
+            expected = oracle_rebase(t, c, chosen)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                rebase_type_b(t, c, chosen)
+            assert str(got.value) == str(e)
+        else:
+            assert rebase_type_b(t, c, chosen) == expected
+
+
+# ---------------------------------------------------------------------------
+# Tests
+
+
+class TestClassifyAgainstOracle:
+    @given(generated_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_instances(self, case):
+        t, s = case
+        assert classify(t, s) == oracle_classify(t, s)
+
+    @given(generated_instances(), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_near_misses(self, case, seed):
+        t, s = case
+        t = near_miss(t, random.Random(seed))
+        assert classify(t, s) == oracle_classify(t, s)
+
+    def test_dependent_first_pair(self):
+        t = group_tuple(K2_S3)
+        c = classify(t, 3)
+        assert c.variant == VARIANT_TYPE_B and c.k == 2
+        assert c == oracle_classify(t, 3)
+        assert_rebases_match(t, c)
+
+
+class TestRebaseAgainstOracle:
+    @given(generated_instances(kinds=("b",), max_s=5))
+    @settings(max_examples=40, deadline=None)
+    def test_every_ordered_choice(self, case):
+        t, s = case
+        c = classify(t, s)
+        assert c.variant == VARIANT_TYPE_B
+        assert_rebases_match(t, c)
+
+    @given(generated_instances(kinds=("b",), max_s=4), st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_certificate_of_a_near_miss(self, case, seed):
+        # rebase_type_b does not verify its certificate; one issued for a
+        # neighbouring tuple drives it into each of its refusals.
+        t, s = case
+        c = classify(t, s)
+        assert_rebases_match(near_miss(t, random.Random(seed), recentre=False), c)

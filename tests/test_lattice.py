@@ -15,7 +15,6 @@ from abtuple.lattice import (
     hnf_rows,
     primitive_representative,
     solve_coordinates,
-    solve_integer_combination,
     solve_rational_combination,
     sublattice_index,
     zero_vector,
@@ -268,10 +267,13 @@ class TestRationalSolve:
         assert x is not None
         assert x[0] * 1 + x[1] * 2 == 3
 
-    def test_integer_filter(self):
-        assert solve_integer_combination([(2, 0), (0, 3)], (1, 1)) is None
-        assert solve_integer_combination([(2, 0), (0, 3)], (4, 3)) == (2, 1)
-        assert solve_integer_combination([(1, 0)], (0, 1)) is None
+    def test_integral_and_fractional_solutions(self):
+        assert solve_rational_combination([(2, 0), (0, 3)], (1, 1)) == (
+            Fraction(1, 2),
+            Fraction(1, 3),
+        )
+        assert solve_rational_combination([(2, 0), (0, 3)], (4, 3)) == (2, 1)
+        assert solve_rational_combination([(1, 0)], (0, 1)) is None
 
 
 class TestLatticeValue:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abtuple import structure
 from abtuple.lattice import contains, hnf_rows, sublattice_index
 from abtuple.structure import (
     adequate_basis_decide,
@@ -222,6 +223,22 @@ class TestAdequateBasis:
     def test_rank_zero_rejected(self):
         with pytest.raises(ValueError):
             adequate_basis_decide(group_tuple([(0,), (0,)]))
+
+    def test_representatives_computed_once(self, monkeypatch):
+        calls = []
+        real = structure.primitive_representative
+
+        def counting(lat, v):
+            calls.append(v)
+            return real(lat, v)
+
+        monkeypatch.setattr(structure, "primitive_representative", counting)
+        for elements in (EXAMPLE_FULL_RANK, ((0, 0, 0),) + EXAMPLE_FULL_RANK):
+            t = group_tuple(elements)
+            calls.clear()
+            dec = adequate_basis_decide(t)
+            assert dec.refutation  # several independent subsets were scanned
+            assert len(calls) <= len(t)
 
     @given(small_tuples(max_dim=3, max_len=5, bound=3))
     @settings(max_examples=100, deadline=None)
