@@ -302,11 +302,11 @@ def classify(t: GroupTuple, s: int, budget: int | None = None) -> Classification
         raise ValueError(f"classify requires 2 <= s < q <= 2s, got s={s}, q={q}")
     if zero_vector(t.dim) not in t.elements:
         raise ValueError("classify requires the zero element to occur in the tuple")
-    tr = rank(t)
+    lat = span(t)
+    tr = lat.rank
     if tr < s - 1:
         return Classification(variant=VARIANT_RANK_BELOW, s=s, rank=tr)
     if tr == s - 1 and q == 2 * s:
-        lat = span(t)
         c = t.elements[0]
         m = _match_type_a(translate(t, c), lat, s)
         if m is not None:

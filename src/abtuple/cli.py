@@ -20,6 +20,7 @@ import sys
 
 from .classify import (
     VARIANT_UNCLASSIFIED,
+    CertificateFormatError,
     classification_from_json_obj,
     classify,
     verify_classification,
@@ -31,17 +32,21 @@ from .tuples import (
     BudgetExceeded,
     TupleFormatError,
     has_property,
-    load_tuple,
     parse_tuple,
     rank,
     to_json_obj,
 )
 
 
-def _read_tuple(path: str):
+def _read_text(path: str) -> str:
     if path == "-":
-        return parse_tuple(sys.stdin.read())
-    return load_tuple(path)
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _read_tuple(path: str):
+    return parse_tuple(_read_text(path))
 
 
 def _emit(obj, summary: str) -> None:
@@ -93,11 +98,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify(args) -> int:
     t = _read_tuple(args.file)
-    if args.cert_file == "-":
-        obj = json.loads(sys.stdin.read())
-    else:
-        with open(args.cert_file, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+    try:
+        obj = json.loads(_read_text(args.cert_file))
+    except RecursionError as exc:
+        raise CertificateFormatError(f"certificate JSON: {exc}") from None
     cls = classification_from_json_obj(obj)
     ok = cls.s == args.s and verify_classification(t, cls)
     _emit({"valid": ok}, "certificate valid" if ok else "certificate INVALID")

@@ -14,6 +14,10 @@ integer multiples of distinct basis elements.  Such a basis need not exist;
 ``adequate_basis_decide`` settles the question with a witness or a complete
 refutation, using the fact that a basis element is primitive in the span and
 the primitive element parallel to a given direction is unique up to sign.
+With every representative written in coordinates over the span's HNF basis,
+a rank-sized subset costs one determinant: its absolute value is 0 for a
+dependent subset, 1 for a basis of the span, and otherwise the index of the
+sublattice the representatives generate.
 
 ``audit_claims`` checks, on a concrete property-(P_{q,s}) instance, the
 structural assertions that drive the classification: the exponent matrix is
@@ -30,19 +34,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .classify import classify
 from .lattice import (
     Vector,
     _bareiss_reduce,
+    det_bareiss,
     hnf_rows,
     primitive_representative,
-    sublattice_index,
+    solve_coordinates,
     zero_vector,
 )
 from .tuples import (
+    BudgetExceeded,
     GroupTuple,
+    current_budget,
     equal_pair,
     has_property,
     rank,
@@ -319,25 +326,38 @@ def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
 
     Reduction: any such basis element is parallel to a tuple element and lies
     in the span, so it is the (unique up to sign) primitive representative of
-    that element.  It therefore suffices to scan rank-sized position subsets
-    in lexicographic order and test whether the primitive representatives of
-    an independent subset generate the span (sublattice index 1).  The
-    refutation lists the index of every independent subset; each is >= 2.
+    that element.  It therefore suffices to scan rank-sized subsets of the
+    nonzero positions (a zero element is in no independent subset) in
+    lexicographic order.  Each nonzero element's representative is written
+    once in coordinates over the HNF basis of the span; a subset's index is
+    |det| of its representatives' coordinate rows: 0 when the subset is
+    dependent (skipped), 1 when the representatives generate the span (the
+    witness), and otherwise the sublattice index they generate, recorded in
+    the refutation (each entry is >= 2).
+
+    Raises BudgetExceeded before the scan when the C(#nonzero, rank) subsets
+    it may test exceed the budget (ABTUPLE_BUDGET, else 10**9).
     """
     lat = span(t)
     tr = lat.rank
     if tr == 0:
         raise ValueError("rank-0 tuple: adequate basis undefined")
-    # Zero elements never enter an independent subset, so they get no entry.
-    reps = [primitive_representative(lat, e) if any(e) else None for e in t.elements]
+    nonzero = [i for i, e in enumerate(t.elements) if any(e)]
+    limit = current_budget()
+    work = comb(len(nonzero), tr)
+    if work > limit:
+        raise BudgetExceeded(
+            f"adequate-basis scan tests {work} subsets, budget is {limit}"
+        )
+    reps = {i: primitive_representative(lat, t.elements[i]) for i in nonzero}
+    coords = {i: solve_coordinates(lat, p) for i, (p, _) in reps.items()}
     refutation = []
-    for subset in combinations(range(len(t)), tr):
-        rows = [t.elements[i] for i in subset]
-        if hnf_rows(rows, t.dim).rank < tr:
+    for subset in combinations(nonzero, tr):
+        idx = abs(det_bareiss([coords[i] for i in subset]))
+        if idx == 0:
             continue
-        prims, mults = zip(*(reps[i] for i in subset))
-        idx = sublattice_index(hnf_rows(prims, t.dim), lat)
         if idx == 1:
+            prims, mults = zip(*(reps[i] for i in subset))
             return AdequateBasisDecision(
                 exists=True,
                 witness=AdequateBasisWitness(
@@ -444,45 +464,17 @@ def audit_claims(t: GroupTuple, s: int, budget: int | None = None) -> AuditRepor
         translation = t.elements[pair[0]]
         nt = translate(t, translation)
 
-    tr = rank(nt)
+    # An all-zero tuple has no certificate: one class of size q, no axes.
+    cert = q_basis_certificate(nt) if any(map(any, nt.elements)) else None
+    tr = cert.rank if cert else 0
     claims: list[AuditClaim] = []
-
-    if tr == 0:
-        # Every element is zero: one class of size q, no axes at all.
-        mults = (q,)
-        claims.append(
-            AuditClaim(
-                name="multiplicity_sums_avoid_s",
-                status="pass" if q != s else "fail",
-                witness={"multiplicities": list(mults)},
-            )
-        )
-        claims.append(
-            AuditClaim(
-                name="multiplicity_pattern",
-                status="skip",
-                reason=f"rank 0 != s-1 = {s - 1}",
-            )
-        )
-        for name in ("zero_axis_property", "zero_axis_rank_drop", "zero_axis_not_type_a"):
-            claims.append(
-                AuditClaim(name=name, status="skip", reason="no negative exponents")
-            )
-        return AuditReport(
-            s=s, q=q, case="alpha", translation=translation, claims=tuple(claims)
-        )
-
-    cert = q_basis_certificate(nt)
     neg_axes = [
-        tau
-        for tau in range(cert.rank)
-        if any(row[tau] < 0 for row in cert.exponents)
+        tau for tau in range(tr) if any(row[tau] < 0 for row in cert.exponents)
     ]
     case = "beta" if neg_axes else "alpha"
 
     if case == "alpha":
-        part = m_partition(nt, cert)
-        mults = part.multiplicities
+        mults = m_partition(nt, cert).multiplicities if cert else (q,)
         bad_subset = None
         for size in range(1, len(mults) + 1):
             for subset in combinations(range(len(mults)), size):

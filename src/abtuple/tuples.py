@@ -105,7 +105,7 @@ def parse_json_obj(obj) -> GroupTuple:
         try:
             dim = int(obj["dim"])
             elements = obj["elements"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TupleFormatError(f"bad tuple JSON: {exc}") from None
     else:
         raise TupleFormatError("tuple JSON must be an object or an array")
@@ -126,7 +126,7 @@ def parse_tuple(text: str) -> GroupTuple:
     if text.lstrip().startswith(("{", "[")):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TupleFormatError(f"invalid JSON: {exc}") from None
         return parse_json_obj(obj)
     return parse_text(text)

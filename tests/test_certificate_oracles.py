@@ -1,15 +1,19 @@
 """Differential tests of the fraction-free certificate paths against the
-per-element ``Fraction`` Gauss-Jordan code they replaced.
+per-element ``Fraction`` Gauss-Jordan code they replaced, and of the
+determinant-per-subset adequate-basis scan against the HNF scan it replaced.
 
 The oracles below are the slow reference implementations: a ``Fraction``
 elimination per target vector, a greedy ``hnf_rows`` rank probe per element
-to pick the basis positions, and a ``Fraction`` re-check of the certificate.
+to pick the basis positions, a ``Fraction`` re-check of the certificate, and
+an adequate-basis scan over all positions that probes each subset's rank with
+``hnf_rows`` and measures its representatives with ``sublattice_index``.
 The library must agree with them on every result, ``None`` included, and on
 every verdict, tampered certificates included.
 """
 
 import dataclasses
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
@@ -19,10 +23,20 @@ from hypothesis import strategies as st
 from abtuple.lattice import (
     hnf_rows,
     is_zero,
+    primitive_representative,
     solve_rational_combination,
+    sublattice_index,
 )
-from abtuple.structure import QBasisCertificate, q_basis_certificate, verify_certificate
-from abtuple.tuples import group_tuple, rank
+from abtuple.structure import (
+    AdequateBasisDecision,
+    AdequateBasisWitness,
+    QBasisCertificate,
+    adequate_basis_decide,
+    audit_claims,
+    q_basis_certificate,
+    verify_certificate,
+)
+from abtuple.tuples import group_tuple, rank, span
 
 BIG = 10**12
 
@@ -147,6 +161,33 @@ def oracle_verify(t, cert):
     return True
 
 
+def oracle_adequate_basis(t):
+    lat = span(t)
+    tr = lat.rank
+    if tr == 0:
+        raise ValueError("rank-0 tuple: adequate basis undefined")
+    reps = [primitive_representative(lat, e) if any(e) else None for e in t.elements]
+    refutation = []
+    for subset in combinations(range(len(t)), tr):
+        rows = [t.elements[i] for i in subset]
+        if hnf_rows(rows, t.dim).rank < tr:
+            continue
+        prims, mults = zip(*(reps[i] for i in subset))
+        idx = sublattice_index(hnf_rows(prims, t.dim), lat)
+        if idx == 1:
+            return AdequateBasisDecision(
+                exists=True,
+                witness=AdequateBasisWitness(
+                    indices=subset, multipliers=mults, basis=prims
+                ),
+                refutation=None,
+            )
+        refutation.append((subset, idx))
+    return AdequateBasisDecision(
+        exists=False, witness=None, refutation=tuple(refutation)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 
@@ -170,6 +211,35 @@ def vector_lists(draw, min_size=1, max_size=8):
             row = tuple(scale * sum(c * g[j] for c, g in zip(cs, gens)) for j in range(dim))
         elif kind == "raw":
             row = draw(st.tuples(*[st.integers(-BIG, BIG)] * dim))
+        else:
+            row = (0,) * dim
+        rows.append(row)
+    return dim, rows
+
+
+@st.composite
+def adequate_cases(draw):
+    """(dim, rows) with dim 1..5 and up to 8 rows: small combinations of a
+    few generators scaled by 1, 3 or 10**12, multiples of one generator,
+    raw coordinates up to 10**12, zero rows and repeats of earlier rows."""
+    dim = draw(st.integers(1, 5), label="dim")
+    small = st.tuples(*[st.integers(-5, 5)] * dim)
+    gens = draw(st.lists(small, min_size=1, max_size=dim), label="gens")
+    scale = draw(st.sampled_from((1, 3, BIG)), label="scale")
+    rows = []
+    for _ in range(draw(st.integers(1, 8), label="n")):
+        kind = draw(st.sampled_from(("combo", "combo", "multiple", "raw", "zero", "repeat")))
+        if kind == "combo":
+            cs = draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+            row = tuple(scale * sum(c * g[j] for c, g in zip(cs, gens)) for j in range(dim))
+        elif kind == "multiple":
+            g = draw(st.sampled_from(gens))
+            m = draw(st.sampled_from((-BIG, -2, -1, 1, 2, 3, BIG)))
+            row = tuple(m * x for x in g)
+        elif kind == "raw":
+            row = draw(st.tuples(*[st.integers(-BIG, BIG)] * dim))
+        elif kind == "repeat" and rows:
+            row = draw(st.sampled_from(rows))
         else:
             row = (0,) * dim
         rows.append(row)
@@ -239,3 +309,49 @@ class TestVerifyAgainstOracle:
             exps[i][tau] += delta
             bad = dataclasses.replace(cert, exponents=tuple(map(tuple, exps)))
         assert verify_certificate(t, bad) == oracle_verify(t, bad)
+
+
+class TestAdequateBasisAgainstOracle:
+    @given(adequate_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_decision_matches(self, case):
+        dim, rows = case
+        t = group_tuple(rows, dim=dim)
+        if rank(t) == 0:
+            with pytest.raises(ValueError):
+                adequate_basis_decide(t)
+            return
+        assert adequate_basis_decide(t) == oracle_adequate_basis(t)
+
+    @pytest.mark.parametrize(
+        "s, q", [(s, q) for s in range(2, 6) for q in range(s + 1, 2 * s + 1)]
+    )
+    def test_all_zero_audit_report(self, s, q):
+        skip = {"pass": True, "status": "skip", "witness": None}
+        expected = {
+            "s": s,
+            "q": q,
+            "case": "alpha",
+            "translation": None,
+            "claims": [
+                {
+                    "name": "multiplicity_sums_avoid_s",
+                    "pass": True,
+                    "status": "pass",
+                    "witness": {"multiplicities": [q]},
+                    "reason": None,
+                },
+                dict(skip, name="multiplicity_pattern", reason=f"rank 0 != s-1 = {s - 1}"),
+            ]
+            + [
+                dict(skip, name=name, reason="no negative exponents")
+                for name in (
+                    "zero_axis_property",
+                    "zero_axis_rank_drop",
+                    "zero_axis_not_type_a",
+                )
+            ],
+        }
+        for dim in (1, 3):
+            t = group_tuple([(0,) * dim] * q)
+            assert audit_claims(t, s).to_json_obj() == expected

@@ -1,14 +1,21 @@
 """Golden CLI invocations: JSON payloads and the exit-code contract."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from abtuple.cli import main
 
 EXAMPLE_FULL_RANK = "1 0 0\n1 1 0\n1 2 2\n1 2 5\n"
+DEEP_JSON = "[" * 100000 + "]" * 100000
 
 
 @pytest.fixture()
@@ -161,6 +168,14 @@ class TestVerify:
         assert code == 2
         assert field in payload["error"]
 
+    def test_deeply_nested_certificate_exit_two(self, capsys, tuple_file):
+        tf = tuple_file("0\n0\n2\n-2\n")
+        deep = tuple_file(DEEP_JSON, name="deep.json")
+        code, payload, err = run_cli(capsys, "verify", "--s", "2", tf, deep)
+        assert code == 2
+        assert "certificate JSON" in payload["error"]
+        assert "Traceback" not in err
+
 
 class TestQBasis:
     def test_certificate(self, capsys, tuple_file):
@@ -200,6 +215,16 @@ class TestAdequateBasis:
         assert payload["exists"] is True
         assert payload["witness"]["indices"] == [1, 2]
         assert payload["witness"]["multipliers"] == [1, 1]
+
+    def test_budget_exit_three(self, capsys, tuple_file, monkeypatch):
+        # Four nonzero elements of rank 3: C(4, 3) = 4 subsets are billed.
+        monkeypatch.setenv("ABTUPLE_BUDGET", "3")
+        code, payload, err = run_cli(
+            capsys, "adequate-basis", tuple_file("0 0 0\n" + EXAMPLE_FULL_RANK)
+        )
+        assert code == 3
+        assert payload["error"] == "adequate-basis scan tests 4 subsets, budget is 3"
+        assert err.startswith("budget exceeded:")
 
 
 class TestAudit:
@@ -282,6 +307,15 @@ class TestErrorPaths:
         code, payload, _ = run_cli(capsys, "rank", tuple_file("1 2\n3\n"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text", [DEEP_JSON, '{"dim": 1e400, "elements": [[1]]}'], ids=["deep", "inf"]
+    )
+    def test_unparsable_json_tuple_exit_two(self, capsys, tuple_file, text):
+        code, payload, err = run_cli(capsys, "rank", tuple_file(text, name="t.json"))
+        assert code == 2
+        assert "error" in payload
+        assert "Traceback" not in err
+
     def test_console_script_wired(self):
         proc = subprocess.run(
             [sys.executable, "-m", "abtuple.cli", "generate", "--kind", "a", "--s", "3"],
@@ -290,3 +324,103 @@ class TestErrorPaths:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["spec"]["s"] == 3
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing every file argument
+
+# Keys of the tuple and certificate documents, so random objects reach past
+# the first missing-key check.
+DOC_KEYS = (
+    "dim", "elements", "variant", "s", "t", "k", "property_holds", "scaling",
+    "permutation", "breakpoints", "basis",
+)
+small_ints = st.integers(-3, 3)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**20), 10**20) | st.floats()
+    | st.text(max_size=4) | st.sampled_from(["type_a", "type_b", "rank_below"]),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(DOC_KEYS) | st.text(max_size=3), kids, max_size=6),
+    max_leaves=16,
+)
+
+
+@st.composite
+def tuple_rows(draw):
+    dim = draw(st.integers(1, 3))
+    return draw(st.lists(st.lists(small_ints, min_size=dim, max_size=dim), max_size=8))
+
+
+@st.composite
+def certificate_objs(draw):
+    """Documents with the certificate's keys and roughly its value types."""
+    ints = st.lists(small_ints, max_size=6)
+    fields = {
+        "variant": st.sampled_from(["type_a", "type_b", "rank_below", "unclassified", "x"]),
+        "s": st.integers(-1, 4), "t": st.integers(-1, 4), "k": st.integers(-1, 4),
+        "property_holds": st.none() | st.booleans(),
+        "scaling": ints, "permutation": ints, "breakpoints": ints,
+        "basis": st.lists(ints, max_size=4),
+    }
+    keys = draw(st.sets(st.sampled_from(sorted(fields))))
+    return {k: draw(fields[k]) for k in keys}
+
+
+def _text_format(rows):
+    return "".join(" ".join(map(str, r)) + "\n" for r in rows)
+
+
+payloads = st.one_of(
+    st.binary(max_size=64),
+    st.text(max_size=64).map(str.encode),
+    json_values.map(json.dumps).map(str.encode),
+    tuple_rows().map(json.dumps).map(str.encode),
+    tuple_rows().map(lambda rows: {"dim": len(rows[0]) if rows else 1, "elements": rows})
+    .map(json.dumps).map(str.encode),
+    tuple_rows().map(_text_format).map(str.encode),
+    certificate_objs().map(json.dumps).map(str.encode),
+)
+COMMANDS = (
+    "rank", "property", "classify", "verify-tuple", "verify-cert", "qbasis",
+    "adequate-basis", "audit",
+)
+
+
+@given(
+    command=st.sampled_from(COMMANDS),
+    payload=payloads,
+    r=st.integers(1, 6),
+    s=st.integers(1, 4),
+)
+@example(command="rank", payload=DEEP_JSON.encode(), r=2, s=1)
+@example(command="verify-cert", payload=DEEP_JSON.encode(), r=2, s=2)
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzz_file_arguments(command, payload, r, s):
+    """No input makes a subcommand raise; the exit code is always 0..3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fuzzed = os.path.join(tmp, "fuzzed")
+        with open(fuzzed, "wb") as fh:
+            fh.write(payload)
+        tuple_path = os.path.join(tmp, "t.txt")
+        with open(tuple_path, "w") as fh:
+            fh.write("0\n0\n2\n-2\n")
+        cert_path = os.path.join(tmp, "cert.json")
+        with open(cert_path, "w") as fh:
+            json.dump({"variant": "type_b", "s": 2, "scaling": [0],
+                       "permutation": [1, 2, 3, 4], "basis": [[2]],
+                       "k": 1, "breakpoints": [1]}, fh)
+        argv = {
+            "rank": ["rank", fuzzed],
+            "property": ["property", "--r", str(r), "--s", str(s), fuzzed],
+            "classify": ["classify", "--s", str(s), fuzzed],
+            "verify-tuple": ["verify", "--s", str(s), fuzzed, cert_path],
+            "verify-cert": ["verify", "--s", str(s), tuple_path, fuzzed],
+            "qbasis": ["qbasis", fuzzed],
+            "adequate-basis": ["adequate-basis", fuzzed],
+            "audit": ["audit", "--s", str(s), fuzzed],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    json.loads(out.getvalue())

@@ -16,7 +16,7 @@ from abtuple.structure import (
     sign_partition,
     verify_certificate,
 )
-from abtuple.tuples import group_tuple, rank, span
+from abtuple.tuples import BudgetExceeded, group_tuple, rank, span
 
 EXAMPLE_FULL_RANK = ((1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 2, 5))
 TYPE_A_S3 = ((0, 0), (0, 0), (1, 0), (1, 0), (0, 1), (0, 1))
@@ -239,6 +239,19 @@ class TestAdequateBasis:
             dec = adequate_basis_decide(t)
             assert dec.refutation  # several independent subsets were scanned
             assert len(calls) <= len(t)
+
+    def test_budget_bills_nonzero_subsets(self, monkeypatch):
+        # Six positions, four of them nonzero, rank 3: the scan bills
+        # C(4, 3) = 4 subsets, not C(6, 3) = 20.
+        t = group_tuple(((0, 0, 0),) + EXAMPLE_FULL_RANK + ((0, 0, 0),))
+        monkeypatch.setenv("ABTUPLE_BUDGET", "4")
+        assert len(adequate_basis_decide(t).refutation) == 4
+        monkeypatch.setenv("ABTUPLE_BUDGET", "3")
+        with pytest.raises(BudgetExceeded, match="tests 4 subsets, budget is 3"):
+            adequate_basis_decide(t)
+        monkeypatch.setenv("ABTUPLE_BUDGET", "many")
+        with pytest.raises(BudgetExceeded, match="not an integer"):
+            adequate_basis_decide(t)
 
     @given(small_tuples(max_dim=3, max_len=5, bound=3))
     @settings(max_examples=100, deadline=None)
