@@ -7,11 +7,14 @@ the multisets containing zero).  Since the property, rank, classification
 variant, and audit outcomes are all invariant under position permutation,
 visiting one canonical representative per multiset loses nothing.
 
-Every tuple in the universe is tested for (P_{q,s}); holders containing zero
-are then ranked, classified, checked for an equal pair, and audited.  The
-report aggregates counts and quotes verbatim every tuple that is Unclassified,
-fails an audit claim, or lacks an equal pair — those are counterexample
-candidates for the classification lemma and force ok=false.
+Every tuple in the universe is counted.  Tuples whose order statistics
+already refute (P_{q,s}) (see ``_fails_by_order``) are dropped without forming
+a sum; only the survivors are tested for (P_{q,s}), on values packed once per
+job.  Holders containing zero are then ranked, classified, checked for an
+equal pair, and audited.  The report aggregates counts and quotes verbatim
+every tuple that is Unclassified, fails an audit claim, or lacks an equal
+pair — those are counterexample candidates for the classification lemma and
+force ok=false.
 
 Work is partitioned across processes by the first free slot's grid value; the
 merge is a fold in grid order, so the report (and its JSON serialization) is
@@ -30,9 +33,10 @@ from .structure import audit_claims
 from .tuples import (
     BudgetExceeded,
     GroupTuple,
+    _decide_packed,
+    _packed,
     current_budget,
     equal_pair,
-    has_property,
     property_work,
     rank,
 )
@@ -77,7 +81,8 @@ def universe_size(job: EnumerationJob) -> int:
 
 def nominal_bill(job: EnumerationJob) -> int:
     """Subset sums the property pass forms at most: universe size times
-    ``property_work(q, q, s)``."""
+    ``property_work(q, q, s)``.  An upper bound: tuples the order filter
+    drops form no sums."""
     return universe_size(job) * property_work(job.q, job.q, job.s)
 
 
@@ -103,11 +108,43 @@ def _empty_partial() -> dict:
     }
 
 
-def _examine(job: EnumerationJob, part: dict, elements) -> None:
-    t = GroupTuple(dim=job.dim, elements=elements)
+def _fails_by_order(elements, q: int, s: int) -> bool:
+    """True when order statistics alone refute (P_{q,s}) on the elements.
+
+    Lexicographic order on Z^d is total and compatible with addition
+    (a <= b implies a + c <= b + c).  Sort the elements as v_0 <= ... <=
+    v_{q-1} and suppose v_{q-s-1} != v_{q-s}, so v_{q-s-1} < v_{q-s}.  Take
+    any s-selection other than the top one {q-s, ..., q-1}, with sorted
+    positions i_0 < ... < i_{s-1}.  Then i_j <= q-s+j, so
+    v_{i_j} <= v_{q-s+j} for every j, and i_0 < q-s because the selection
+    is not the top one, so v_{i_0} <= v_{q-s-1} < v_{q-s}.  Adding these
+    inequalities, one of them strict, gives a sum strictly below the top
+    selection's.  So the top selection has no distinct equal-sum partner in
+    the window of all q positions, and (P_{q,s}) fails.  Mirrored, the
+    bottom selection {0, ..., s-1} has none when v_{s-1} != v_s.
+
+    The predicate rejects only non-holders, and a report lists no
+    non-holder, so pruning leaves every report unchanged.
+    """
+    v = sorted(elements)
+    return v[q - s - 1] != v[q - s] or v[s - 1] != v[s]
+
+
+def _examine(job: EnumerationJob, part: dict, elements, pack: dict) -> None:
+    """Count one tuple and, if it holds (P_{q,s}), rank, classify and audit it.
+
+    ``pack`` maps each grid value to its packed int.  The property check
+    skips ``has_property``'s budget guard: a check forms at most
+    ``property_work(q, q, s)`` sums, which is at most ``nominal_bill``
+    (the universe holds at least one tuple), and ``run_enumeration``
+    refuses the job up front when that bill exceeds the budget.
+    """
     part["tuples"] += 1
-    if not has_property(t, job.q, job.s, budget=job.budget).holds:
+    if _fails_by_order(elements, job.q, job.s):
         return
+    if not _decide_packed([pack[e] for e in elements], job.q, job.s).holds:
+        return
+    t = GroupTuple(dim=job.dim, elements=elements)
     part["with_property"] += 1
     if zero_vector(job.dim) not in elements:
         part["without_zero"] += 1
@@ -146,9 +183,12 @@ def _examine(job: EnumerationJob, part: dict, elements) -> None:
 def _process_chunk(args) -> dict:
     job, first_idx = args
     grid = value_grid(job.dim, job.bound)
+    # Every coordinate lies in [-bound, bound], so one packing is exact for
+    # the s-sums of every tuple of the job.
+    pack = dict(zip(grid, _packed(grid, job.s, job.bound)))
     part = _empty_partial()
     for elements in _chunk_elements(job, grid, first_idx):
-        _examine(job, part, elements)
+        _examine(job, part, elements, pack)
     return part
 
 
@@ -172,7 +212,8 @@ def run_enumeration(job: EnumerationJob) -> dict:
         raise BudgetExceeded(
             f"enumeration forms up to {bill} subset sums, budget is {limit}"
         )
-    # Every per-tuple check then uses the resolved limit, not the environment.
+    # The nested checks of classify and audit_claims then use the resolved
+    # limit, not the environment.
     job = replace(job, budget=limit)
     grid = value_grid(job.dim, job.bound)
     chunk_args = [(job, g) for g in range(len(grid))]

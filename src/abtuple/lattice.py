@@ -26,20 +26,12 @@ def zero_vector(dim: int) -> Vector:
     return (0,) * dim
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_neg(a: Vector) -> Vector:
     return tuple(-x for x in a)
-
-
-def vec_scale(c: int, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
 
 
 def is_zero(a: Vector) -> bool:

@@ -103,10 +103,12 @@ def parse_json_obj(obj) -> GroupTuple:
         dim, elements = None, obj
     elif isinstance(obj, dict):
         try:
-            dim = int(obj["dim"])
+            dim = obj["dim"]
             elements = obj["elements"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except KeyError as exc:
             raise TupleFormatError(f"bad tuple JSON: {exc}") from None
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise TupleFormatError("'dim' must be an integer")
     else:
         raise TupleFormatError("tuple JSON must be an object or an array")
     if not isinstance(elements, list):
@@ -251,19 +253,18 @@ def current_budget() -> int:
         raise BudgetExceeded(f"{BUDGET_ENV} is not an integer: {raw!r}") from None
 
 
-def _packed(t: GroupTuple, s: int) -> list[int]:
-    """Each element as one int, its coordinates as digits in base M = 2sB + 1.
+def _packed(values, s: int, bound: int) -> list[int]:
+    """Each value as one int, its coordinates as digits in base M = 2sB + 1.
 
-    B is the largest |coordinate|, so every coordinate of a sum of s elements
-    lies in [-sB, sB], the digit range of the balanced base M.  Balanced
-    representations are unique, and packing is linear, so two packed s-sums
-    are equal exactly when the vector sums are.  Coordinate 0 is the least
-    significant digit.
+    B = ``bound`` is at least every |coordinate|, so every coordinate of a
+    sum of s values lies in [-sB, sB], the digit range of the balanced base
+    M.  Balanced representations are unique, and packing is linear, so two
+    packed s-sums are equal exactly when the vector sums are.  Coordinate 0
+    is the least significant digit.
     """
-    bound = max(abs(x) for e in t.elements for x in e)
     base = 2 * s * bound + 1
     packed = []
-    for e in t.elements:
+    for e in values:
         value = 0
         for x in reversed(e):
             value = value * base + x
@@ -280,7 +281,8 @@ def has_property(
     selections (s-subsets of a window) likewise; the first selection whose sum
     is matched by no other selection of its window is the failure witness.
     Sums are formed once per selection on exactly packed integers (see
-    ``_packed``) and counted, so a window costs C(r, s) sums.
+    ``_packed``) and counted, so a window costs C(r, s) sums.  The search
+    after the budget guard is ``_decide_packed``, the package's one kernel.
 
     Raises BudgetExceeded before any work when the subset sums a full check
     forms, ``property_work(q, r, s)``, exceed the budget (argument, else the
@@ -296,7 +298,18 @@ def has_property(
             f"(P_{{{r},{s}}}) check forms {work} subset sums, budget is {limit}"
         )
 
-    packed = _packed(t, s)
+    bound = max(abs(x) for e in t.elements for x in e)
+    return _decide_packed(_packed(t.elements, s, bound), r, s)
+
+
+def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
+    """The (P_{r,s}) kernel on exactly packed elements, without a budget.
+
+    ``packed`` holds one int per position, packed in any base that is exact
+    for s-sums (see ``_packed``): the report depends only on which s-sums are
+    equal, so every exact packing gives the same report.
+    """
+    q = len(packed)
     for window in combinations(range(q), r):
         sums = list(map(sum, combinations([packed[i] for i in window], s)))
         counts = Counter(sums)

@@ -308,7 +308,15 @@ class TestErrorPaths:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "text", [DEEP_JSON, '{"dim": 1e400, "elements": [[1]]}'], ids=["deep", "inf"]
+        "text",
+        [
+            DEEP_JSON,
+            '{"dim": 1e400, "elements": [[1]]}',
+            '{"dim": 1.9, "elements": [[1]]}',
+            '{"dim": "1", "elements": [[1]]}',
+            '{"dim": true, "elements": [[1]]}',
+        ],
+        ids=["deep", "inf", "float", "string", "bool"],
     )
     def test_unparsable_json_tuple_exit_two(self, capsys, tuple_file, text):
         code, payload, err = run_cli(capsys, "rank", tuple_file(text, name="t.json"))
@@ -394,6 +402,9 @@ COMMANDS = (
 )
 @example(command="rank", payload=DEEP_JSON.encode(), r=2, s=1)
 @example(command="verify-cert", payload=DEEP_JSON.encode(), r=2, s=2)
+@example(command="rank", payload=b'{"dim": 1.9, "elements": [[1]]}', r=2, s=1)
+@example(command="rank", payload=b'{"dim": "1", "elements": [[1]]}', r=2, s=1)
+@example(command="rank", payload=b'{"dim": true, "elements": [[1]]}', r=2, s=1)
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_fuzz_file_arguments(command, payload, r, s):
     """No input makes a subcommand raise; the exit code is always 0..3."""

@@ -1,18 +1,29 @@
 """Enumeration harness: canonicalization soundness, determinism, budget."""
 
+import hashlib
 import json
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abtuple.exhaustive import (
     EnumerationJob,
+    _fails_by_order,
     nominal_bill,
     run_enumeration,
     universe_size,
     value_grid,
 )
-from abtuple.tuples import BudgetExceeded, group_tuple, has_property, rank
+from abtuple.tuples import (
+    BudgetExceeded,
+    _decide_packed,
+    _packed,
+    group_tuple,
+    has_property,
+    rank,
+)
 
 
 def reference_property_multisets(job):
@@ -73,6 +84,22 @@ class TestEnumeration:
         ref = reference_property_multisets(job)
         assert rep["with_property"] == len(ref)
 
+    @pytest.mark.parametrize(
+        "s, q, dim, bound, require_zero",
+        [
+            (2, 5, 1, 2, True),
+            (3, 4, 2, 1, True),
+            (2, 5, 1, 1, False),
+            (3, 5, 1, 2, False),
+        ],
+    )
+    def test_reference_agrees_when_q_is_not_2s(self, s, q, dim, bound, require_zero):
+        # With q != 2s the top and bottom tie conditions of the order filter
+        # test different positions, so each one prunes on its own.
+        job = EnumerationJob(s=s, q=q, dim=dim, bound=bound, require_zero=require_zero)
+        rep = run_enumeration(job)
+        assert rep["with_property"] == len(reference_property_multisets(job))
+
     def test_reference_agrees_without_zero_pin(self):
         job = EnumerationJob(s=2, q=3, dim=1, bound=1, require_zero=False)
         rep = run_enumeration(job)
@@ -123,3 +150,95 @@ class TestEnumeration:
         assert rep["with_property"] == constant_tuples
         assert rep["without_zero"] == 2
         assert rep["variants"] == {"rank_below": 1}
+
+
+def report_digest(report) -> str:
+    """First 16 hex digits of the sha256 of the CLI's JSON text."""
+    text = json.dumps(report, indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "s, q, dim, bound, digest",
+    [(3, 6, 2, 2, "f56b9da68dab58a5"), (4, 8, 2, 1, "4bc9a59af0cbf5c1")],
+)
+def test_report_digests_pinned(s, q, dim, bound, digest, jobs):
+    job = EnumerationJob(s=s, q=q, dim=dim, bound=bound, jobs=jobs)
+    assert report_digest(run_enumeration(job)) == digest
+
+
+# ---------------------------------------------------------------------------
+# The fast path: order filter and per-job packing
+
+
+@st.composite
+def repetitive_windows(draw):
+    """(elements, q, s) with heavy value repeats: q picks from a few values."""
+    dim = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 5))
+    q = draw(st.integers(s + 1, 2 * s + 2))
+    coords = st.integers(-2, 2)
+    pool = draw(
+        st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=4, unique=True)
+    )
+    elements = draw(st.lists(st.sampled_from(pool), min_size=q, max_size=q))
+    return tuple(elements), q, s
+
+
+class TestOrderFilter:
+    @given(repetitive_windows())
+    @settings(max_examples=600, deadline=None)
+    def test_rejects_only_non_holders(self, case):
+        elements, q, s = case
+        if _fails_by_order(elements, q, s):
+            assert not has_property(group_tuple(elements), q, s).holds
+
+    def test_each_tie_condition(self):
+        # s=2, q=5, sorted: the top test compares v[2], v[3]; the bottom
+        # test compares v[1], v[2].
+        assert _fails_by_order(((0,), (0,), (0,), (1,), (1,)), 5, 2)  # top
+        assert _fails_by_order(((0,), (0,), (1,), (1,), (1,)), 5, 2)  # bottom
+        assert not _fails_by_order(((0,), (1,), (1,), (1,), (2,)), 5, 2)
+        # Order is lexicographic on vectors, not by first coordinate alone.
+        assert _fails_by_order(((0, 1), (0, 0), (0, 0), (0, 2)), 4, 2)
+        assert not _fails_by_order(((0, 1), (0, 0), (0, 1), (0, 2)), 4, 2)
+
+    def test_keeps_every_holder_of_a_cell(self):
+        job = EnumerationJob(s=2, q=4, dim=2, bound=1, require_zero=False)
+        grid = value_grid(job.dim, job.bound)
+        kept = holders = 0
+        for combo in product(grid, repeat=job.q):
+            t = group_tuple(combo)
+            holds = has_property(t, job.q, job.s).holds
+            pruned = _fails_by_order(combo, job.q, job.s)
+            assert not (holds and pruned)
+            holders += holds
+            kept += not pruned
+        assert holders < kept < len(grid) ** job.q
+
+
+@st.composite
+def job_packed_cases(draw):
+    """A tuple, a window size r, s, and a job bound >= its largest |coordinate|."""
+    dim = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 4))
+    r = draw(st.integers(s + 1, 2 * s + 1))
+    q = draw(st.integers(r, r + 2))
+    big = draw(st.sampled_from([0, 1, 2, 3, 10**12]))
+    coords = st.integers(-big, big)
+    pool = draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=q))
+    elements = draw(st.lists(st.sampled_from(pool), min_size=q, max_size=q))
+    bound = max(1, big) + draw(st.sampled_from([0, 0, 1, 7]))
+    return group_tuple(elements, dim=dim), r, s, bound
+
+
+@given(job_packed_cases())
+@settings(max_examples=400, deadline=None)
+def test_job_packing_matches_has_property(case):
+    # The enumeration packs every grid value once, in base 2*s*bound+1,
+    # instead of in the tuple's own base; the whole report, witness
+    # included, must not change.
+    t, r, s, bound = case
+    packed = _packed(t.elements, s, bound)
+    assert _decide_packed(packed, r, s) == has_property(t, r, s)
