@@ -320,9 +320,7 @@ class AdequateBasisDecision:
         return obj
 
 
-def adequate_basis_decide(
-    t: GroupTuple, budget: int | None = None
-) -> AdequateBasisDecision:
+def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
     """Does some reordering admit a basis of span(t) with t elements as
     integer multiples of distinct basis members?
 
@@ -338,15 +336,14 @@ def adequate_basis_decide(
     the refutation (each entry is >= 2).
 
     Raises BudgetExceeded before the scan when the C(#nonzero, rank) subsets
-    it may test exceed the budget (argument, else the ABTUPLE_BUDGET
-    environment variable, else 10**9).
+    it may test exceed the budget (ABTUPLE_BUDGET, else 10**9).
     """
     lat = span(t)
     tr = lat.rank
     if tr == 0:
         raise ValueError("rank-0 tuple: adequate basis undefined")
     nonzero = [i for i, e in enumerate(t.elements) if any(e)]
-    limit = current_budget() if budget is None else budget
+    limit = current_budget()
     work = comb(len(nonzero), tr)
     if work > limit:
         raise BudgetExceeded(

@@ -253,17 +253,6 @@ class TestAdequateBasis:
         with pytest.raises(BudgetExceeded, match="not an integer"):
             adequate_basis_decide(t)
 
-    def test_budget_argument_overrides_environment(self, monkeypatch):
-        # Same rule as has_property: the argument, else ABTUPLE_BUDGET.
-        t = group_tuple(((0, 0, 0),) + EXAMPLE_FULL_RANK + ((0, 0, 0),))
-        monkeypatch.setenv("ABTUPLE_BUDGET", "3")
-        assert len(adequate_basis_decide(t, budget=4).refutation) == 4
-        monkeypatch.setenv("ABTUPLE_BUDGET", "many")
-        assert adequate_basis_decide(t, budget=4) == adequate_basis_decide(t, 10**9)
-        monkeypatch.delenv("ABTUPLE_BUDGET")
-        with pytest.raises(BudgetExceeded, match="tests 4 subsets, budget is 3"):
-            adequate_basis_decide(t, budget=3)
-
     @given(small_tuples(max_dim=3, max_len=5, bound=3))
     @settings(max_examples=100, deadline=None)
     def test_decision_soundness(self, t):
