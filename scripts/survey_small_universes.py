@@ -9,7 +9,7 @@ any invariant-violation lists are non-empty.
 Examples:
     python3 scripts/survey_small_universes.py
     python3 scripts/survey_small_universes.py --s 2 --q 3 4 --dim 1 2 --bound 2
-    python3 scripts/survey_small_universes.py --jobs 4 --budget 2000000000
+    ABTUPLE_BUDGET=2000000000 python3 scripts/survey_small_universes.py --jobs 4
 """
 
 import argparse
@@ -28,7 +28,6 @@ class SurveyConfig:
     dims: tuple[int, ...] = (1, 2)
     bounds: tuple[int, ...] = (1, 2)
     jobs: int = 1
-    budget: int | None = None
 
     def cells(self):
         for s in self.s_values:
@@ -37,12 +36,7 @@ class SurveyConfig:
                 for dim in self.dims:
                     for bound in self.bounds:
                         yield EnumerationJob(
-                            s=s,
-                            q=q,
-                            dim=dim,
-                            bound=bound,
-                            jobs=self.jobs,
-                            budget=self.budget,
+                            s=s, q=q, dim=dim, bound=bound, jobs=self.jobs
                         )
 
 
@@ -60,7 +54,6 @@ def main(argv=None) -> int:
     ap.add_argument("--dim", type=int, nargs="+", default=[1, 2])
     ap.add_argument("--bound", type=int, nargs="+", default=[1, 2])
     ap.add_argument("--jobs", type=int, default=1)
-    ap.add_argument("--budget", type=int, default=None)
     args = ap.parse_args(argv)
 
     cfg = SurveyConfig(
@@ -69,7 +62,6 @@ def main(argv=None) -> int:
         dims=tuple(args.dim),
         bounds=tuple(args.bound),
         jobs=args.jobs,
-        budget=args.budget,
     )
 
     header = (

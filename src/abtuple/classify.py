@@ -288,14 +288,14 @@ def _match_type_b(tp: GroupTuple, lat: Lattice, s: int):
         return None
 
 
-def classify(t: GroupTuple, s: int, budget: int | None = None) -> Classification:
+def classify(t: GroupTuple, s: int) -> Classification:
     """Decide rank-below / type A / type B / Unclassified for the tuple.
 
     Preconditions (ValueError): 2 <= s < q <= 2s and the zero element occurs
     in t.  Type A is matched first, translated by t[0]; then type B,
     translated by the one value that occurs more than once (see the module
-    docstring).  ``budget`` is passed to the property check of an
-    Unclassified result.
+    docstring).  The property check of an Unclassified result reads the
+    budget (ABTUPLE_BUDGET, else 10**9).
     """
     q = len(t)
     if not (2 <= s < q <= 2 * s):
@@ -335,7 +335,7 @@ def classify(t: GroupTuple, s: int, budget: int | None = None) -> Classification
                     k=k,
                     breakpoints=breaks,
                 )
-    prop = has_property(t, q, s, budget=budget)
+    prop = has_property(t, q, s)
     return Classification(
         variant=VARIANT_UNCLASSIFIED,
         s=s,

@@ -24,18 +24,17 @@ byte-identical no matter how many workers ran.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import comb
 
 from .classify import VARIANT_UNCLASSIFIED, classify
 from .structure import audit_claims
 from .tuples import (
-    BudgetExceeded,
     GroupTuple,
+    _charge,
     _decide_packed,
     _packed,
-    current_budget,
     equal_pair,
     property_work,
     rank,
@@ -53,7 +52,6 @@ class EnumerationJob:
     bound: int
     require_zero: bool = True
     jobs: int = 1
-    budget: int | None = None
 
     def validate(self) -> None:
         if self.dim < 1:
@@ -156,7 +154,7 @@ def _examine(job: EnumerationJob, part: dict, elements, pack: dict) -> None:
     if equal_pair(t) is None:
         part["equal_pair_missing"].append({"elements": listed})
     if 2 <= job.s and job.q <= 2 * job.s:
-        cls = classify(t, job.s, budget=job.budget)
+        cls = classify(t, job.s)
         variant = cls.variant
         if variant == VARIANT_UNCLASSIFIED:
             part["unclassified"].append(
@@ -166,7 +164,7 @@ def _examine(job: EnumerationJob, part: dict, elements, pack: dict) -> None:
                     "property_holds": cls.property_holds,
                 }
             )
-        report = audit_claims(t, job.s, budget=job.budget)
+        report = audit_claims(t, job.s)
         if not report.all_pass:
             part["audit_failures"].append(
                 {
@@ -204,23 +202,23 @@ def _merge(acc: dict, part: dict) -> dict:
 
 
 def run_enumeration(job: EnumerationJob) -> dict:
-    """Visit the whole universe and return the JSON-ready report."""
+    """Visit the whole universe and return the JSON-ready report.
+
+    Raises BudgetExceeded before any work when ``nominal_bill`` exceeds the
+    budget (ABTUPLE_BUDGET, else 10**9), which the nested checks of
+    ``classify`` and ``audit_claims`` read as well.
+    """
     job.validate()
-    limit = current_budget() if job.budget is None else job.budget
     bill = nominal_bill(job)
-    if bill > limit:
-        raise BudgetExceeded(
-            f"enumeration forms up to {bill} subset sums, budget is {limit}"
-        )
-    # The nested checks of classify and audit_claims then use the resolved
-    # limit, not the environment.
-    job = replace(job, budget=limit)
+    _charge(bill, f"enumeration forms up to {bill} subset sums")
     grid = value_grid(job.dim, job.bound)
     chunk_args = [(job, g) for g in range(len(grid))]
-    if job.jobs == 1:
+    # A pool may start all its workers at once, so start no idle ones.
+    workers = min(job.jobs, len(chunk_args))
+    if workers == 1:
         partials = map(_process_chunk, chunk_args)
     else:
-        executor = ProcessPoolExecutor(max_workers=job.jobs)
+        executor = ProcessPoolExecutor(max_workers=workers)
         try:
             partials = list(executor.map(_process_chunk, chunk_args))
         finally:

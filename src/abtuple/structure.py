@@ -47,9 +47,8 @@ from .lattice import (
     zero_vector,
 )
 from .tuples import (
-    BudgetExceeded,
     GroupTuple,
-    current_budget,
+    _charge,
     equal_pair,
     has_property,
     rank,
@@ -343,12 +342,8 @@ def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
     if tr == 0:
         raise ValueError("rank-0 tuple: adequate basis undefined")
     nonzero = [i for i, e in enumerate(t.elements) if any(e)]
-    limit = current_budget()
     work = comb(len(nonzero), tr)
-    if work > limit:
-        raise BudgetExceeded(
-            f"adequate-basis scan tests {work} subsets, budget is {limit}"
-        )
+    _charge(work, f"adequate-basis scan tests {work} subsets")
     reps = {i: primitive_representative(lat, t.elements[i]) for i in nonzero}
     coords = {i: solve_coordinates(lat, p) for i, (p, _) in reps.items()}
     refutation = []
@@ -428,13 +423,13 @@ def _one_based(indices) -> list[int]:
     return [i + 1 for i in indices]
 
 
-def audit_claims(t: GroupTuple, s: int, budget: int | None = None) -> AuditReport:
+def audit_claims(t: GroupTuple, s: int) -> AuditReport:
     """Audit the structural claims on a (P_{q,s}) instance containing zero.
 
     Preconditions (violations raise ValueError): 2 <= s < q <= 2s, the zero
     element occurs in t, and t has property (P_{q,s}) — the last is verified
-    here by exhaustive search.  ``budget`` is passed to every property check
-    and nested ``classify`` call the audit makes.
+    here by exhaustive search.  That check and every nested property check
+    and ``classify`` call read the budget (ABTUPLE_BUDGET, else 10**9).
 
     The tuple is first normalized so the zero value occurs at least twice:
     when it does not, every element is translated by the first duplicated
@@ -447,7 +442,7 @@ def audit_claims(t: GroupTuple, s: int, budget: int | None = None) -> AuditRepor
     zero = zero_vector(t.dim)
     if zero not in t.elements:
         raise ValueError("audit requires the zero element to occur in the tuple")
-    prop = has_property(t, q, s, budget=budget)
+    prop = has_property(t, q, s)
     if not prop.holds:
         raise ValueError(
             f"audit requires property (P_{{{q},{s}}}); it fails at "
@@ -539,7 +534,7 @@ def audit_claims(t: GroupTuple, s: int, budget: int | None = None) -> AuditRepor
             }
 
             if 1 <= s_inner < n0:
-                inner = has_property(sub, n0, s_inner, budget=budget)
+                inner = has_property(sub, n0, s_inner)
                 w = dict(base_witness, r=n0, s=s_inner)
                 if not inner.holds:
                     window, sel = inner.failure_witness
@@ -577,7 +572,7 @@ def audit_claims(t: GroupTuple, s: int, budget: int | None = None) -> AuditRepor
             )
 
             if 2 <= s_inner < n0 <= 2 * s_inner:
-                inner_cls = classify(sub, s_inner, budget=budget)
+                inner_cls = classify(sub, s_inner)
                 claims.append(
                     AuditClaim(
                         name="zero_axis_not_type_a",

@@ -25,9 +25,6 @@ from math import comb
 
 from .lattice import Lattice, Vector, hnf_rows, vec_sub, zero_vector
 
-DEFAULT_BUDGET = 10**9
-BUDGET_ENV = "ABTUPLE_BUDGET"
-
 
 class BudgetExceeded(Exception):
     """Raised when a requested search would exceed the comparison budget."""
@@ -243,14 +240,21 @@ def property_work(q: int, r: int, s: int) -> int:
     return comb(q, r) * comb(r, s)
 
 
-def current_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
+def _charge(bill: int, text: str) -> None:
+    """Refuse work that would exceed the budget, before it starts.
+
+    The budget is the ABTUPLE_BUDGET environment variable, else 10**9; no
+    other function reads it.  ``text`` describes the bill of ``bill`` units
+    and opens the refusal message.  A non-integer ABTUPLE_BUDGET is refused
+    as well.
+    """
+    raw = os.environ.get("ABTUPLE_BUDGET")
     try:
-        return int(raw)
+        limit = 10**9 if raw is None else int(raw)
     except ValueError:
-        raise BudgetExceeded(f"{BUDGET_ENV} is not an integer: {raw!r}") from None
+        raise BudgetExceeded(f"ABTUPLE_BUDGET is not an integer: {raw!r}") from None
+    if bill > limit:
+        raise BudgetExceeded(f"{text}, budget is {limit}")
 
 
 def _packed(values, s: int, bound: int) -> list[int]:
@@ -272,9 +276,7 @@ def _packed(values, s: int, bound: int) -> list[int]:
     return packed
 
 
-def has_property(
-    t: GroupTuple, r: int, s: int, budget: int | None = None
-) -> PropertyReport:
+def has_property(t: GroupTuple, r: int, s: int) -> PropertyReport:
     """Decide property (P_{r,s}) by exhaustive search.
 
     Windows (r-subsets of positions) are scanned in lexicographic order, and
@@ -285,18 +287,14 @@ def has_property(
     after the budget guard is ``_decide_packed``, the package's one kernel.
 
     Raises BudgetExceeded before any work when the subset sums a full check
-    forms, ``property_work(q, r, s)``, exceed the budget (argument, else the
-    ABTUPLE_BUDGET environment variable, else 10**9).
+    forms, ``property_work(q, r, s)``, exceed the budget (ABTUPLE_BUDGET,
+    else 10**9).
     """
     q = len(t)
     if not (1 <= s < r <= q):
         raise ValueError(f"need 1 <= s < r <= q, got q={q} r={r} s={s}")
-    limit = current_budget() if budget is None else budget
     work = property_work(q, r, s)
-    if work > limit:
-        raise BudgetExceeded(
-            f"(P_{{{r},{s}}}) check forms {work} subset sums, budget is {limit}"
-        )
+    _charge(work, f"(P_{{{r},{s}}}) check forms {work} subset sums")
 
     bound = max(abs(x) for e in t.elements for x in e)
     return _decide_packed(_packed(t.elements, s, bound), r, s)

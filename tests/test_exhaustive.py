@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abtuple import exhaustive
 from abtuple.exhaustive import (
     EnumerationJob,
     _fails_by_order,
@@ -127,19 +129,47 @@ class TestEnumeration:
         rep = run_enumeration(EnumerationJob(s=2, q=4, dim=1, bound=2))
         assert set(rep["variants"]) <= {"rank_below", "type_b"}
 
-    def test_budget_guard(self):
-        job = EnumerationJob(s=2, q=4, dim=2, bound=2, budget=10)
+    def test_budget_guard(self, monkeypatch):
+        job = EnumerationJob(s=2, q=4, dim=2, bound=2)
+        monkeypatch.setenv("ABTUPLE_BUDGET", "10")
         assert nominal_bill(job) > 10
         with pytest.raises(BudgetExceeded):
             run_enumeration(job)
 
-    def test_nested_checks_use_job_budget(self, monkeypatch):
-        # classify and audit_claims re-check the property on holders; those
-        # checks must use the job's limit, not ABTUPLE_BUDGET.
-        job = EnumerationJob(s=2, q=4, dim=1, bound=2, budget=10**9)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_budget_at_nominal_bill(self, monkeypatch, jobs):
+        # The bill charged up front also covers the nested checks of
+        # classify and audit_claims, which read the same budget.
+        job = EnumerationJob(s=2, q=4, dim=1, bound=2, jobs=jobs)
         expected = run_enumeration(job)
-        monkeypatch.setenv("ABTUPLE_BUDGET", "5")
+        bill = nominal_bill(job)
+        monkeypatch.setenv("ABTUPLE_BUDGET", str(bill))
         assert run_enumeration(job) == expected
+        monkeypatch.setenv("ABTUPLE_BUDGET", str(bill - 1))
+        message = f"enumeration forms up to {bill} subset sums, budget is {bill - 1}"
+        with pytest.raises(BudgetExceeded) as excinfo:
+            run_enumeration(job)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("jobs, started", [(2, 2), (3, 3), (5000, 3)])
+    def test_workers_capped_at_chunks(self, monkeypatch, jobs, started):
+        # s=2 q=3 dim=1 bound=1 has 3 chunks, one per grid value.
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(exhaustive, "ProcessPoolExecutor", InProcessPool)
+        job = EnumerationJob(s=2, q=3, dim=1, bound=1, jobs=jobs)
+        assert run_enumeration(job) == run_enumeration(replace(job, jobs=1))
+        assert pools == [started]
 
     def test_without_zero_tracking(self):
         # (1,1,1) holds (P_{3,2}) but contains no zero: counted, not classified.

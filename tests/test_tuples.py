@@ -214,13 +214,15 @@ class TestHasProperty:
         with pytest.raises(ValueError):
             has_property(t, 2, 0)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         t = group_tuple([(i,) for i in range(10)])
+        monkeypatch.setenv("ABTUPLE_BUDGET", "10")
         with pytest.raises(BudgetExceeded, match="252 subset sums, budget is 10"):
-            has_property(t, 10, 5, budget=10)
+            has_property(t, 10, 5)
         assert property_cost(10, 10, 5) == 63504
         assert property_work(10, 10, 5) == 252
-        assert has_property(t, 10, 5, budget=252).holds is False
+        monkeypatch.setenv("ABTUPLE_BUDGET", "252")
+        assert has_property(t, 10, 5).holds is False
 
     def test_budget_admits_wide_window(self):
         # Billed by pairwise comparisons this check would be 3.4e10.
