@@ -2,13 +2,16 @@
 """Measure how often generated type-B instances satisfy property (P_{2s,s}).
 
 The classifier runs one way: a tuple with the property at maximal rank gets
-a type-A or type-B certificate.  Whether every type-B instance conversely
-satisfies (P_{2s,s}) is open.  Type-A instances do; this script samples the
-type-B side of the question across s, k, and breakpoint choices, checks the
-property exhaustively per instance, and tallies the outcomes without asserting
-either answer.  Any instance that fails the property is printed with its
-generator parameters and the failing window/selection witness so it can be
-replayed.
+a type-A or type-B certificate.  The converse, that every type-A/B instance
+satisfies (P_{2s,s}), is settled for s <= 8 by
+``tests/test_classify.py::TestConverse``: (P_{r,s}) is invariant under
+injective homomorphisms, permutations and translations, every instance is
+such an image of its canonical pattern, and the test checks all 257
+patterns.  This script stays a sampled check on scrambled instances: it
+draws generated type-B tuples across s, k, and breakpoint choices, checks
+the property exhaustively per instance, and tallies the outcomes.  Any
+instance that fails the property is printed with its generator parameters
+and the failing window/selection witness so it can be replayed.
 
 Examples:
     python3 scripts/type_b_property_scan.py

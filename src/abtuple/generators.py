@@ -54,8 +54,9 @@ class GeneratorSpec:
     kind "a" needs odd s; kind "b" needs k breakpoints strictly increasing in
     {1..s-1}.  dim >= s-1.  The basis is the image of the first s-1 standard
     basis rows under a seeded unimodular transform whose transvection
-    coefficients are bounded by unimodular_bound (0 = identity).  translation
-    is added to every element after the permutation.
+    coefficients are bounded by unimodular_bound (0 = identity; a negative
+    bound is refused).  translation is added to every element after the
+    permutation.
     """
 
     kind: str
@@ -76,6 +77,8 @@ def _validate(spec: GeneratorSpec) -> None:
         raise ValueError("s must be at least 2")
     if spec.dim < spec.s - 1:
         raise ValueError(f"dim {spec.dim} below basis size {spec.s - 1}")
+    if spec.unimodular_bound < 0:
+        raise ValueError("unimodular_bound must be >= 0")
     if spec.kind == "a":
         if spec.s % 2 == 0:
             raise ValueError("type A requires odd s")

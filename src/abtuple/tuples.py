@@ -231,12 +231,14 @@ class PropertyReport:
 def property_cost(q: int, r: int, s: int) -> int:
     """Pairwise comparison count of a scan: windows times selection pairs.
 
-    Not the budget's bill; ``property_work`` counts what the check forms."""
+    Not the budget's bill; that is ``property_work``."""
     return comb(q, r) * comb(r, s) ** 2
 
 
 def property_work(q: int, r: int, s: int) -> int:
-    """Subset sums a full (P_{r,s}) check forms: windows times selections."""
+    """Selections a full (P_{r,s}) check decides: windows times selections.
+
+    An upper bound on the subset sums it forms; r == 2s windows form half."""
     return comb(q, r) * comb(r, s)
 
 
@@ -282,13 +284,14 @@ def has_property(t: GroupTuple, r: int, s: int) -> PropertyReport:
     Windows (r-subsets of positions) are scanned in lexicographic order, and
     selections (s-subsets of a window) likewise; the first selection whose sum
     is matched by no other selection of its window is the failure witness.
-    Sums are formed once per selection on exactly packed integers (see
-    ``_packed``) and counted, so a window costs C(r, s) sums.  The search
-    after the budget guard is ``_decide_packed``, the package's one kernel.
+    Sums are formed on exactly packed integers (see ``_packed``) and
+    counted: a window costs C(r, s) sums, or C(r-1, s-1), half as many,
+    when r == 2s (complements pair up).  The search after the budget guard
+    is ``_decide_packed``, the package's one kernel.
 
-    Raises BudgetExceeded before any work when the subset sums a full check
-    forms, ``property_work(q, r, s)``, exceed the budget (ABTUPLE_BUDGET,
-    else 10**9).
+    Raises BudgetExceeded before any work when ``property_work(q, r, s)``,
+    the selections a full check decides and an upper bound on the sums it
+    forms, exceeds the budget (ABTUPLE_BUDGET, else 10**9).
     """
     q = len(t)
     if not (1 <= s < r <= q):
@@ -306,10 +309,45 @@ def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
     ``packed`` holds one int per position, packed in any base that is exact
     for s-sums (see ``_packed``): the report depends only on which s-sums are
     equal, so every exact packing gives the same report.
+
+    A window with r != 2s forms all C(r, s) sums and reports the first
+    selection whose sum occurs once.  A window with r == 2s forms only the
+    C(r-1, s-1) sums x of the selections S that hold its first value
+    ``lead``, each without ``lead``.  With T the window's sum and k = T -
+    2*lead, every other s-selection is the complement S'^c of such an S',
+    with sum T - lead - x', and:
+
+    - two lead-holding selections have equal sums iff their x are equal;
+    - S and S'^c have equal sums iff x = k - x'.  When k - x == x, S^c
+      itself matches S;
+
+    so S is unmatched iff ``counts[x] == 1`` and k - x is not in ``counts``.
+    Complementing preserves equal sums and distinctness, so S is unmatched
+    iff S^c is.  In ``combinations`` order every lead-holding selection
+    precedes every other one, so the first lead-holding S with a lonely x
+    is the window's first failure, and the report, witness included, is the
+    one the full count gives.
     """
     q = len(packed)
     for window in combinations(range(q), r):
-        sums = list(map(sum, combinations([packed[i] for i in window], s)))
+        vals = [packed[i] for i in window]
+        if r == 2 * s:
+            k = sum(vals) - 2 * vals[0]
+            sums = list(map(sum, combinations(vals[1:], s - 1)))
+            counts = Counter(sums)
+            lonely = {x for x, c in counts.items() if c == 1 and k - x not in counts}
+            if lonely:
+                for rest, x in zip(combinations(window[1:], s - 1), sums):
+                    if x in lonely:
+                        return PropertyReport(
+                            q=q,
+                            r=r,
+                            s=s,
+                            holds=False,
+                            failure_witness=(window, (window[0],) + rest),
+                        )
+            continue
+        sums = list(map(sum, combinations(vals, s)))
         counts = Counter(sums)
         if 1 in counts.values():
             for sel, value in zip(combinations(window, s), sums):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from abtuple.classify import (
     verify_classification,
 )
 from abtuple.generators import GeneratorSpec, generate
-from abtuple.tuples import group_tuple, translate
+from abtuple.tuples import group_tuple, has_property, translate
 
 TYPE_A_S3 = ((0, 0), (0, 0), (1, 0), (1, 0), (0, 1), (0, 1))
 TYPE_B_S3 = ((0, 0), (0, 0), (0, 0), (1, 0), (0, 1), (-1, -1))
@@ -44,6 +45,35 @@ class TestCanonicalPattern:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             canonical_pattern("nope", 3, [(1,)])
+
+
+class TestConverse:
+    def test_every_pattern_up_to_s8_has_the_property(self):
+        """Every type-A/B instance with s <= 8 satisfies (P_{2s,s}).
+
+        (P_{r,s}) is invariant under injective group homomorphisms, which
+        preserve and reflect equal integer combinations; under permutations
+        of positions; and under translations, which add s*c to every s-sum.
+        A type-A/B instance is such an image of its canonical pattern over
+        the standard basis of Z^{s-1}, so the patterns decide the converse
+        for every instance: 2^{s-1} type-B patterns per s, one per
+        breakpoint set, plus type A for odd s; 257 patterns for s = 2..8.
+        """
+        checked = 0
+        for s in range(2, 9):
+            basis = [tuple(int(i == j) for j in range(s - 1)) for i in range(s - 1)]
+            patterns = [
+                canonical_pattern(VARIANT_TYPE_B, s, basis, k=k, breakpoints=b)
+                for k in range(s)
+                for b in combinations(range(1, s), k)
+            ]
+            if s % 2:
+                patterns.append(canonical_pattern(VARIANT_TYPE_A, s, basis))
+            for pattern in patterns:
+                rep = has_property(group_tuple(pattern, dim=s - 1), 2 * s, s)
+                assert rep.holds, (s, pattern, rep.failure_witness)
+            checked += len(patterns)
+        assert checked == 257
 
 
 class TestClassify:

@@ -272,6 +272,14 @@ class TestGenerate:
         assert code == 2
         assert "error" in payload
 
+    def test_negative_unimodular_bound_exit_two(self, capsys):
+        code, payload, _ = run_cli(
+            capsys,
+            "generate", "--kind", "a", "--s", "3", "--unimodular-bound", "-1",
+        )
+        assert code == 2
+        assert "unimodular_bound" in payload["error"]
+
 
 class TestEnumerate:
     def test_small_run_with_out(self, capsys, tmp_path):

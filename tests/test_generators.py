@@ -102,6 +102,8 @@ class TestGenerate:
             )
         with pytest.raises(ValueError):
             generate(GeneratorSpec(kind="a", s=3, dim=2, translation=(1,)))
+        with pytest.raises(ValueError, match="unimodular_bound"):
+            generate(GeneratorSpec(kind="a", s=3, dim=2, unimodular_bound=-1))
 
     def test_spec_json_round_trip(self):
         spec = GeneratorSpec(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abtuple.generators import GeneratorSpec, generate
 from abtuple.lattice import hnf_rows
 from abtuple.tuples import (
     BudgetExceeded,
@@ -72,6 +73,53 @@ def kernel_cases(draw):
         [[scale * x + c for x, c in zip(row, shift)] for row in rows], dim=dim
     )
     return t, r, s
+
+
+@st.composite
+def paired_cases(draw):
+    """(tuple, r, s) draws with r = 2s, s in 1..5 and q in r..r+2.
+
+    Scrambled type-A/B instances hold (P_{2s,s}); a bumped coordinate or an
+    element replaced by a copy of another usually breaks it, and the q - r
+    extra rows, copies of pattern rows, give several windows.  Random small
+    rows cover s = 1 and shapes no pattern has.
+    """
+    s = draw(st.integers(1, 5), label="s")
+    r = 2 * s
+    q = draw(st.integers(r, r + 2), label="q")
+    source = draw(st.sampled_from(["pattern", "mutant", "random"]), label="source")
+    if s == 1 or source == "random":
+        dim = draw(st.integers(1, 3), label="dim")
+        rows = draw(
+            st.lists(st.tuples(*[st.integers(-1, 1)] * dim), min_size=q, max_size=q),
+            label="rows",
+        )
+        return group_tuple(rows, dim=dim), r, s
+    kind = draw(st.sampled_from("ab" if s % 2 else "b"), label="kind")
+    breakpoints = ()
+    if kind == "b":
+        breakpoints = tuple(
+            sorted(draw(st.sets(st.integers(1, s - 1)), label="breaks"))
+        )
+    spec = GeneratorSpec(
+        kind=kind,
+        s=s,
+        dim=s - 1 + draw(st.integers(0, 1), label="extra_dim"),
+        k=len(breakpoints),
+        breakpoints=breakpoints,
+        seed=draw(st.integers(0, 99), label="seed"),
+        unimodular_bound=draw(st.integers(0, 3), label="bound"),
+    )
+    rows = [list(e) for e in generate(spec).elements]
+    rows += [list(draw(st.sampled_from(rows), label="extra")) for _ in range(q - r)]
+    if source == "mutant":
+        i = draw(st.integers(0, q - 1), label="i")
+        if draw(st.booleans(), label="bump"):
+            rows[i][draw(st.integers(0, spec.dim - 1), label="coord")] += 1
+        else:
+            rows[i] = list(rows[draw(st.integers(0, q - 1), label="j")])
+    perm = draw(st.permutations(range(q)), label="perm")
+    return group_tuple([rows[i] for i in perm], dim=spec.dim), r, s
 
 
 def small_tuples(max_dim=3, max_len=6, bound=4):
@@ -243,6 +291,13 @@ class TestHasProperty:
     @given(kernel_cases())
     @settings(max_examples=300, deadline=None)
     def test_scan_and_lookup_agree(self, case):
+        t, r, s = case
+        assert has_property(t, r, s) == scan_property(t, r, s)
+
+    @given(paired_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_paired_windows_agree_with_scan(self, case):
+        # r = 2s takes the kernel's complement-paired branch.
         t, r, s = case
         assert has_property(t, r, s) == scan_property(t, r, s)
 
