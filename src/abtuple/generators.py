@@ -25,10 +25,12 @@ def random_unimodular(
 
     Built from the identity by elementary moves: transvections row_i +=
     c*row_j with 1 <= |c| <= bound, row swaps, and row negations.  bound 0
-    returns the identity.
+    returns the identity; a negative bound raises ValueError.
     """
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     mat = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    if bound <= 0 or dim == 1:
+    if bound == 0 or dim == 1:
         if bound > 0 and dim == 1 and rng.random() < 0.5:
             mat[0][0] = -1
         return [tuple(row) for row in mat]

@@ -15,9 +15,10 @@ integer multiples of distinct basis elements.  Such a basis need not exist;
 refutation, using the fact that a basis element is primitive in the span and
 the primitive element parallel to a given direction is unique up to sign.
 With every representative written in coordinates over the span's HNF basis,
-a rank-sized subset costs one determinant: its absolute value is 0 for a
-dependent subset, 1 for a basis of the span, and otherwise the index of the
-sublattice the representatives generate.
+a rank-sized subset's |determinant| is 0 for a dependent subset, 1 for a basis
+of the span, and otherwise the index of the sublattice the representatives
+generate.  The subsets are scanned depth first in lexicographic order, and
+subsets with a common prefix share that prefix's fraction-free elimination.
 
 ``audit_claims`` checks, on a concrete property-(P_{q,s}) instance, the
 structural assertions that drive the classification: the exponent matrix is
@@ -40,7 +41,6 @@ from .classify import classify
 from .lattice import (
     Vector,
     _bareiss_reduce,
-    det_bareiss,
     hnf_rows,
     primitive_representative,
     solve_coordinates,
@@ -319,6 +319,48 @@ class AdequateBasisDecision:
         return obj
 
 
+def _nonzero_minors(cands, size, prefix=(), prev=1):
+    """Yield (subset, |det|) for every independent choice of ``size`` more
+    rows from ``cands``, in lexicographic order.
+
+    ``cands`` holds (position, row) pairs whose rows have ``size`` entries:
+    the coordinate rows still to choose from, reduced by fraction-free
+    (Bareiss) elimination against the pivot rows of ``prefix``, whose last
+    pivot is ``prev``.  Choosing row x with pivot x[c] = p updates every
+    later row y to (p*y - y[c]*x) // prev without column c; the division is
+    exact by Sylvester's identity (each entry is a minor of the input).  With
+    two rows left to choose, the last step is done in scalars: for rows x
+    and y, (x0*y1 - x1*y0) // prev is +-det of the subset, whichever column
+    pivots.  A row reduced to zero is dependent on the prefix, and every
+    subset that extends the prefix by it is skipped.
+    """
+    if size == 1:  # only a rank-1 span starts here; deeper scans end at 2
+        for i, (v,) in cands:
+            if v:
+                yield prefix + (i,), abs(v)
+        return
+    if size == 2:
+        for a, (i, (x0, x1)) in enumerate(cands):
+            for j, (y0, y1) in cands[a + 1 :]:
+                v = (x0 * y1 - x1 * y0) // prev
+                if v:
+                    yield prefix + (i, j), abs(v)
+        return
+    for a in range(len(cands) - size + 1):
+        i, x = cands[a]
+        c = next((k for k, v in enumerate(x) if v), None)
+        if c is None:
+            continue
+        p = x[c]
+        rest = []
+        for j, y in cands[a + 1 :]:
+            f = y[c]
+            row = [(p * u - f * w) // prev for u, w in zip(y, x)]
+            del row[c]
+            rest.append((j, row))
+        yield from _nonzero_minors(rest, size - 1, prefix + (i,), p)
+
+
 def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
     """Does some reordering admit a basis of span(t) with t elements as
     integer multiples of distinct basis members?
@@ -332,7 +374,9 @@ def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
     |det| of its representatives' coordinate rows: 0 when the subset is
     dependent (skipped), 1 when the representatives generate the span (the
     witness), and otherwise the sublattice index they generate, recorded in
-    the refutation (each entry is >= 2).
+    the refutation (each entry is >= 2).  The scan is depth first and lazy:
+    subsets sharing a prefix share its elimination (``_nonzero_minors``), a
+    dependent prefix skips all its extensions, and a witness stops the scan.
 
     Raises BudgetExceeded before the scan when the C(#nonzero, rank) subsets
     it may test exceed the budget (ABTUPLE_BUDGET, else 10**9).
@@ -345,12 +389,9 @@ def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
     work = comb(len(nonzero), tr)
     _charge(work, f"adequate-basis scan tests {work} subsets")
     reps = {i: primitive_representative(lat, t.elements[i]) for i in nonzero}
-    coords = {i: solve_coordinates(lat, p) for i, (p, _) in reps.items()}
+    coords = [(i, solve_coordinates(lat, p)) for i, (p, _) in reps.items()]
     refutation = []
-    for subset in combinations(nonzero, tr):
-        idx = abs(det_bareiss([coords[i] for i in subset]))
-        if idx == 0:
-            continue
+    for subset, idx in _nonzero_minors(coords, tr):
         if idx == 1:
             prims, mults = zip(*(reps[i] for i in subset))
             return AdequateBasisDecision(

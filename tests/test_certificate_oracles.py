@@ -1,14 +1,15 @@
 """Differential tests of the fraction-free certificate paths against the
 per-element ``Fraction`` Gauss-Jordan code they replaced, and of the
-determinant-per-subset adequate-basis scan against the HNF scan it replaced.
+shared-prefix adequate-basis scan against the scans it replaced.
 
 The oracles below are the slow reference implementations: a ``Fraction``
 elimination per target vector, a greedy ``hnf_rows`` rank probe per element
-to pick the basis positions, a ``Fraction`` re-check of the certificate, and
-an adequate-basis scan over all positions that probes each subset's rank with
-``hnf_rows`` and measures its representatives with ``sublattice_index``.
-The library must agree with them on every result, ``None`` included, and on
-every verdict, tampered certificates included.
+to pick the basis positions, a ``Fraction`` re-check of the certificate, an
+adequate-basis scan over all positions that probes each subset's rank with
+``hnf_rows`` and measures its representatives with ``sublattice_index``, and
+one that takes a separate ``det_bareiss`` of every rank-sized subset of the
+nonzero positions.  The library must agree with them on every result,
+``None`` included, and on every verdict, tampered certificates included.
 """
 
 import dataclasses
@@ -21,9 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtuple.lattice import (
+    det_bareiss,
     hnf_rows,
     is_zero,
     primitive_representative,
+    solve_coordinates,
     solve_rational_combination,
     sublattice_index,
 )
@@ -188,6 +191,34 @@ def oracle_adequate_basis(t):
     )
 
 
+def oracle_adequate_basis_dets(t):
+    lat = span(t)
+    tr = lat.rank
+    if tr == 0:
+        raise ValueError("rank-0 tuple: adequate basis undefined")
+    nonzero = [i for i, e in enumerate(t.elements) if any(e)]
+    reps = {i: primitive_representative(lat, t.elements[i]) for i in nonzero}
+    coords = {i: solve_coordinates(lat, p) for i, (p, _) in reps.items()}
+    refutation = []
+    for subset in combinations(nonzero, tr):
+        idx = abs(det_bareiss([coords[i] for i in subset]))
+        if idx == 0:
+            continue
+        if idx == 1:
+            prims, mults = zip(*(reps[i] for i in subset))
+            return AdequateBasisDecision(
+                exists=True,
+                witness=AdequateBasisWitness(
+                    indices=subset, multipliers=mults, basis=prims
+                ),
+                refutation=None,
+            )
+        refutation.append((subset, idx))
+    return AdequateBasisDecision(
+        exists=False, witness=None, refutation=tuple(refutation)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 
@@ -242,6 +273,51 @@ def adequate_cases(draw):
             row = draw(st.sampled_from(rows))
         else:
             row = (0,) * dim
+        rows.append(row)
+    return dim, rows
+
+
+@st.composite
+def prefix_scan_cases(draw):
+    """(dim, rows): 9 to 12 rows of rank at most 3..6, in dim rank..rank+1.
+
+    Rows are combinations, with coefficients up to 2 or 9, of ``rank``
+    independent generators whose entries are up to 5, 10**3 or 10**12 in
+    absolute value.  After the first row, the next one to four rows are
+    mostly zero rows, repeats, multiples and two-row combinations of earlier
+    rows, so the scan meets dependent prefixes at its first levels; later
+    rows are mostly fresh combinations."""
+    r = draw(st.integers(3, 6), label="rank")
+    dim = draw(st.integers(r, r + 1), label="dim")
+    bound = draw(st.sampled_from((5, 10**3, BIG)), label="entry bound")
+    entry = st.integers(-bound, bound)
+    lead = st.integers(1, bound).flatmap(lambda x: st.sampled_from((x, -x)))
+    gens = []  # echelon form, so the generators are independent
+    for k in range(r):
+        tail = draw(st.tuples(*[entry] * (dim - k - 1)), label="gen tail")
+        gens.append((0,) * k + (draw(lead, label="gen lead"),) + tail)
+    coeff = st.integers(*draw(st.sampled_from(((-2, 2), (-9, 9))), label="coeffs"))
+    early = draw(st.integers(1, 4), label="early")
+    rows = []
+    for k in range(draw(st.integers(9, 12), label="n")):
+        kinds = ("combo", "repeat", "multiple", "pair", "zero")
+        if k > early:
+            kinds = ("combo",) * 5 + kinds
+        kind = draw(st.sampled_from(kinds))
+        if kind == "combo" or not rows:
+            cs = draw(st.lists(coeff, min_size=r, max_size=r))
+            row = tuple(sum(c * g[j] for c, g in zip(cs, gens)) for j in range(dim))
+        elif kind == "zero":
+            row = (0,) * dim
+        elif kind == "repeat":
+            row = draw(st.sampled_from(rows))
+        elif kind == "multiple":
+            m = draw(st.sampled_from((-3, -2, -1, 2, 3)))
+            row = tuple(m * x for x in draw(st.sampled_from(rows)))
+        else:
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            row = tuple(a * u + b * v for u, v in zip(x, y))
         rows.append(row)
     return dim, rows
 
@@ -322,6 +398,15 @@ class TestAdequateBasisAgainstOracle:
                 adequate_basis_decide(t)
             return
         assert adequate_basis_decide(t) == oracle_adequate_basis(t)
+
+    @given(prefix_scan_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_prefix_scan_matches_determinant_oracle(self, case):
+        dim, rows = case
+        t = group_tuple(rows, dim=dim)
+        if rank(t) == 0:
+            return
+        assert adequate_basis_decide(t) == oracle_adequate_basis_dets(t)
 
     @pytest.mark.parametrize(
         "s, q", [(s, q) for s in range(2, 6) for q in range(s + 1, 2 * s + 1)]

@@ -1,6 +1,7 @@
 """Golden CLI invocations: JSON payloads and the exit-code contract."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,21 @@ from hypothesis import strategies as st
 from abtuple.cli import main
 
 EXAMPLE_FULL_RANK = "1 0 0\n1 1 0\n1 2 2\n1 2 5\n"
+# perfbench's generic certify item 0: q = 12 in Z^5, zero first.
+GENERIC_Q12 = """\
+0 0 0 0 0
+4 -9 -4 -9 2
+-2 7 -9 -8 -2
+6 4 2 3 0
+-6 -1 -8 -4 2
+3 -9 0 -4 8
+-2 -2 4 -3 -8
+3 -7 -6 6 -1
+-6 3 -1 -4 -2
+7 8 -6 1 1
+-6 -6 -7 -6 -2
+9 -1 -1 3 6
+"""
 DEEP_JSON = "[" * 100000 + "]" * 100000
 
 
@@ -215,6 +231,17 @@ class TestAdequateBasis:
         assert payload["exists"] is True
         assert payload["witness"]["indices"] == [1, 2]
         assert payload["witness"]["multipliers"] == [1, 1]
+
+    def test_full_refutation_pinned(self, capsys, tuple_file):
+        # Every one of the C(11, 5) = 462 subsets of the nonzero positions is
+        # independent and refuted; the digest pins their order and indices.
+        code = main(["adequate-basis", tuple_file(GENERIC_Q12)])
+        out = capsys.readouterr()
+        assert code == 1
+        assert len(json.loads(out.out)["refutation"]) == 462
+        text = out.out.removesuffix("\n")
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "c3d3d71d5c88818d"
+        assert out.err == "no adequate basis (462 subsets refuted)\n"
 
     def test_budget_exit_three(self, capsys, tuple_file, monkeypatch):
         # Four nonzero elements of rank 3: C(4, 3) = 4 subsets are billed.

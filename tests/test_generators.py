@@ -22,6 +22,11 @@ class TestRandomUnimodular:
         rng = random.Random(0)
         assert random_unimodular(3, rng, 0) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_negative_bound_rejected(self, dim):
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            random_unimodular(dim, random.Random(1), -5)
+
     @given(st.integers(2, 5), st.integers(0, 10**6), st.integers(1, 10))
     @settings(max_examples=120, deadline=None)
     def test_determinant_is_unit(self, dim, seed, bound):
