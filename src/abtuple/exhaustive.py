@@ -23,13 +23,12 @@ byte-identical no matter how many workers ran.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import comb
 
 from .classify import VARIANT_UNCLASSIFIED, classify
-from .structure import audit_claims
+from .structure import _audit_holder
 from .tuples import (
     GroupTuple,
     _charge,
@@ -131,11 +130,16 @@ def _fails_by_order(elements, q: int, s: int) -> bool:
 def _examine(job: EnumerationJob, part: dict, elements, pack: dict) -> None:
     """Count one tuple and, if it holds (P_{q,s}), rank, classify and audit it.
 
-    ``pack`` maps each grid value to its packed int.  The property check
-    skips ``has_property``'s budget guard: a check forms at most
-    ``property_work(q, q, s)`` sums, which is at most ``nominal_bill``
-    (the universe holds at least one tuple), and ``run_enumeration``
-    refuses the job up front when that bill exceeds the budget.
+    ``pack`` maps each grid value to its packed int.  This is the one check
+    of the tuple's (P_{q,s}), and it skips ``has_property``'s budget guard:
+    a check forms at most ``property_work(q, q, s)`` sums, which is at most
+    ``nominal_bill`` (the universe holds at least one tuple), and
+    ``run_enumeration`` refuses the job up front when that bill exceeds the
+    budget.  A holder is then audited by ``_audit_holder``, which does not
+    check the property again, and its rank is read from ``classify`` when
+    that runs, so its span is built once.  Only the nested checks read the
+    budget: the audit's subtuple checks, and ``classify``'s property check
+    of an Unclassified holder.
     """
     part["tuples"] += 1
     if _fails_by_order(elements, job.q, job.s):
@@ -148,13 +152,13 @@ def _examine(job: EnumerationJob, part: dict, elements, pack: dict) -> None:
         part["without_zero"] += 1
         return
     listed = [list(e) for e in elements]
-    tr = rank(t)
+    cls = classify(t, job.s) if 2 <= job.s and job.q <= 2 * job.s else None
+    tr = rank(t) if cls is None else cls.rank
     key = str(tr)
     part["ranks"][key] = part["ranks"].get(key, 0) + 1
     if equal_pair(t) is None:
         part["equal_pair_missing"].append({"elements": listed})
-    if 2 <= job.s and job.q <= 2 * job.s:
-        cls = classify(t, job.s)
+    if cls is not None:
         variant = cls.variant
         if variant == VARIANT_UNCLASSIFIED:
             part["unclassified"].append(
@@ -164,7 +168,7 @@ def _examine(job: EnumerationJob, part: dict, elements, pack: dict) -> None:
                     "property_holds": cls.property_holds,
                 }
             )
-        report = audit_claims(t, job.s)
+        report = _audit_holder(t, job.s)
         if not report.all_pass:
             part["audit_failures"].append(
                 {
@@ -205,8 +209,10 @@ def run_enumeration(job: EnumerationJob) -> dict:
     """Visit the whole universe and return the JSON-ready report.
 
     Raises BudgetExceeded before any work when ``nominal_bill`` exceeds the
-    budget (ABTUPLE_BUDGET, else 10**9), which the nested checks of
-    ``classify`` and ``audit_claims`` read as well.
+    budget (ABTUPLE_BUDGET, else 10**9).  Each tuple's (P_{q,s}) is checked
+    once, in ``_examine``, under that bill; only the nested checks of the
+    audit's zero-axis subtuples, and ``classify``'s check of an Unclassified
+    holder, read the budget again.
     """
     job.validate()
     bill = nominal_bill(job)
@@ -218,6 +224,10 @@ def run_enumeration(job: EnumerationJob) -> dict:
     if workers == 1:
         partials = map(_process_chunk, chunk_args)
     else:
+        # Imported only here: it loads multiprocessing, which a one-worker
+        # run and a plain ``import abtuple`` never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         executor = ProcessPoolExecutor(max_workers=workers)
         try:
             partials = list(executor.map(_process_chunk, chunk_args))

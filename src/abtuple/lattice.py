@@ -16,8 +16,11 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Vector = tuple[int, ...]
 
@@ -288,6 +291,8 @@ def solve_rational_combination(rows, target: Vector) -> tuple[Fraction, ...] | N
     pivots.  Free coefficients (when the rows are dependent) are set to zero;
     the recombination is verified exactly, in integers, before returning.
     """
+    from fractions import Fraction  # imported here to keep package import light
+
     k = len(rows)
     pivots, d, reduced = _bareiss_reduce(list(rows) + [target], len(target))
     if pivots and pivots[-1] == k:

@@ -33,9 +33,9 @@ Each claim carries pass/fail/skip status with witness data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
+from typing import TYPE_CHECKING
 
 from .classify import classify
 from .lattice import (
@@ -55,6 +55,9 @@ from .tuples import (
     span,
     translate,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +84,8 @@ class QBasisCertificate:
         return len(self.indices)
 
     def eta_row(self, tau: int) -> tuple[Fraction, ...]:
+        from fractions import Fraction  # imported here to keep package import light
+
         den = self.eta_den[tau]
         return tuple(Fraction(x, den) for x in self.eta_num[tau])
 
@@ -369,14 +374,17 @@ def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
     in the span, so it is the (unique up to sign) primitive representative of
     that element.  It therefore suffices to scan rank-sized subsets of the
     nonzero positions (a zero element is in no independent subset) in
-    lexicographic order.  Each nonzero element's representative is written
-    once in coordinates over the HNF basis of the span; a subset's index is
-    |det| of its representatives' coordinate rows: 0 when the subset is
-    dependent (skipped), 1 when the representatives generate the span (the
-    witness), and otherwise the sublattice index they generate, recorded in
-    the refutation (each entry is >= 2).  The scan is depth first and lazy:
-    subsets sharing a prefix share its elimination (``_nonzero_minors``), a
-    dependent prefix skips all its extensions, and a witness stops the scan.
+    lexicographic order.  Each nonzero element is solved once over the HNF
+    basis of the span, and its coordinates divided by their gcd are those
+    of its representative up to sign, which no |det| sees; only a witness's
+    members are solved again, by ``primitive_representative``, for their
+    signed multipliers.  A subset's index is |det| of its representatives'
+    coordinate rows: 0 when the subset is dependent (skipped), 1 when the
+    representatives generate the span (the witness), and otherwise the
+    sublattice index they generate, recorded in the refutation (each entry
+    is >= 2).  The scan is depth first and lazy: subsets sharing a prefix
+    share its elimination (``_nonzero_minors``), a dependent prefix skips
+    all its extensions, and a witness stops the scan.
 
     Raises BudgetExceeded before the scan when the C(#nonzero, rank) subsets
     it may test exceed the budget (ABTUPLE_BUDGET, else 10**9).
@@ -388,12 +396,17 @@ def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
     nonzero = [i for i, e in enumerate(t.elements) if any(e)]
     work = comb(len(nonzero), tr)
     _charge(work, f"adequate-basis scan tests {work} subsets")
-    reps = {i: primitive_representative(lat, t.elements[i]) for i in nonzero}
-    coords = [(i, solve_coordinates(lat, p)) for i, (p, _) in reps.items()]
+    coords = []
+    for i in nonzero:
+        c = solve_coordinates(lat, t.elements[i])
+        g = gcd(*c)
+        coords.append((i, [x // g for x in c]))
     refutation = []
     for subset, idx in _nonzero_minors(coords, tr):
         if idx == 1:
-            prims, mults = zip(*(reps[i] for i in subset))
+            prims, mults = zip(
+                *(primitive_representative(lat, t.elements[i]) for i in subset)
+            )
             return AdequateBasisDecision(
                 exists=True,
                 witness=AdequateBasisWitness(
@@ -476,12 +489,13 @@ def audit_claims(t: GroupTuple, s: int) -> AuditReport:
     when it does not, every element is translated by the first duplicated
     value (one exists, by the equal-pair consequence of the property).  All
     claims refer to the normalized tuple; the report records the translation.
+    The claims themselves are ``_audit_holder``'s, which ``run_enumeration``
+    calls directly on tuples it has already checked.
     """
     q = len(t)
     if not (2 <= s < q <= 2 * s):
         raise ValueError(f"audit requires 2 <= s < q <= 2s, got s={s}, q={q}")
-    zero = zero_vector(t.dim)
-    if zero not in t.elements:
+    if zero_vector(t.dim) not in t.elements:
         raise ValueError("audit requires the zero element to occur in the tuple")
     prop = has_property(t, q, s)
     if not prop.holds:
@@ -490,7 +504,20 @@ def audit_claims(t: GroupTuple, s: int) -> AuditReport:
             f"window {_one_based(prop.failure_witness[0])}, "
             f"selection {_one_based(prop.failure_witness[1])}"
         )
+    return _audit_holder(t, s)
 
+
+def _audit_holder(t: GroupTuple, s: int) -> AuditReport:
+    """``audit_claims`` without its precondition checks.
+
+    The caller guarantees 2 <= s < q <= 2s, that zero occurs in t and that t
+    has (P_{q,s}); the tuple's own property is not re-checked.  The
+    property checks of the zero-axis subtuples, and ``classify``'s check of
+    a subtuple it leaves Unclassified, read the budget (ABTUPLE_BUDGET,
+    else 10**9).
+    """
+    q = len(t)
+    zero = zero_vector(t.dim)
     translation: Vector | None = None
     nt = t
     if t.elements.count(zero) < 2:
@@ -601,7 +628,11 @@ def audit_claims(t: GroupTuple, s: int) -> AuditReport:
                     )
                 )
 
-            sub_rank = rank(sub)
+            # classify builds the subtuple's span anyway, so read its rank.
+            inner_cls = (
+                classify(sub, s_inner) if 2 <= s_inner < n0 <= 2 * s_inner else None
+            )
+            sub_rank = rank(sub) if inner_cls is None else inner_cls.rank
             claims.append(
                 AuditClaim(
                     name="zero_axis_rank_drop",
@@ -612,8 +643,7 @@ def audit_claims(t: GroupTuple, s: int) -> AuditReport:
                 )
             )
 
-            if 2 <= s_inner < n0 <= 2 * s_inner:
-                inner_cls = classify(sub, s_inner)
+            if inner_cls is not None:
                 claims.append(
                     AuditClaim(
                         name="zero_axis_not_type_a",

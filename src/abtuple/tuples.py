@@ -154,9 +154,15 @@ def rank(t: GroupTuple) -> int:
 
 
 def translate(t: GroupTuple, c: Vector) -> GroupTuple:
-    """Re-center the tuple at c: each element a becomes a - c."""
+    """Re-center the tuple at c: each element a becomes a - c.
+
+    Translation by zero returns ``t`` itself, not a copy, which is safe to
+    share because GroupTuple is frozen.  Reads no budget.
+    """
     if len(c) != t.dim:
         raise ValueError("translation vector dimension mismatch")
+    if not any(c):
+        return t
     return GroupTuple(dim=t.dim, elements=tuple(vec_sub(e, c) for e in t.elements))
 
 

@@ -6,10 +6,13 @@ The oracles below are the slow reference implementations: a ``Fraction``
 elimination per target vector, a greedy ``hnf_rows`` rank probe per element
 to pick the basis positions, a ``Fraction`` re-check of the certificate, an
 adequate-basis scan over all positions that probes each subset's rank with
-``hnf_rows`` and measures its representatives with ``sublattice_index``, and
+``hnf_rows`` and measures its representatives with ``sublattice_index``,
 one that takes a separate ``det_bareiss`` of every rank-sized subset of the
-nonzero positions.  The library must agree with them on every result,
-``None`` included, and on every verdict, tampered certificates included.
+nonzero positions, and the shared-prefix scan that solved every nonzero
+element twice, once for its primitive representative and once for that
+representative's coordinates.  The library must agree with them on every
+result, ``None`` included, and on every verdict, tampered certificates
+included.
 """
 
 import dataclasses
@@ -34,6 +37,7 @@ from abtuple.structure import (
     AdequateBasisDecision,
     AdequateBasisWitness,
     QBasisCertificate,
+    _nonzero_minors,
     adequate_basis_decide,
     audit_claims,
     q_basis_certificate,
@@ -204,6 +208,31 @@ def oracle_adequate_basis_dets(t):
         idx = abs(det_bareiss([coords[i] for i in subset]))
         if idx == 0:
             continue
+        if idx == 1:
+            prims, mults = zip(*(reps[i] for i in subset))
+            return AdequateBasisDecision(
+                exists=True,
+                witness=AdequateBasisWitness(
+                    indices=subset, multipliers=mults, basis=prims
+                ),
+                refutation=None,
+            )
+        refutation.append((subset, idx))
+    return AdequateBasisDecision(
+        exists=False, witness=None, refutation=tuple(refutation)
+    )
+
+
+def oracle_adequate_basis_two_solve(t):
+    lat = span(t)
+    tr = lat.rank
+    if tr == 0:
+        raise ValueError("rank-0 tuple: adequate basis undefined")
+    nonzero = [i for i, e in enumerate(t.elements) if any(e)]
+    reps = {i: primitive_representative(lat, t.elements[i]) for i in nonzero}
+    coords = [(i, solve_coordinates(lat, p)) for i, (p, _) in reps.items()]
+    refutation = []
+    for subset, idx in _nonzero_minors(coords, tr):
         if idx == 1:
             prims, mults = zip(*(reps[i] for i in subset))
             return AdequateBasisDecision(
@@ -407,6 +436,17 @@ class TestAdequateBasisAgainstOracle:
         if rank(t) == 0:
             return
         assert adequate_basis_decide(t) == oracle_adequate_basis_dets(t)
+
+    @given(st.one_of(adequate_cases(), prefix_scan_cases()))
+    @settings(max_examples=300, deadline=None)
+    def test_one_solve_per_element_matches_two_solve_scan(self, case):
+        # Coordinates divided by their gcd differ from the representative's
+        # by a sign at most, so every |det|, and the decision, is unchanged.
+        dim, rows = case
+        t = group_tuple(rows, dim=dim)
+        if rank(t) == 0:
+            return
+        assert adequate_basis_decide(t) == oracle_adequate_basis_two_solve(t)
 
     @pytest.mark.parametrize(
         "s, q", [(s, q) for s in range(2, 6) for q in range(s + 1, 2 * s + 1)]

@@ -368,6 +368,20 @@ class TestErrorPaths:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["spec"]["s"] == 3
 
+    def test_import_leaves_process_pool_unloaded(self):
+        # Only a multi-worker enumeration needs concurrent.futures (and with
+        # it multiprocessing); importing the CLI must not pay for it.
+        probe = (
+            "import sys, abtuple.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', "
+            "'fractions') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 # ---------------------------------------------------------------------------
 # Fuzzing every file argument

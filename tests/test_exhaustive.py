@@ -1,6 +1,8 @@
 """Enumeration harness: canonicalization soundness, determinism, budget."""
 
+import concurrent.futures
 import hashlib
+import importlib
 import json
 from dataclasses import replace
 from itertools import product
@@ -9,17 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abtuple import exhaustive
+from abtuple import exhaustive, structure
+from abtuple.classify import VARIANT_UNCLASSIFIED, classify
 from abtuple.exhaustive import (
     EnumerationJob,
+    _chunk_elements,
+    _empty_partial,
+    _examine,
     _fails_by_order,
     nominal_bill,
     run_enumeration,
     universe_size,
     value_grid,
 )
+from abtuple.structure import _audit_holder, audit_claims
 from abtuple.tuples import (
     BudgetExceeded,
+    GroupTuple,
     _decide_packed,
     _packed,
     group_tuple,
@@ -138,8 +146,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_budget_at_nominal_bill(self, monkeypatch, jobs):
-        # The bill charged up front also covers the nested checks of
-        # classify and audit_claims, which read the same budget.
+        # The bill charged up front also covers the nested subtuple checks
+        # of the audit and classify, which read the same budget.
         job = EnumerationJob(s=2, q=4, dim=1, bound=2, jobs=jobs)
         expected = run_enumeration(job)
         bill = nominal_bill(job)
@@ -166,7 +174,8 @@ class TestEnumeration:
             def shutdown(self):
                 pass
 
-        monkeypatch.setattr(exhaustive, "ProcessPoolExecutor", InProcessPool)
+        # run_enumeration imports the pool class when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         job = EnumerationJob(s=2, q=3, dim=1, bound=1, jobs=jobs)
         assert run_enumeration(job) == run_enumeration(replace(job, jobs=1))
         assert pools == [started]
@@ -272,3 +281,87 @@ def test_job_packing_matches_has_property(case):
     t, r, s, bound = case
     packed = _packed(t.elements, s, bound)
     assert _decide_packed(packed, r, s) == has_property(t, r, s)
+
+
+# ---------------------------------------------------------------------------
+# The holder pass: one property check and one span per holder
+
+
+# Small cells with type-A and type-B holders, case-alpha and case-beta
+# audits, and both q = 2s and q < 2s.
+HOLDER_CELLS = [
+    (2, 4, 1, 2),
+    (2, 4, 2, 2),
+    (3, 5, 2, 1),
+    (3, 6, 2, 1),
+    (4, 7, 2, 1),
+    (4, 8, 1, 2),
+    (4, 8, 2, 1),
+]
+
+
+def cell_holders(job):
+    """Every tuple of the universe that holds (P_{q,s}) and contains zero,
+    found through has_property, not through the enumeration's fast path."""
+    grid = value_grid(job.dim, job.bound)
+    for first in range(len(grid)):
+        for elements in _chunk_elements(job, grid, first):
+            t = GroupTuple(dim=job.dim, elements=elements)
+            if has_property(t, job.q, job.s).holds:
+                yield t
+
+
+@pytest.mark.parametrize("s, q, dim, bound", HOLDER_CELLS)
+def test_holder_pass_matches_public_functions(s, q, dim, bound):
+    job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
+    grid = value_grid(dim, bound)
+    pack = dict(zip(grid, _packed(grid, s, bound)))
+    holders = 0
+    for t in cell_holders(job):
+        holders += 1
+        part = _empty_partial()
+        _examine(job, part, t.elements, pack)
+        assert part["with_property"] == 1
+        assert part["ranks"] == {str(rank(t)): 1}
+        assert part["variants"] == {classify(t, s).variant: 1}
+        assert _audit_holder(t, s) == audit_claims(t, s)
+    assert holders > 0
+
+
+@pytest.mark.parametrize("s, q, dim, bound", [(3, 6, 2, 1), (4, 8, 2, 1)])
+def test_enumeration_checks_property_of_subtuples_only(monkeypatch, s, q, dim, bound):
+    # Each holder's own (P_{q,s}) is decided once, by the packed kernel; the
+    # has_property calls left are the audit's zero-axis subtuple checks, and
+    # classify's check of a subtuple it leaves Unclassified.
+    calls = []
+    reports = []
+    real_check = has_property
+    real_audit = exhaustive._audit_holder
+
+    def counting(t, r, s_inner):
+        calls.append((len(t), r))
+        return real_check(t, r, s_inner)
+
+    def recording(t, s_outer):
+        reports.append(real_audit(t, s_outer))
+        return reports[-1]
+
+    monkeypatch.setattr(structure, "has_property", counting)
+    classify_module = importlib.import_module("abtuple.classify")
+    monkeypatch.setattr(classify_module, "has_property", counting)
+    monkeypatch.setattr(exhaustive, "_audit_holder", recording)
+    rep = run_enumeration(EnumerationJob(s=s, q=q, dim=dim, bound=bound))
+    assert rep["ok"] and not rep["unclassified"]
+    claims = [c for report in reports for c in report.claims]
+    checked = sum(
+        c.name == "zero_axis_property" and c.status != "skip" for c in claims
+    )
+    unclassified = sum(
+        c.name == "zero_axis_not_type_a"
+        and c.witness.get("variant") == VARIANT_UNCLASSIFIED
+        for c in claims
+        if c.witness
+    )
+    assert checked
+    assert len(calls) == checked + unclassified
+    assert all(n < q and r == n for n, r in calls)

@@ -196,6 +196,11 @@ class TestAlgebra:
         assert translate(t, (1, 1)).elements == ((0, 0), (1, 2))
         with pytest.raises(ValueError):
             translate(t, (1,))
+        # Translation by zero shares the frozen tuple instead of copying it.
+        assert translate(t, (0, 0)) is t
+        for wrong in ((0,), (0, 0, 0)):
+            with pytest.raises(ValueError):
+                translate(t, wrong)
 
     def test_subset_sum(self):
         t = group_tuple([(1, 0), (0, 1), (2, 2)])
