@@ -1,100 +1,68 @@
 #!/usr/bin/env python3
-"""Measure how often generated type-B instances satisfy property (P_{2s,s}).
+"""Decide property (P_{2s,s}) on every canonical type-A/B pattern up to --max-s.
 
 The classifier runs one way: a tuple with the property at maximal rank gets
-a type-A or type-B certificate.  The converse, that every type-A/B instance
-satisfies (P_{2s,s}), is settled for s <= 8 by
-``tests/test_classify.py::TestConverse``: (P_{r,s}) is invariant under
-injective homomorphisms, permutations and translations, every instance is
-such an image of its canonical pattern, and the test checks all 257
-patterns.  This script stays a sampled check on scrambled instances: it
-draws generated type-B tuples across s, k, and breakpoint choices, checks
-the property exhaustively per instance, and tallies the outcomes.  Any
-instance that fails the property is printed with its generator parameters
-and the failing window/selection witness so it can be replayed.
+a type-A or type-B certificate.  This script decides the converse, that every
+type-A/B instance satisfies (P_{2s,s}), exactly for s = 2..--max-s.
+(P_{r,s}) is invariant under injective homomorphisms, permutations and
+translations, and every instance is such an image of its canonical pattern
+over the standard basis of Z^{s-1}, so the patterns decide the converse for
+every instance: 2^{s-1} type-B patterns per s, one per breakpoint set, plus
+type A for odd s.  ``tests/test_classify.py::TestConverse`` pins s <= 8.
+
+For each s the script prints the pattern count, how many hold, and the
+seconds taken.  A failing pattern is printed with its witness, and the
+script then exits 1.
 
 Examples:
     python3 scripts/type_b_property_scan.py
-    python3 scripts/type_b_property_scan.py --s 2 3 4 --per-config 50 --seed 7
+    python3 scripts/type_b_property_scan.py --max-s 10
 """
 
 import argparse
-import random
 import sys
-from dataclasses import dataclass
+import time
 from itertools import combinations
 
-from abtuple.generators import GeneratorSpec, generate, spec_to_json_obj
-from abtuple.tuples import has_property
+from abtuple.classify import VARIANT_TYPE_A, VARIANT_TYPE_B, canonical_pattern
+from abtuple.tuples import group_tuple, has_property
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    s_values: tuple[int, ...] = (2, 3, 4)
-    per_config: int = 25
-    seed: int = 20260823
-    unimodular_bound: int = 5
-
-    def breakpoint_choices(self, s: int):
-        for k in range(0, s):
-            for breaks in combinations(range(1, s), k):
-                yield k, breaks
+def patterns(s: int):
+    """(label, rows) for every canonical pattern at s over the standard basis."""
+    basis = [tuple(int(i == j) for j in range(s - 1)) for i in range(s - 1)]
+    for k in range(s):
+        for breaks in combinations(range(1, s), k):
+            rows = canonical_pattern(VARIANT_TYPE_B, s, basis, k=k, breakpoints=breaks)
+            yield f"type B, breakpoints {list(breaks)}", rows
+    if s % 2:
+        yield "type A", canonical_pattern(VARIANT_TYPE_A, s, basis)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--s", type=int, nargs="+", default=[2, 3, 4])
-    ap.add_argument("--per-config", type=int, default=25)
-    ap.add_argument("--seed", type=int, default=20260823)
-    ap.add_argument("--unimodular-bound", type=int, default=5)
+    ap.add_argument("--max-s", type=int, default=8)
     args = ap.parse_args(argv)
+    if args.max_s < 2:
+        ap.error("--max-s must be at least 2")
 
-    cfg = ScanConfig(
-        s_values=tuple(args.s),
-        per_config=args.per_config,
-        seed=args.seed,
-        unimodular_bound=args.unimodular_bound,
-    )
-
-    rng = random.Random(cfg.seed)
-    total = holds = 0
-    failures = []
-    for s in cfg.s_values:
-        for k, breaks in cfg.breakpoint_choices(s):
-            config_holds = 0
-            for _ in range(cfg.per_config):
-                spec = GeneratorSpec(
-                    kind="b",
-                    s=s,
-                    dim=s - 1,
-                    k=k,
-                    breakpoints=breaks,
-                    seed=rng.randrange(10**9),
-                    unimodular_bound=cfg.unimodular_bound,
-                )
-                t = generate(spec)
-                rep = has_property(t, 2 * s, s)
-                total += 1
-                if rep.holds:
-                    holds += 1
-                    config_holds += 1
-                else:
-                    failures.append((spec, rep))
-            print(
-                f"s={s} k={k} breakpoints={list(breaks)}: "
-                f"{config_holds}/{cfg.per_config} hold (P_{{{2 * s},{s}}})"
-            )
-
-    print(f"\ntotal: {holds}/{total} type-B instances satisfy the property")
-    if failures:
-        print(f"{len(failures)} counterexample candidates:", file=sys.stderr)
-        for spec, rep in failures:
-            print(f"  spec={spec_to_json_obj(spec)}", file=sys.stderr)
-            print(f"  witness={rep.to_json_obj()['failure_witness']}",
-                  file=sys.stderr)
-    else:
-        print("no counterexample found in this sample")
-    return 0
+    failures = 0
+    print(" s  patterns  hold  seconds")
+    for s in range(2, args.max_s + 1):
+        start = time.perf_counter()
+        count = holds = 0
+        for label, rows in patterns(s):
+            rep = has_property(group_tuple(rows, dim=s - 1), 2 * s, s)
+            count += 1
+            if rep.holds:
+                holds += 1
+            else:
+                failures += 1
+                witness = rep.to_json_obj()["failure_witness"]
+                print(f"s={s} {label} fails (P_{{{2 * s},{s}}}): {witness}",
+                      file=sys.stderr)
+        print(f"{s:2d} {count:9d} {holds:5d} {time.perf_counter() - start:8.2f}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

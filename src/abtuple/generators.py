@@ -57,8 +57,8 @@ class GeneratorSpec:
     {1..s-1}.  dim >= s-1.  The basis is the image of the first s-1 standard
     basis rows under a seeded unimodular transform whose transvection
     coefficients are bounded by unimodular_bound (0 = identity; a negative
-    bound is refused).  translation is added to every element after the
-    permutation.
+    bound is refused).  seed and permutation_seed must be >= 0.  translation
+    is added to every element after the permutation.
     """
 
     kind: str
@@ -81,6 +81,11 @@ def _validate(spec: GeneratorSpec) -> None:
         raise ValueError(f"dim {spec.dim} below basis size {spec.s - 1}")
     if spec.unimodular_bound < 0:
         raise ValueError("unimodular_bound must be >= 0")
+    # random.Random seeds by |n|, so -7 would silently reproduce seed 7.
+    if spec.seed < 0:
+        raise ValueError("seed must be >= 0")
+    if spec.permutation_seed is not None and spec.permutation_seed < 0:
+        raise ValueError("permutation_seed must be >= 0")
     if spec.kind == "a":
         if spec.s % 2 == 0:
             raise ValueError("type A requires odd s")

@@ -292,8 +292,11 @@ def has_property(t: GroupTuple, r: int, s: int) -> PropertyReport:
     is matched by no other selection of its window is the failure witness.
     Sums are formed on exactly packed integers (see ``_packed``) and
     counted: a window costs C(r, s) sums, or C(r-1, s-1), half as many,
-    when r == 2s (complements pair up).  The search after the budget guard
-    is ``_decide_packed``, the package's one kernel.
+    when r == 2s (complements pair up).  A window with more than 256 sums
+    forms each with one addition, a head-part sum plus a tail-part sum
+    (``_selection_sums``); a smaller one forms each directly from its s
+    values.  The search after the budget guard is ``_decide_packed``, the
+    package's one kernel.
 
     Raises BudgetExceeded before any work when ``property_work(q, r, s)``,
     the selections a full check decides and an upper bound on the sums it
@@ -315,6 +318,10 @@ def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
     ``packed`` holds one int per position, packed in any base that is exact
     for s-sums (see ``_packed``): the report depends only on which s-sums are
     equal, so every exact packing gives the same report.
+
+    Every window's sums come from ``_selection_sums``, in ``combinations``
+    order, so they zip with the selections they belong to; a wide window
+    forms each sum with one addition.
 
     A window with r != 2s forms all C(r, s) sums and reports the first
     selection whose sum occurs once.  A window with r == 2s forms only the
@@ -339,7 +346,7 @@ def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
         vals = [packed[i] for i in window]
         if r == 2 * s:
             k = sum(vals) - 2 * vals[0]
-            sums = list(map(sum, combinations(vals[1:], s - 1)))
+            sums = _selection_sums(vals[1:], s - 1)
             counts = Counter(sums)
             lonely = {x for x, c in counts.items() if c == 1 and k - x not in counts}
             if lonely:
@@ -353,7 +360,7 @@ def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
                             failure_witness=(window, (window[0],) + rest),
                         )
             continue
-        sums = list(map(sum, combinations(vals, s)))
+        sums = _selection_sums(vals, s)
         counts = Counter(sums)
         if 1 in counts.values():
             for sel, value in zip(combinations(window, s), sums):
@@ -362,3 +369,51 @@ def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
                         q=q, r=r, s=s, holds=False, failure_witness=(window, sel)
                     )
     return PropertyReport(q=q, r=r, s=s, holds=True, failure_witness=None)
+
+
+# The measured direct/split crossover of ``_selection_sums``, in selections.
+_SPLIT_ABOVE = 256
+
+
+def _selection_sums(vals: list[int], k: int) -> list[int]:
+    """Sums of the k-selections of ``vals``, in ``combinations`` order.
+
+    Up to ``_SPLIT_ABOVE`` selections each sum is formed directly, at the
+    cost of a k-tuple and k - 1 additions.  Above it ``vals`` splits into a
+    head of h = n // 2 values and a tail.  The tail's j-selection sums are
+    formed once per size j, and each head selection p, with head sum a,
+    contributes a + b for every tail sum b of size k - len(p): one addition
+    per selection.
+
+    Order.  A k-selection is a head part p followed by a tail part, and
+    every tail index exceeds every head index.  Selections that share p are
+    contiguous in lexicographic order and ordered by their tail parts, which
+    ``combinations(tail, j)`` gives.  Selections with different head parts
+    p and p' compare as p and p' do at their first difference, unless p is
+    a proper prefix of p'; then the selection with head p continues with a
+    tail index >= h where p' continues with a head index < h, so every
+    selection with head p' comes first.  Sorting heads by ``p + (h,)``
+    encodes both rules, so the output is exactly
+    ``list(map(sum, combinations(vals, k)))``.
+
+    Crossover: the sums alone on 113-bit ints, best of 9 interleaved runs
+    on one 2-core host, direct vs split: C(9,4) = 126, 48 vs 68 us;
+    C(10,5) = 252, 108 vs 106 us; C(11,4) = 330, 122 vs 119 us;
+    C(11,5) = 462, 192 vs 133 us; C(15,7) = 6,435, 3.4 vs 0.90 ms.  The
+    two break even between 252 and 330 selections.
+    """
+    n = len(vals)
+    if comb(n, k) <= _SPLIT_ABOVE:
+        return list(map(sum, combinations(vals, k)))
+    h = n // 2
+    head, tail = vals[:h], vals[h:]
+    tails = [list(map(sum, combinations(tail, j))) for j in range(k + 1)]
+    heads = sorted(
+        (p + (h,), a, len(p))
+        for j in range(max(0, k - len(tail)), min(k, h) + 1)
+        for p, a in zip(combinations(range(h), j), map(sum, combinations(head, j)))
+    )
+    out: list[int] = []
+    for _, a, j in heads:
+        out += [a + b for b in tails[k - j]]
+    return out

@@ -75,6 +75,32 @@ class TestConverse:
             checked += len(patterns)
         assert checked == 257
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_scrambled_instances_agree_with_their_pattern(self, data):
+        """A generated type-B instance, an injective, permuted and translated
+        image of its pattern, holds (P_{2s,s}) exactly when the pattern does."""
+        s = data.draw(st.integers(2, 4), label="s")
+        breaks = tuple(sorted(data.draw(st.sets(st.integers(1, s - 1)), label="b")))
+        dim = s - 1 + data.draw(st.integers(0, 1), label="extra_dim")
+        spec = GeneratorSpec(
+            kind="b",
+            s=s,
+            dim=dim,
+            k=len(breaks),
+            breakpoints=breaks,
+            seed=data.draw(st.integers(0, 10**9), label="seed"),
+            unimodular_bound=data.draw(st.integers(0, 5), label="bound"),
+            translation=data.draw(st.tuples(*[st.integers(-9, 9)] * dim), label="c"),
+            permutation_seed=data.draw(st.integers(0, 10**9), label="perm"),
+        )
+        basis = [tuple(int(i == j) for j in range(s - 1)) for i in range(s - 1)]
+        pattern = canonical_pattern(
+            VARIANT_TYPE_B, s, basis, k=len(breaks), breakpoints=breaks
+        )
+        expected = has_property(group_tuple(pattern, dim=s - 1), 2 * s, s)
+        assert has_property(generate(spec), 2 * s, s).holds == expected.holds
+
 
 class TestClassify:
     def test_three_zeros_one_beta(self):

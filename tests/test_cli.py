@@ -307,6 +307,17 @@ class TestGenerate:
         assert code == 2
         assert "unimodular_bound" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "flag, name", [("--seed", "seed"), ("--permutation-seed", "permutation_seed")]
+    )
+    def test_negative_seed_exit_two(self, capsys, flag, name):
+        # random.Random(-7) draws what random.Random(7) draws.
+        code, payload, _ = run_cli(
+            capsys, "generate", "--kind", "b", "--s", "3", flag, "-7"
+        )
+        assert code == 2
+        assert f"{name} must be >= 0" in payload["error"]
+
 
 class TestEnumerate:
     def test_small_run_with_out(self, capsys, tmp_path):

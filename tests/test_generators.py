@@ -109,6 +109,10 @@ class TestGenerate:
             generate(GeneratorSpec(kind="a", s=3, dim=2, translation=(1,)))
         with pytest.raises(ValueError, match="unimodular_bound"):
             generate(GeneratorSpec(kind="a", s=3, dim=2, unimodular_bound=-1))
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            generate(GeneratorSpec(kind="b", s=3, dim=2, seed=-7))
+        with pytest.raises(ValueError, match="permutation_seed must be >= 0"):
+            generate(GeneratorSpec(kind="b", s=3, dim=2, permutation_seed=-1))
 
     def test_spec_json_round_trip(self):
         spec = GeneratorSpec(

@@ -2,7 +2,9 @@
 
 import json
 import random
+from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,9 @@ from abtuple.tuples import (
     GroupTuple,
     PropertyReport,
     TupleFormatError,
+    _packed,
+    _selection_sums,
+    _SPLIT_ABOVE,
     equal_pair,
     group_tuple,
     has_property,
@@ -48,6 +53,39 @@ def scan_property(t, r, s):
     return PropertyReport(q=q, r=r, s=s, holds=True, failure_witness=None)
 
 
+def counted_property(t, r, s):
+    """Reference (P_{r,s}) decision: the packed kernel with every window's sums
+    formed directly, one k-tuple each, as ``map(sum, combinations(...))``.
+
+    An r == 2s window counts the sums of the selections holding its first
+    value and pairs each with its complement (see ``_decide_packed``).
+    """
+    q = len(t)
+    bound = max(abs(x) for e in t.elements for x in e)
+    packed = _packed(t.elements, s, bound)
+    for window in combinations(range(q), r):
+        vals = [packed[i] for i in window]
+        if r == 2 * s:
+            k = sum(vals) - 2 * vals[0]
+            sums = list(map(sum, combinations(vals[1:], s - 1)))
+            counts = Counter(sums)
+            for rest, x in zip(combinations(window[1:], s - 1), sums):
+                if counts[x] == 1 and k - x not in counts:
+                    return PropertyReport(
+                        q=q, r=r, s=s, holds=False,
+                        failure_witness=(window, (window[0],) + rest),
+                    )
+            continue
+        sums = list(map(sum, combinations(vals, s)))
+        counts = Counter(sums)
+        for sel, value in zip(combinations(window, s), sums):
+            if counts[value] == 1:
+                return PropertyReport(
+                    q=q, r=r, s=s, holds=False, failure_witness=(window, sel)
+                )
+    return PropertyReport(q=q, r=r, s=s, holds=True, failure_witness=None)
+
+
 @st.composite
 def kernel_cases(draw):
     """(tuple, r, s) draws for the differential test.
@@ -75,18 +113,15 @@ def kernel_cases(draw):
     return t, r, s
 
 
-@st.composite
-def paired_cases(draw):
-    """(tuple, r, s) draws with r = 2s, s in 1..5 and q in r..r+2.
+def scrambled_instance(draw, s, q):
+    """q rows drawn around a generated type-A/B instance at s (2s rows).
 
-    Scrambled type-A/B instances hold (P_{2s,s}); a bumped coordinate or an
-    element replaced by a copy of another usually breaks it, and the q - r
-    extra rows, copies of pattern rows, give several windows.  Random small
-    rows cover s = 1 and shapes no pattern has.
+    Scrambled instances hold (P_{2s,s}); a bumped coordinate or an element
+    replaced by a copy of another usually breaks it.  Rows beyond 2s are
+    copies of pattern rows, which give several windows; below 2s the
+    scrambled rows are cut to q.  Random small rows cover s = 1 and shapes
+    no pattern has.
     """
-    s = draw(st.integers(1, 5), label="s")
-    r = 2 * s
-    q = draw(st.integers(r, r + 2), label="q")
     source = draw(st.sampled_from(["pattern", "mutant", "random"]), label="source")
     if s == 1 or source == "random":
         dim = draw(st.integers(1, 3), label="dim")
@@ -94,7 +129,7 @@ def paired_cases(draw):
             st.lists(st.tuples(*[st.integers(-1, 1)] * dim), min_size=q, max_size=q),
             label="rows",
         )
-        return group_tuple(rows, dim=dim), r, s
+        return group_tuple(rows, dim=dim)
     kind = draw(st.sampled_from("ab" if s % 2 else "b"), label="kind")
     breakpoints = ()
     if kind == "b":
@@ -111,15 +146,42 @@ def paired_cases(draw):
         unimodular_bound=draw(st.integers(0, 3), label="bound"),
     )
     rows = [list(e) for e in generate(spec).elements]
-    rows += [list(draw(st.sampled_from(rows), label="extra")) for _ in range(q - r)]
+    rows += [list(draw(st.sampled_from(rows), label="extra")) for _ in range(q - 2 * s)]
+    n = len(rows)
     if source == "mutant":
-        i = draw(st.integers(0, q - 1), label="i")
+        i = draw(st.integers(0, n - 1), label="i")
         if draw(st.booleans(), label="bump"):
             rows[i][draw(st.integers(0, spec.dim - 1), label="coord")] += 1
         else:
-            rows[i] = list(rows[draw(st.integers(0, q - 1), label="j")])
-    perm = draw(st.permutations(range(q)), label="perm")
-    return group_tuple([rows[i] for i in perm], dim=spec.dim), r, s
+            rows[i] = list(rows[draw(st.integers(0, n - 1), label="j")])
+    perm = draw(st.permutations(range(n)), label="perm")
+    return group_tuple([rows[i] for i in perm[:q]], dim=spec.dim)
+
+
+@st.composite
+def paired_cases(draw, min_s=1, max_s=5, max_extra=2):
+    """(tuple, r, s) draws with r = 2s, s in min_s..max_s and q in
+    r..r+max_extra, around scrambled type-A/B instances at s."""
+    s = draw(st.integers(min_s, max_s), label="s")
+    r = 2 * s
+    q = draw(st.integers(r, r + max_extra), label="q")
+    return scrambled_instance(draw, s, q), r, s
+
+
+@st.composite
+def unpaired_wide_cases(draw):
+    """(tuple, r, s) draws with r in 11..13, s in 4..6, r != 2s, q in r..r+1.
+
+    Every window has C(r, s) >= 330 selections, above the crossover, so
+    its sums take the split path.  The rows come from instances at s' = 6
+    or 7, which are checked at (r, s) other than (2s', s'), so the
+    property fails often and its witness need not be the window's first
+    selection.
+    """
+    r = draw(st.integers(11, 13), label="r")
+    s = draw(st.sampled_from([x for x in (4, 5, 6) if 2 * x != r]), label="s")
+    q = draw(st.integers(r, r + 1), label="q")
+    return scrambled_instance(draw, draw(st.sampled_from([6, 7])), q), r, s
 
 
 def small_tuples(max_dim=3, max_len=6, bound=4):
@@ -305,6 +367,22 @@ class TestHasProperty:
         # r = 2s takes the kernel's complement-paired branch.
         t, r, s = case
         assert has_property(t, r, s) == scan_property(t, r, s)
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_selection_sums_in_combinations_order(self, n):
+        rng = random.Random(n)
+        vals = [rng.randint(-(10**12), 10**12) for _ in range(n)]
+        for k in range(n + 1):
+            assert _selection_sums(vals, k) == list(map(sum, combinations(vals, k)))
+
+    @given(st.one_of(paired_cases(6, 8, 1), unpaired_wide_cases()))
+    @settings(max_examples=150, deadline=None)
+    def test_split_windows_agree_with_counted(self, case):
+        # Windows above the crossover form their sums by the head/tail split.
+        t, r, s = case
+        sel = comb(r - 1, s - 1) if r == 2 * s else comb(r, s)
+        assert sel > _SPLIT_ABOVE
+        assert has_property(t, r, s) == counted_property(t, r, s)
 
     def test_packing_base_carries_s(self):
         # With s=2 and B=1, (1,0)+(1,0) and (0,1)+(-1,0) pack to the same
