@@ -16,6 +16,40 @@ every tuple that is Unclassified, fails an audit claim, or lacks an equal
 pair — those are counterexample candidates for the classification lemma and
 force ok=false.
 
+Holders that differ by a unimodular change of coordinates are analysed once.
+Read a tuple of q elements of Z^d as the d x q matrix M whose rows are its d
+coordinate columns, and key a holder by H = ``hnf_rows(rows of M, q).basis``.
+``hnf_rows`` reaches H by unimodular row operations, so M = V [H; 0] for some
+V in GL(d, Z), also when the rank of H is below d.  Two holders with the same
+key therefore satisfy M' = W M with W = V' V^-1 in GL(d, Z): t'_i = W t_i at
+every position i, positions fixed.  Every fact the report reads off a holder
+is invariant under such a W:
+
+- rank: W is invertible.
+- a missing equal pair: W is injective, so t_i = t_j exactly when
+  t'_i = t'_j, and the first equal pair sits at the same positions.
+- the ``classify`` variant.  Rank below s-1 is a rank test.  The type-A test
+  reads value multiplicities and the lattice equality
+  ``hnf_rows(basis) == span(t)``, which W maps to the same equality between
+  the images.  The type-B result does not depend on the order of the
+  nonzero values (see ``classify._match_type_b``), and its block test reads
+  rational coordinates over the chosen basis, which W preserves.  Both
+  translate by a value of the tuple, and translation commutes with W.
+  (P_{r,s}), checked on an Unclassified holder, is invariant under injective
+  homomorphisms: W maps equal sums to equal sums and back.
+- ``_audit_holder``'s case and failed claims.  Translating by the value of
+  the first equal pair commutes with W, and zero sits at the same
+  positions.  The greedy positions of ``q_basis_certificate`` are the first
+  independent ones, and its exponents are the rational coordinates over
+  them scaled by the least clearing multipliers: rational linear invariants.
+  So the case, the multiplicity classes, the sign partitions and their zero
+  positions correspond position by position, the nested subtuples are W
+  images of each other, and their (P_{r,s}), rank and ``classify`` results
+  agree by the arguments above.
+
+So ``_examine`` keeps only these facts per key, in a dict that lives for one
+``run_enumeration`` call, and quotes every holder with its own elements.
+
 Work is partitioned across processes by the first free slot's grid value; the
 merge is a fold in grid order, so the report (and its JSON serialization) is
 byte-identical no matter how many workers ran.
@@ -38,7 +72,7 @@ from .tuples import (
     property_work,
     rank,
 )
-from .lattice import zero_vector
+from .lattice import hnf_rows, zero_vector
 
 VARIANT_OUT_OF_RANGE = "out_of_range"
 
@@ -127,7 +161,30 @@ def _fails_by_order(elements, q: int, s: int) -> bool:
     return v[q - s - 1] != v[q - s] or v[s - 1] != v[s]
 
 
-def _examine(job: EnumerationJob, part: dict, elements, pack: dict) -> None:
+def _holder_facts(job: EnumerationJob, elements) -> tuple:
+    """What the report reads off one holder containing zero.
+
+    Returns (rank, variant, property_holds, equal pair missing, audit),
+    where ``audit`` is None when the audit passes or is skipped, and else its
+    case and failed claim names.  Every entry is invariant under a
+    unimodular change of coordinates (see the module docstring).  A holder
+    without an equal pair is not audited: ``_audit_holder`` cannot normalise
+    it, and the missing pair is already quoted.
+    """
+    t = GroupTuple(dim=job.dim, elements=elements)
+    missing = equal_pair(t) is None
+    if not 2 <= job.s < job.q <= 2 * job.s:
+        return rank(t), VARIANT_OUT_OF_RANGE, None, missing, None
+    cls = classify(t, job.s)
+    audit = None
+    if not missing:
+        report = _audit_holder(t, job.s)
+        if not report.all_pass:
+            audit = report.case, tuple(c.name for c in report.failures)
+    return cls.rank, cls.variant, cls.property_holds, missing, audit
+
+
+def _examine(job: EnumerationJob, part: dict, elements, pack: dict, memo: dict) -> None:
     """Count one tuple and, if it holds (P_{q,s}), rank, classify and audit it.
 
     ``pack`` maps each grid value to its packed int.  This is the one check
@@ -135,62 +192,58 @@ def _examine(job: EnumerationJob, part: dict, elements, pack: dict) -> None:
     a check forms at most ``property_work(q, q, s)`` sums, which is at most
     ``nominal_bill`` (the universe holds at least one tuple), and
     ``run_enumeration`` refuses the job up front when that bill exceeds the
-    budget.  A holder is then audited by ``_audit_holder``, which does not
-    check the property again, and its rank is read from ``classify`` when
-    that runs, so its span is built once.  Only the nested checks read the
-    budget: the audit's subtuple checks, and ``classify``'s property check
-    of an Unclassified holder.
+    budget.
+
+    A holder containing zero is keyed by the HNF of its coordinate columns,
+    and ``memo`` maps each key to ``_holder_facts`` of the first holder seen
+    with it; the module docstring proves that every holder with the key has
+    the same facts.  ``run_enumeration`` passes one ``memo`` for the whole
+    call in process and a fresh one per chunk in a worker.  Only
+    ``_holder_facts`` reads the budget, in its nested checks: the audit's
+    subtuple checks, and ``classify``'s property check of an Unclassified
+    holder.
     """
     part["tuples"] += 1
     if _fails_by_order(elements, job.q, job.s):
         return
     if not _decide_packed([pack[e] for e in elements], job.q, job.s).holds:
         return
-    t = GroupTuple(dim=job.dim, elements=elements)
     part["with_property"] += 1
     if zero_vector(job.dim) not in elements:
         part["without_zero"] += 1
         return
+    key = hnf_rows(zip(*elements), job.q).basis
+    facts = memo.get(key)
+    if facts is None:
+        facts = memo[key] = _holder_facts(job, elements)
+    tr, variant, property_holds, missing, audit = facts
     listed = [list(e) for e in elements]
-    cls = classify(t, job.s) if 2 <= job.s and job.q <= 2 * job.s else None
-    tr = rank(t) if cls is None else cls.rank
-    key = str(tr)
-    part["ranks"][key] = part["ranks"].get(key, 0) + 1
-    if equal_pair(t) is None:
-        part["equal_pair_missing"].append({"elements": listed})
-    if cls is not None:
-        variant = cls.variant
-        if variant == VARIANT_UNCLASSIFIED:
-            part["unclassified"].append(
-                {
-                    "elements": listed,
-                    "rank": tr,
-                    "property_holds": cls.property_holds,
-                }
-            )
-        report = _audit_holder(t, job.s)
-        if not report.all_pass:
-            part["audit_failures"].append(
-                {
-                    "elements": listed,
-                    "case": report.case,
-                    "failed": [c.name for c in report.failures],
-                }
-            )
-    else:
-        variant = VARIANT_OUT_OF_RANGE
+    part["ranks"][str(tr)] = part["ranks"].get(str(tr), 0) + 1
     part["variants"][variant] = part["variants"].get(variant, 0) + 1
+    if missing:
+        part["equal_pair_missing"].append({"elements": listed})
+    if variant == VARIANT_UNCLASSIFIED:
+        part["unclassified"].append(
+            {"elements": listed, "rank": tr, "property_holds": property_holds}
+        )
+    if audit is not None:
+        case, failed = audit
+        part["audit_failures"].append(
+            {"elements": listed, "case": case, "failed": list(failed)}
+        )
 
 
-def _process_chunk(args) -> dict:
+def _process_chunk(args, memo: dict | None = None) -> dict:
+    """Partial report of one chunk; ``memo`` defaults to a fresh dict."""
     job, first_idx = args
+    memo = {} if memo is None else memo
     grid = value_grid(job.dim, job.bound)
     # Every coordinate lies in [-bound, bound], so one packing is exact for
     # the s-sums of every tuple of the job.
     pack = dict(zip(grid, _packed(grid, job.s, job.bound)))
     part = _empty_partial()
     for elements in _chunk_elements(job, grid, first_idx):
-        _examine(job, part, elements, pack)
+        _examine(job, part, elements, pack, memo)
     return part
 
 
@@ -213,6 +266,10 @@ def run_enumeration(job: EnumerationJob) -> dict:
     once, in ``_examine``, under that bill; only the nested checks of the
     audit's zero-axis subtuples, and ``classify``'s check of an Unclassified
     holder, read the budget again.
+
+    Each class of holders (see the module docstring) is analysed once per
+    memo.  With one worker, one memo serves every chunk; a pool worker
+    starts a fresh memo for each chunk it runs.  No memo outlives the call.
     """
     job.validate()
     bill = nominal_bill(job)
@@ -222,7 +279,8 @@ def run_enumeration(job: EnumerationJob) -> dict:
     # A pool may start all its workers at once, so start no idle ones.
     workers = min(job.jobs, len(chunk_args))
     if workers == 1:
-        partials = map(_process_chunk, chunk_args)
+        memo: dict = {}
+        partials = (_process_chunk(args, memo) for args in chunk_args)
     else:
         # Imported only here: it loads multiprocessing, which a one-worker
         # run and a plain ``import abtuple`` never need.

@@ -1,9 +1,13 @@
 """Enumeration harness: canonicalization soundness, determinism, budget."""
 
 import concurrent.futures
+import functools
 import hashlib
 import importlib
 import json
+import random
+import sys
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -13,23 +17,28 @@ from hypothesis import strategies as st
 
 from abtuple import exhaustive, structure
 from abtuple.classify import VARIANT_UNCLASSIFIED, classify
+from abtuple.cli import main
 from abtuple.exhaustive import (
     EnumerationJob,
     _chunk_elements,
     _empty_partial,
     _examine,
     _fails_by_order,
+    _holder_facts,
     nominal_bill,
     run_enumeration,
     universe_size,
     value_grid,
 )
+from abtuple.generators import random_unimodular
+from abtuple.lattice import hnf_rows
 from abtuple.structure import _audit_holder, audit_claims
 from abtuple.tuples import (
     BudgetExceeded,
     GroupTuple,
     _decide_packed,
     _packed,
+    equal_pair,
     group_tuple,
     has_property,
     rank,
@@ -320,7 +329,7 @@ def test_holder_pass_matches_public_functions(s, q, dim, bound):
     for t in cell_holders(job):
         holders += 1
         part = _empty_partial()
-        _examine(job, part, t.elements, pack)
+        _examine(job, part, t.elements, pack, {})
         assert part["with_property"] == 1
         assert part["ranks"] == {str(rank(t)): 1}
         assert part["variants"] == {classify(t, s).variant: 1}
@@ -365,3 +374,194 @@ def test_enumeration_checks_property_of_subtuples_only(monkeypatch, s, q, dim, b
     assert checked
     assert len(calls) == checked + unclassified
     assert all(n < q and r == n for n, r in calls)
+
+
+def test_holder_without_equal_pair_is_quoted(monkeypatch, capsys):
+    # Real holders always have an equal pair, so pretend one lacks it: the
+    # first holder with a single zero, where the audit would have to
+    # translate by an equal pair.  It heads its class, since every member
+    # of a class has zero at the same positions.
+    job = EnumerationJob(s=3, q=6, dim=2, bound=1)
+    target = next(
+        t.elements for t in cell_holders(job) if t.elements.count((0, 0)) == 1
+    )
+
+    def patched(t):
+        return None if t.elements == target else equal_pair(t)
+
+    monkeypatch.setattr(exhaustive, "equal_pair", patched)
+    monkeypatch.setattr(structure, "equal_pair", patched)
+    rep = run_enumeration(job)
+    assert rep["ok"] is False
+    assert [list(e) for e in target] in [
+        entry["elements"] for entry in rep["equal_pair_missing"]
+    ]
+    argv = ["enumerate", "--s", "3", "--q", "6", "--dim", "2", "--bound", "1"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == rep
+
+
+# ---------------------------------------------------------------------------
+# The class memo: one analysis per GL(d,Z) class of holders
+
+
+def oracle_enumeration(job):
+    """The per-holder pass the class memo replaced, in process.
+
+    Every tuple's (P_{q,s}) is decided by has_property, and every holder is
+    ranked, classified, checked for an equal pair and audited on its own.
+    ``classify`` and ``_audit_holder`` are looked up in this module, so a
+    test can patch them here and in ``exhaustive`` alike.
+    """
+    grid = value_grid(job.dim, job.bound)
+    zero = (0,) * job.dim
+    in_range = 2 <= job.s < job.q <= 2 * job.s
+    acc = _empty_partial()
+    for first in range(len(grid)):
+        for elements in _chunk_elements(job, grid, first):
+            acc["tuples"] += 1
+            t = GroupTuple(dim=job.dim, elements=elements)
+            if not has_property(t, job.q, job.s).holds:
+                continue
+            acc["with_property"] += 1
+            if zero not in elements:
+                acc["without_zero"] += 1
+                continue
+            listed = [list(e) for e in elements]
+            tr = rank(t)
+            acc["ranks"][str(tr)] = acc["ranks"].get(str(tr), 0) + 1
+            missing = equal_pair(t) is None
+            if missing:
+                acc["equal_pair_missing"].append({"elements": listed})
+            cls = classify(t, job.s) if in_range else None
+            variant = cls.variant if cls else "out_of_range"
+            acc["variants"][variant] = acc["variants"].get(variant, 0) + 1
+            if cls is None:
+                continue
+            if variant == VARIANT_UNCLASSIFIED:
+                acc["unclassified"].append(
+                    {"elements": listed, "rank": tr, "property_holds": cls.property_holds}
+                )
+            if not missing:
+                report = _audit_holder(t, job.s)
+                if not report.all_pass:
+                    acc["audit_failures"].append(
+                        {
+                            "elements": listed,
+                            "case": report.case,
+                            "failed": [c.name for c in report.failures],
+                        }
+                    )
+    quoted = acc["equal_pair_missing"] or acc["unclassified"] or acc["audit_failures"]
+    return {
+        "job": {
+            "s": job.s,
+            "q": job.q,
+            "dim": job.dim,
+            "bound": job.bound,
+            "require_zero": job.require_zero,
+        },
+        **acc,
+        "ok": not quoted,
+    }
+
+
+def class_key(t: GroupTuple):
+    """The memo's key: the HNF of the tuple's coordinate columns."""
+    return hnf_rows(zip(*t.elements), len(t)).basis
+
+
+# dim 1-3, with and without the zero pin, q = 2s, q < 2s and q > 2s
+# (out of the classifier's range).
+MEMO_CELLS = [
+    (2, 4, 1, 2, True),
+    (2, 4, 2, 1, False),
+    (2, 5, 2, 1, True),
+    (3, 5, 3, 1, True),
+    (3, 6, 2, 1, True),
+    (3, 6, 1, 3, False),
+    (4, 8, 2, 1, True),
+]
+
+
+@pytest.mark.parametrize("s, q, dim, bound, require_zero", MEMO_CELLS)
+def test_memo_matches_per_holder_oracle(s, q, dim, bound, require_zero):
+    job = EnumerationJob(s=s, q=q, dim=dim, bound=bound, require_zero=require_zero)
+    expected = oracle_enumeration(job)
+    assert expected["with_property"] > expected["without_zero"]
+    for jobs in (1, 2):
+        assert run_enumeration(replace(job, jobs=jobs)) == expected
+
+
+@functools.cache
+def holders_of(cell):
+    s, q, dim, bound = cell
+    return [t.elements for t in cell_holders(EnumerationJob(s=s, q=q, dim=dim, bound=bound))]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_facts_invariant_under_unimodular_maps(data):
+    cell = data.draw(st.sampled_from(HOLDER_CELLS))
+    s, q, dim, bound = cell
+    elements = data.draw(st.sampled_from(holders_of(cell)))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    u = random_unimodular(dim, rng, data.draw(st.integers(0, 5)))
+    # Each element e, read as a row vector, becomes e * u.
+    image = tuple(
+        tuple(sum(x * row[c] for x, row in zip(e, u)) for c in range(dim))
+        for e in elements
+    )
+    t, t_image = GroupTuple(dim=dim, elements=elements), GroupTuple(dim=dim, elements=image)
+    assert class_key(t_image) == class_key(t)
+    job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
+    assert _holder_facts(job, image) == _holder_facts(job, elements)
+
+
+@pytest.mark.parametrize("patched", ["classify", "_audit_holder"])
+def test_every_member_of_a_failing_class_is_quoted(monkeypatch, patched):
+    # Real cells have no Unclassified holder and no failing audit, so make
+    # the largest class of a cell fail one way or the other.
+    job = EnumerationJob(s=3, q=6, dim=2, bound=1)
+    holders = list(cell_holders(job))
+    [(target, size)] = Counter(map(class_key, holders)).most_common(1)
+    assert size > 1
+    members = [[list(e) for e in t.elements] for t in holders if class_key(t) == target]
+    real = {"classify": classify, "_audit_holder": _audit_holder}[patched]
+
+    def failing(t, s):
+        result = real(t, s)
+        if class_key(t) != target:
+            return result
+        if patched == "classify":
+            return replace(result, variant=VARIANT_UNCLASSIFIED, property_holds=True)
+        claims = (replace(result.claims[0], status="fail"),) + result.claims[1:]
+        return replace(result, claims=claims)
+
+    monkeypatch.setattr(exhaustive, patched, failing)
+    monkeypatch.setattr(sys.modules[__name__], patched, failing)
+    rep = run_enumeration(job)
+    quoted = rep["unclassified" if patched == "classify" else "audit_failures"]
+    assert [entry["elements"] for entry in quoted] == members
+    assert rep["ok"] is False
+    assert rep == oracle_enumeration(job)
+
+
+@pytest.mark.parametrize("s, q, dim, bound, classes", [(3, 6, 2, 2, 354), (4, 8, 2, 1, 403)])
+def test_each_run_analyses_each_class_once(monkeypatch, s, q, dim, bound, classes):
+    # At jobs=1 one memo serves the whole call and dies with it, so a
+    # second call analyses every class again.
+    audited = []
+    real = exhaustive._audit_holder
+
+    def counting(t, s_outer):
+        audited[-1].append(class_key(t))
+        return real(t, s_outer)
+
+    monkeypatch.setattr(exhaustive, "_audit_holder", counting)
+    job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
+    for _ in range(2):
+        audited.append([])
+        run_enumeration(job)
+    assert [len(keys) for keys in audited] == [classes, classes]
+    assert [len(set(keys)) for keys in audited] == [classes, classes]
