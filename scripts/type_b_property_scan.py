@@ -8,7 +8,7 @@ type-A/B instance satisfies (P_{2s,s}), exactly for s = 2..--max-s.
 translations, and every instance is such an image of its canonical pattern
 over the standard basis of Z^{s-1}, so the patterns decide the converse for
 every instance: 2^{s-1} type-B patterns per s, one per breakpoint set, plus
-type A for odd s.  ``tests/test_classify.py::TestConverse`` pins s <= 8.
+type A for odd s.  ``tests/test_classify.py::TestConverse`` pins s <= 9.
 
 For each s the script prints the pattern count, how many hold, and the
 seconds taken.  A failing pattern is printed with its witness, and the

@@ -198,7 +198,7 @@ def _examine(job: EnumerationJob, part: dict, elements, pack: dict, memo: dict) 
     and ``memo`` maps each key to ``_holder_facts`` of the first holder seen
     with it; the module docstring proves that every holder with the key has
     the same facts.  ``run_enumeration`` passes one ``memo`` for the whole
-    call in process and a fresh one per chunk in a worker.  Only
+    call in process, and each pool worker keeps one for the call.  Only
     ``_holder_facts`` reads the budget, in its nested checks: the audit's
     subtuple checks, and ``classify``'s property check of an Unclassified
     holder.
@@ -233,10 +233,23 @@ def _examine(job: EnumerationJob, part: dict, elements, pack: dict, memo: dict) 
         )
 
 
+# A pool worker's class memo.  ``_start_worker``, the pool's initializer,
+# creates it when the worker starts, and it dies with the worker, so it
+# serves every chunk the worker runs in one ``run_enumeration`` call.
+_worker_memo: dict | None = None
+
+
+def _start_worker() -> None:
+    global _worker_memo
+    _worker_memo = {}
+
+
 def _process_chunk(args, memo: dict | None = None) -> dict:
-    """Partial report of one chunk; ``memo`` defaults to a fresh dict."""
+    """Partial report of one chunk.  ``memo`` defaults to the pool
+    worker's memo, or to a fresh dict outside a pool."""
     job, first_idx = args
-    memo = {} if memo is None else memo
+    if memo is None:
+        memo = {} if _worker_memo is None else _worker_memo
     grid = value_grid(job.dim, job.bound)
     # Every coordinate lies in [-bound, bound], so one packing is exact for
     # the s-sums of every tuple of the job.
@@ -268,8 +281,9 @@ def run_enumeration(job: EnumerationJob) -> dict:
     holder, read the budget again.
 
     Each class of holders (see the module docstring) is analysed once per
-    memo.  With one worker, one memo serves every chunk; a pool worker
-    starts a fresh memo for each chunk it runs.  No memo outlives the call.
+    memo.  With one worker, one memo serves every chunk; in a pool each
+    worker has one memo for all the chunks it runs, created by the pool's
+    initializer.  No memo outlives the call: the pool's workers end with it.
     """
     job.validate()
     bill = nominal_bill(job)
@@ -286,7 +300,7 @@ def run_enumeration(job: EnumerationJob) -> dict:
         # run and a plain ``import abtuple`` never need.
         from concurrent.futures import ProcessPoolExecutor
 
-        executor = ProcessPoolExecutor(max_workers=workers)
+        executor = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
         try:
             partials = list(executor.map(_process_chunk, chunk_args))
         finally:

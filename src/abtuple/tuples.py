@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Iterable
 
 from .lattice import Lattice, Vector, hnf_rows, vec_sub, zero_vector
 
@@ -291,12 +292,13 @@ def has_property(t: GroupTuple, r: int, s: int) -> PropertyReport:
     selections (s-subsets of a window) likewise; the first selection whose sum
     is matched by no other selection of its window is the failure witness.
     Sums are formed on exactly packed integers (see ``_packed``) and
-    counted: a window costs C(r, s) sums, or C(r-1, s-1), half as many,
-    when r == 2s (complements pair up).  A window with more than 256 sums
-    forms each with one addition, a head-part sum plus a tail-part sum
-    (``_selection_sums``); a smaller one forms each directly from its s
-    values.  The search after the budget guard is ``_decide_packed``, the
-    package's one kernel.
+    counted: a window decides C(r, s) selections, or C(r-1, s-1), half as
+    many, when r == 2s (complements pair up).  A window with at most 256
+    of them forms each sum directly from its s values; a wider one counts
+    its sums by value class (``_window_counts``), one addition per
+    composition, so equal values that repeat cost one sum per number of
+    copies taken rather than one per choice of copies.  The search after
+    the budget guard is ``_decide_packed``, the package's one kernel.
 
     Raises BudgetExceeded before any work when ``property_work(q, r, s)``,
     the selections a full check decides and an upper bound on the sums it
@@ -319,12 +321,13 @@ def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
     for s-sums (see ``_packed``): the report depends only on which s-sums are
     equal, so every exact packing gives the same report.
 
-    Every window's sums come from ``_selection_sums``, in ``combinations``
-    order, so they zip with the selections they belong to; a wide window
-    forms each sum with one addition.
+    Every window's sums are counted by ``_window_counts``, which also gives
+    them in ``combinations`` order, to zip with the selections they belong
+    to.  The count decides whether the window fails; the zip, read only
+    then, finds the first failing selection.
 
-    A window with r != 2s forms all C(r, s) sums and reports the first
-    selection whose sum occurs once.  A window with r == 2s forms only the
+    A window with r != 2s counts all C(r, s) sums and reports the first
+    selection whose sum occurs once.  A window with r == 2s counts only the
     C(r-1, s-1) sums x of the selections S that hold its first value
     ``lead``, each without ``lead``.  With T the window's sum and k = T -
     2*lead, every other s-selection is the complement S'^c of such an S',
@@ -346,8 +349,7 @@ def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
         vals = [packed[i] for i in window]
         if r == 2 * s:
             k = sum(vals) - 2 * vals[0]
-            sums = _selection_sums(vals[1:], s - 1)
-            counts = Counter(sums)
+            counts, sums = _window_counts(vals[1:], s - 1)
             lonely = {x for x, c in counts.items() if c == 1 and k - x not in counts}
             if lonely:
                 for rest, x in zip(combinations(window[1:], s - 1), sums):
@@ -360,8 +362,7 @@ def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
                             failure_witness=(window, (window[0],) + rest),
                         )
             continue
-        sums = _selection_sums(vals, s)
-        counts = Counter(sums)
+        counts, sums = _window_counts(vals, s)
         if 1 in counts.values():
             for sel, value in zip(combinations(window, s), sums):
                 if counts[value] == 1:
@@ -371,49 +372,90 @@ def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
     return PropertyReport(q=q, r=r, s=s, holds=True, failure_witness=None)
 
 
-# The measured direct/split crossover of ``_selection_sums``, in selections.
+# The measured direct/class-count crossover of ``_window_counts``, in
+# selections.
 _SPLIT_ABOVE = 256
 
 
-def _selection_sums(vals: list[int], k: int) -> list[int]:
-    """Sums of the k-selections of ``vals``, in ``combinations`` order.
+def _window_counts(vals: list[int], k: int) -> tuple[Counter, Iterable[int]]:
+    """Count the k-selection sums of ``vals``; return (counts, sums).
+
+    ``counts[x] == 1`` exactly when one k-selection has the sum x, and x is
+    a key of ``counts`` exactly when some k-selection has it; a count above
+    1 says only that x occurs more than once.  ``sums`` gives the
+    selections' sums in ``combinations`` order, lazily above the crossover,
+    so a failing window forms them only up to its witness.
 
     Up to ``_SPLIT_ABOVE`` selections each sum is formed directly, at the
-    cost of a k-tuple and k - 1 additions.  Above it ``vals`` splits into a
-    head of h = n // 2 values and a tail.  The tail's j-selection sums are
-    formed once per size j, and each head selection p, with head sum a,
-    contributes a + b for every tail sum b of size k - len(p): one addition
-    per selection.
+    cost of a k-tuple and k - 1 additions, and counted.  Above it the sums
+    are counted by value class, not by selection:
 
-    Order.  A k-selection is a head part p followed by a tail part, and
-    every tail index exceeds every head index.  Selections that share p are
-    contiguous in lexicographic order and ordered by their tail parts, which
-    ``combinations(tail, j)`` gives.  Selections with different head parts
-    p and p' compare as p and p' do at their first difference, unless p is
-    a proper prefix of p'; then the selection with head p continues with a
-    tail index >= h where p' continues with a head index < h, so every
-    selection with head p' comes first.  Sorting heads by ``p + (h,)``
-    encodes both rules, so the output is exactly
-    ``list(map(sum, combinations(vals, k)))``.
+    - The multiset of k-sums depends only on the multiset of values.
+    - Group equal values into classes (u_i, m_i).  A composition c, with
+      0 <= c_i <= m_i and sum(c) = k, has the sum sum(c_i * u_i) and
+      stands for prod(C(m_i, c_i)) selections, its weight.
+    - So a sum occurs exactly once iff it is the sum of exactly one
+      composition and that composition has weight 1: every c_i is 0 or m_i.
 
-    Crossover: the sums alone on 113-bit ints, best of 9 interleaved runs
-    on one 2-core host, direct vs split: C(9,4) = 126, 48 vs 68 us;
-    C(10,5) = 252, 108 vs 106 us; C(11,4) = 330, 122 vs 119 us;
-    C(11,5) = 462, 192 vs 133 us; C(15,7) = 6,435, 3.4 vs 0.90 ms.  The
-    two break even between 252 and 330 selections.
+    The count forms ``once``, the sums of the weight-1 compositions kept
+    with repetition, and ``multi``, the set of the sums of all other
+    compositions.  Then x occurs once iff ``once`` holds x once and x is
+    not in ``multi``, and x occurs iff it is in ``once`` or ``multi``.
+    ``counts`` counts ``once`` and then each element of ``multi`` twice,
+    which answers both questions.
+
+    The count meets in the middle.  The values of the classes with m = 1
+    split into a head half and a tail half, whose j-selection sums are
+    formed for every size j <= k.  Each repeated class extends the head by
+    a small dynamic programme over c = 0..m: c copies add c * u to the sum
+    and c to the size, and keep the weight at 1 only when c is 0 or m.  A
+    composition is a head part of size j and a tail part of size k - j,
+    and weighs 1 iff the head part does, so every pair costs one addition.
+    An all-distinct window forms all its sums this way; a window whose
+    values repeat forms one sum per composition, not per selection.
+
+    Crossover: the count alone on 113-bit ints, best of 9 runs, three
+    interleaved rounds on one 2-core host (Python 3.11), direct vs class
+    count, all values distinct: C(9,4) = 126, 44 vs 53 us; C(11,3) = 165,
+    55 vs 67 us; C(10,4) = 210, 68 vs 79 us; C(10,5) = 252, 92 vs 85 us;
+    C(11,5) = 462, 129 vs 82 us; C(15,7) = 6,435, 2.0 vs 0.70 ms.  The two
+    break even between 210 and 252 selections, and a failing window above
+    the crossover forms its sums again up to its witness.
     """
-    n = len(vals)
-    if comb(n, k) <= _SPLIT_ABOVE:
-        return list(map(sum, combinations(vals, k)))
-    h = n // 2
-    head, tail = vals[:h], vals[h:]
-    tails = [list(map(sum, combinations(tail, j))) for j in range(k + 1)]
-    heads = sorted(
-        (p + (h,), a, len(p))
-        for j in range(max(0, k - len(tail)), min(k, h) + 1)
-        for p, a in zip(combinations(range(h), j), map(sum, combinations(head, j)))
+    if comb(len(vals), k) <= _SPLIT_ABOVE:
+        sums = list(map(sum, combinations(vals, k)))
+        return Counter(sums), sums
+    classes = Counter(vals)
+    singles = [u for u, m in classes.items() if m == 1]
+    h = len(singles) // 2
+    head_once, tail_once = (
+        [list(map(sum, combinations(part, j))) for j in range(k + 1)]
+        for part in (singles[:h], singles[h:])
     )
-    out: list[int] = []
-    for _, a, j in heads:
-        out += [a + b for b in tails[k - j]]
-    return out
+    head_multi: list[set[int]] = [set() for _ in range(k + 1)]
+    for u, m in classes.items():
+        if m == 1:
+            continue
+        # Descending j reads the head tables at j - c before this class
+        # extends them.
+        for j in range(k, 0, -1):
+            for c in range(1, min(m, j) + 1):
+                d = c * u
+                if c == m:
+                    head_once[j] += [x + d for x in head_once[j - c]]
+                else:
+                    head_multi[j].update([x + d for x in head_once[j - c]])
+                head_multi[j].update([x + d for x in head_multi[j - c]])
+    once: list[int] = []
+    multi: set[int] = set()
+    for j in range(k + 1):
+        t_once = tail_once[k - j]
+        for a in head_once[j]:
+            once += [a + b for b in t_once]
+        if head_multi[j] and t_once:
+            multi.update([a + b for a in head_multi[j] for b in t_once])
+    counts = Counter(once)
+    counts.update(multi)
+    counts.update(multi)
+    return counts, map(sum, combinations(vals, k))
+

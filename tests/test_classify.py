@@ -48,8 +48,8 @@ class TestCanonicalPattern:
 
 
 class TestConverse:
-    def test_every_pattern_up_to_s8_has_the_property(self):
-        """Every type-A/B instance with s <= 8 satisfies (P_{2s,s}).
+    def test_every_pattern_up_to_s9_has_the_property(self):
+        """Every type-A/B instance with s <= 9 satisfies (P_{2s,s}).
 
         (P_{r,s}) is invariant under injective group homomorphisms, which
         preserve and reflect equal integer combinations; under permutations
@@ -57,10 +57,10 @@ class TestConverse:
         A type-A/B instance is such an image of its canonical pattern over
         the standard basis of Z^{s-1}, so the patterns decide the converse
         for every instance: 2^{s-1} type-B patterns per s, one per
-        breakpoint set, plus type A for odd s; 257 patterns for s = 2..8.
+        breakpoint set, plus type A for odd s; 514 patterns for s = 2..9.
         """
         checked = 0
-        for s in range(2, 9):
+        for s in range(2, 10):
             basis = [tuple(int(i == j) for j in range(s - 1)) for i in range(s - 1)]
             patterns = [
                 canonical_pattern(VARIANT_TYPE_B, s, basis, k=k, breakpoints=b)
@@ -73,7 +73,7 @@ class TestConverse:
                 rep = has_property(group_tuple(pattern, dim=s - 1), 2 * s, s)
                 assert rep.holds, (s, pattern, rep.failure_witness)
             checked += len(patterns)
-        assert checked == 257
+        assert checked == 514
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)

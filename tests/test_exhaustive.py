@@ -174,8 +174,9 @@ class TestEnumeration:
         pools = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 pools.append(max_workers)
+                initializer()
 
             def map(self, fn, args):
                 return map(fn, args)
@@ -183,8 +184,10 @@ class TestEnumeration:
             def shutdown(self):
                 pass
 
-        # run_enumeration imports the pool class when it needs one.
+        # run_enumeration imports the pool class when it needs one.  Its
+        # initializer sets this process's worker memo, restored afterwards.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(exhaustive, "_worker_memo", None)
         job = EnumerationJob(s=2, q=3, dim=1, bound=1, jobs=jobs)
         assert run_enumeration(job) == run_enumeration(replace(job, jobs=1))
         assert pools == [started]
@@ -565,3 +568,29 @@ def test_each_run_analyses_each_class_once(monkeypatch, s, q, dim, bound, classe
         run_enumeration(job)
     assert [len(keys) for keys in audited] == [classes, classes]
     assert [len(set(keys)) for keys in audited] == [classes, classes]
+
+
+def test_pool_worker_keeps_one_memo(monkeypatch):
+    # A pool worker gets its memo from the pool's initializer and keeps it
+    # for every chunk it runs.  Run here chunk by chunk, as one worker
+    # would run them all, the cell analyses each class once; a fresh memo
+    # per chunk analyses some classes again.
+    audited = []
+    real = exhaustive._audit_holder
+
+    def counting(t, s_outer):
+        audited.append(class_key(t))
+        return real(t, s_outer)
+
+    monkeypatch.setattr(exhaustive, "_audit_holder", counting)
+    monkeypatch.setattr(exhaustive, "_worker_memo", None)
+    job = EnumerationJob(s=3, q=6, dim=2, bound=2)
+    chunks = [(job, g) for g in range(len(value_grid(job.dim, job.bound)))]
+    for args in chunks:
+        exhaustive._process_chunk(args)
+    assert len(audited) > 354
+    audited.clear()
+    exhaustive._start_worker()
+    for args in chunks:
+        exhaustive._process_chunk(args)
+    assert len(audited) == len(set(audited)) == 354

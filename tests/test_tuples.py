@@ -18,8 +18,8 @@ from abtuple.tuples import (
     PropertyReport,
     TupleFormatError,
     _packed,
-    _selection_sums,
     _SPLIT_ABOVE,
+    _window_counts,
     equal_pair,
     group_tuple,
     has_property,
@@ -182,6 +182,47 @@ def unpaired_wide_cases(draw):
     s = draw(st.sampled_from([x for x in (4, 5, 6) if 2 * x != r]), label="s")
     q = draw(st.integers(r, r + 1), label="q")
     return scrambled_instance(draw, draw(st.sampled_from([6, 7])), q), r, s
+
+
+# (r, s) pairs whose windows are above the crossover: C(r-1, s-1) > 256
+# selections when r = 2s, C(r, s) otherwise.
+WIDE_SHAPES = [(12, 6), (14, 7), (11, 4), (12, 5), (13, 4), (13, 6)]
+
+
+@st.composite
+def repeated_wide_cases(draw):
+    """(tuple, r, s) draws above the crossover whose values repeat.
+
+    Rows are drawn from a pool of 1..6 distinct values in Z or Z^2, so
+    windows hold classes of every multiplicity: more copies of one value
+    than a selection takes, windows in which every value repeats, and
+    constant windows.  Both kernel branches are drawn, and the property
+    both holds and fails, often at a selection other than the first.
+    """
+    r, s = draw(st.sampled_from(WIDE_SHAPES), label="shape")
+    q = draw(st.integers(r, r + 1), label="q")
+    dim = draw(st.integers(1, 2), label="dim")
+    pool = draw(
+        st.lists(
+            st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=6, unique=True
+        ),
+        label="pool",
+    )
+    rows = draw(st.lists(st.sampled_from(pool), min_size=q, max_size=q), label="rows")
+    return group_tuple(rows, dim=dim), r, s
+
+
+# One-window tuples in Z above the crossover, as (values, r, s, holds).
+# In each, every value the kernel counts repeats (the first is left out
+# when r = 2s), and one class has more copies than a selection takes.
+# The failing ones fail at a selection other than the window's first.
+REPEATED_WIDE_EXAMPLES = [
+    ([-2, 1, -2, 1, 1, 1, 1, 1, -2, 1, 2, 2, 2, -2], 14, 7, True),
+    ([-1, 0, -1, 0, 3, 0, 0, 3, 0, -1, 0, 3], 12, 6, True),
+    ([3, 3, 1, 1, 3, 1, 1, 3, 3, 1, 1, 1, 3, 3], 14, 7, False),
+    ([-2, 2, 2, 2, 2, -2, 2, -2, -2, -2, -2, -2, -2], 13, 6, True),
+    ([-3, -1, -1, -1, 2, -1, -3, -1, -1, -1, 2, -1, -1], 13, 4, False),
+]
 
 
 def small_tuples(max_dim=3, max_len=6, bound=4):
@@ -370,18 +411,53 @@ class TestHasProperty:
 
     @pytest.mark.parametrize("n", range(17))
     def test_selection_sums_in_combinations_order(self, n):
+        # _window_counts gives the sums in combinations order, and its
+        # counts say which sums occur and which occur once, on both sides
+        # of the crossover, for distinct values and for repeated ones.
         rng = random.Random(n)
-        vals = [rng.randint(-(10**12), 10**12) for _ in range(n)]
-        for k in range(n + 1):
-            assert _selection_sums(vals, k) == list(map(sum, combinations(vals, k)))
+        distinct = [rng.randint(-(10**12), 10**12) for _ in range(n)]
+        pool = distinct[: n // 3 + 1]
+        repeated = [rng.choice(pool) for _ in range(n)]
+        for vals in (distinct, repeated):
+            for k in range(n + 1):
+                counts, sums = _window_counts(vals, k)
+                expected = list(map(sum, combinations(vals, k)))
+                assert list(sums) == expected
+                full = Counter(expected)
+                assert counts.keys() == full.keys()
+                assert {x for x, c in counts.items() if c == 1} == {
+                    x for x, c in full.items() if c == 1
+                }
 
     @given(st.one_of(paired_cases(6, 8, 1), unpaired_wide_cases()))
     @settings(max_examples=150, deadline=None)
     def test_split_windows_agree_with_counted(self, case):
-        # Windows above the crossover form their sums by the head/tail split.
+        # Windows above the crossover count their sums by value class.
         t, r, s = case
         sel = comb(r - 1, s - 1) if r == 2 * s else comb(r, s)
         assert sel > _SPLIT_ABOVE
+        assert has_property(t, r, s) == counted_property(t, r, s)
+
+    @pytest.mark.parametrize("values, r, s, holds", REPEATED_WIDE_EXAMPLES)
+    def test_class_count_examples(self, values, r, s, holds):
+        t = group_tuple([(v,) for v in values])
+        paired = r == 2 * s
+        counted, k = (values[1:], s - 1) if paired else (values, s)
+        assert len(values) == r and comb(len(counted), k) > _SPLIT_ABOVE
+        mults = Counter(counted).values()
+        assert min(mults) > 1 and max(mults) > k
+        rep = has_property(t, r, s)
+        assert rep == counted_property(t, r, s)
+        assert rep.holds is holds
+        if not holds:
+            assert rep.failure_witness[1] != tuple(range(s))
+
+    @given(repeated_wide_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_class_count_agrees_with_counted(self, case):
+        # Repeated values make a wide window's compositions fewer than its
+        # selections; the witness must still be the first failing one.
+        t, r, s = case
         assert has_property(t, r, s) == counted_property(t, r, s)
 
     def test_packing_base_carries_s(self):
