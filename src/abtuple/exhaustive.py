@@ -1,20 +1,19 @@
 """Exhaustive desk-scale verification over canonical tuple universes.
 
-A universe is the set of q-multisets over the value grid [-B, B]^dim, each
-visited once in a canonical order: elements sorted lexicographically, with one
-zero element pinned first when require_zero is set (so the universe is exactly
-the multisets containing zero).  Since the property, rank, classification
-variant, and audit outcomes are all invariant under position permutation,
-visiting one canonical representative per multiset loses nothing.
+A universe is the set of q-multisets over the value grid [-B, B]^dim that
+contain zero, each visited once in a canonical order: one zero element pinned
+first, then the other q - 1 elements sorted lexicographically.  Since the
+property, rank, classification variant, and audit outcomes are all invariant
+under position permutation, visiting one canonical representative per
+multiset loses nothing.
 
 Every tuple in the universe is counted.  Tuples whose order statistics
 already refute (P_{q,s}) (see ``_fails_by_order``) are dropped without forming
 a sum; only the survivors are tested for (P_{q,s}), on values packed once per
-job.  Holders containing zero are then ranked, classified, checked for an
-equal pair, and audited.  The report aggregates counts and quotes verbatim
-every tuple that is Unclassified, fails an audit claim, or lacks an equal
-pair — those are counterexample candidates for the classification lemma and
-force ok=false.
+job.  Holders are then ranked, classified, checked for an equal pair, and
+audited.  The report aggregates counts and quotes verbatim every tuple that is
+Unclassified, fails an audit claim, or lacks an equal pair — those are
+counterexample candidates for the classification lemma and force ok=false.
 
 Holders that differ by a unimodular change of coordinates are analysed once.
 Read a tuple of q elements of Z^d as the d x q matrix M whose rows are its d
@@ -50,13 +49,15 @@ is invariant under such a W:
 So ``_examine`` keeps only these facts per key, in a dict that lives for one
 ``run_enumeration`` call, and quotes every holder with its own elements.
 
-Work is partitioned across processes by the first free slot's grid value; the
-merge is a fold in grid order, so the report (and its JSON serialization) is
-byte-identical no matter how many workers ran.
+Work is partitioned into chunks by the first free slot's grid value, and run
+by at most min(jobs, chunks, CPU count) processes; the merge is a fold in grid
+order, so the report (and its JSON serialization) is byte-identical no matter
+how many workers ran.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -83,7 +84,6 @@ class EnumerationJob:
     q: int
     dim: int
     bound: int
-    require_zero: bool = True
     jobs: int = 1
 
     def validate(self) -> None:
@@ -106,31 +106,27 @@ def value_grid(dim: int, bound: int) -> list[tuple[int, ...]]:
 
 def universe_size(job: EnumerationJob) -> int:
     g = (2 * job.bound + 1) ** job.dim
-    free = job.q - 1 if job.require_zero else job.q
-    return comb(g + free - 1, free)
+    return comb(g + job.q - 2, job.q - 1)
 
 
 def nominal_bill(job: EnumerationJob) -> int:
-    """Subset sums the property pass forms at most: universe size times
+    """Selections the property pass decides at most: universe size times
     ``property_work(q, q, s)``.  An upper bound: tuples the order filter
-    drops form no sums."""
+    drops decide none."""
     return universe_size(job) * property_work(job.q, job.q, job.s)
 
 
 def _chunk_elements(job: EnumerationJob, grid, first_idx: int):
     """Canonical tuples whose first free slot holds grid[first_idx]."""
-    free = job.q - 1 if job.require_zero else job.q
-    head = (zero_vector(job.dim),) if job.require_zero else ()
-    lead = grid[first_idx]
-    for rest in combinations_with_replacement(grid[first_idx:], free - 1):
-        yield head + (lead,) + rest
+    head = (zero_vector(job.dim), grid[first_idx])
+    for rest in combinations_with_replacement(grid[first_idx:], job.q - 2):
+        yield head + rest
 
 
 def _empty_partial() -> dict:
     return {
         "tuples": 0,
         "with_property": 0,
-        "without_zero": 0,
         "ranks": {},
         "variants": {},
         "equal_pair_missing": [],
@@ -162,7 +158,7 @@ def _fails_by_order(elements, q: int, s: int) -> bool:
 
 
 def _holder_facts(job: EnumerationJob, elements) -> tuple:
-    """What the report reads off one holder containing zero.
+    """What the report reads off one holder.
 
     Returns (rank, variant, property_holds, equal pair missing, audit),
     where ``audit`` is None when the audit passes or is skipped, and else its
@@ -189,16 +185,16 @@ def _examine(job: EnumerationJob, part: dict, elements, pack: dict, memo: dict) 
 
     ``pack`` maps each grid value to its packed int.  This is the one check
     of the tuple's (P_{q,s}), and it skips ``has_property``'s budget guard:
-    a check forms at most ``property_work(q, q, s)`` sums, which is at most
-    ``nominal_bill`` (the universe holds at least one tuple), and
+    a check decides at most ``property_work(q, q, s)`` selections, which is
+    at most ``nominal_bill`` (the universe holds at least one tuple), and
     ``run_enumeration`` refuses the job up front when that bill exceeds the
     budget.
 
-    A holder containing zero is keyed by the HNF of its coordinate columns,
-    and ``memo`` maps each key to ``_holder_facts`` of the first holder seen
-    with it; the module docstring proves that every holder with the key has
-    the same facts.  ``run_enumeration`` passes one ``memo`` for the whole
-    call in process, and each pool worker keeps one for the call.  Only
+    A holder is keyed by the HNF of its coordinate columns, and ``memo``
+    maps each key to ``_holder_facts`` of the first holder seen with it; the
+    module docstring proves that every holder with the key has the same
+    facts.  ``run_enumeration`` passes one ``memo`` for the whole call in
+    process, and each pool worker keeps one for the call.  Only
     ``_holder_facts`` reads the budget, in its nested checks: the audit's
     subtuple checks, and ``classify``'s property check of an Unclassified
     holder.
@@ -209,9 +205,6 @@ def _examine(job: EnumerationJob, part: dict, elements, pack: dict, memo: dict) 
     if not _decide_packed([pack[e] for e in elements], job.q, job.s).holds:
         return
     part["with_property"] += 1
-    if zero_vector(job.dim) not in elements:
-        part["without_zero"] += 1
-        return
     key = hnf_rows(zip(*elements), job.q).basis
     facts = memo.get(key)
     if facts is None:
@@ -261,7 +254,7 @@ def _process_chunk(args, memo: dict | None = None) -> dict:
 
 
 def _merge(acc: dict, part: dict) -> dict:
-    for key in ("tuples", "with_property", "without_zero"):
+    for key in ("tuples", "with_property"):
         acc[key] += part[key]
     for key in ("ranks", "variants"):
         for k, v in part[key].items():
@@ -290,8 +283,9 @@ def run_enumeration(job: EnumerationJob) -> dict:
     _charge(bill, f"enumeration forms up to {bill} subset sums")
     grid = value_grid(job.dim, job.bound)
     chunk_args = [(job, g) for g in range(len(grid))]
-    # A pool may start all its workers at once, so start no idle ones.
-    workers = min(job.jobs, len(chunk_args))
+    # A pool may start all its workers at once, so start no idle ones and
+    # no more than there are CPUs.
+    workers = min(job.jobs, len(chunk_args), os.cpu_count() or 1)
     if workers == 1:
         memo: dict = {}
         partials = (_process_chunk(args, memo) for args in chunk_args)
@@ -308,15 +302,18 @@ def run_enumeration(job: EnumerationJob) -> dict:
     acc = _empty_partial()
     for part in partials:
         _merge(acc, part)
+    # Every universe pins zero.  The report still says so, and counts no
+    # holder without zero, in the keys it has always had.
     report = {
         "job": {
             "s": job.s,
             "q": job.q,
             "dim": job.dim,
             "bound": job.bound,
-            "require_zero": job.require_zero,
+            "require_zero": True,
         },
         **acc,
+        "without_zero": 0,
         "ok": not (
             acc["equal_pair_missing"] or acc["unclassified"] or acc["audit_failures"]
         ),

@@ -18,14 +18,12 @@ from .lattice import Vector
 from .tuples import GroupTuple
 
 
-def random_unimodular(
-    dim: int, rng: random.Random, bound: int, steps: int | None = None
-) -> list[Vector]:
+def random_unimodular(dim: int, rng: random.Random, bound: int) -> list[Vector]:
     """Random determinant-±1 integer matrix as a list of rows.
 
-    Built from the identity by elementary moves: transvections row_i +=
-    c*row_j with 1 <= |c| <= bound, row swaps, and row negations.  bound 0
-    returns the identity; a negative bound raises ValueError.
+    Built from the identity by 3*dim + 2 elementary moves: transvections
+    row_i += c*row_j with 1 <= |c| <= bound, row swaps, and row negations.
+    bound 0 returns the identity; a negative bound raises ValueError.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
@@ -34,9 +32,7 @@ def random_unimodular(
         if bound > 0 and dim == 1 and rng.random() < 0.5:
             mat[0][0] = -1
         return [tuple(row) for row in mat]
-    if steps is None:
-        steps = 3 * dim + 2
-    for _ in range(steps):
+    for _ in range(3 * dim + 2):
         move = rng.randrange(4)
         i, j = rng.sample(range(dim), 2)
         if move <= 1:

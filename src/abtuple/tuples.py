@@ -22,7 +22,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable
 
 from .lattice import Lattice, Vector, hnf_rows, vec_sub, zero_vector
 
@@ -245,7 +244,8 @@ def property_cost(q: int, r: int, s: int) -> int:
 def property_work(q: int, r: int, s: int) -> int:
     """Selections a full (P_{r,s}) check decides: windows times selections.
 
-    An upper bound on the subset sums it forms; r == 2s windows form half."""
+    An upper bound on the subset sums it forms, r == 2s windows forming
+    half, but for a failing window's second pass up to its witness."""
     return comb(q, r) * comb(r, s)
 
 
@@ -291,18 +291,12 @@ def has_property(t: GroupTuple, r: int, s: int) -> PropertyReport:
     Windows (r-subsets of positions) are scanned in lexicographic order, and
     selections (s-subsets of a window) likewise; the first selection whose sum
     is matched by no other selection of its window is the failure witness.
-    Sums are formed on exactly packed integers (see ``_packed``) and
-    counted: a window decides C(r, s) selections, or C(r-1, s-1), half as
-    many, when r == 2s (complements pair up).  A window with at most 256
-    of them forms each sum directly from its s values; a wider one counts
-    its sums by value class (``_window_counts``), one addition per
-    composition, so equal values that repeat cost one sum per number of
-    copies taken rather than one per choice of copies.  The search after
-    the budget guard is ``_decide_packed``, the package's one kernel.
+    Sums are formed on exactly packed integers (see ``_packed``) by
+    ``_decide_packed``, the package's one kernel, after the budget guard.
 
     Raises BudgetExceeded before any work when ``property_work(q, r, s)``,
-    the selections a full check decides and an upper bound on the sums it
-    forms, exceeds the budget (ABTUPLE_BUDGET, else 10**9).
+    the selections a full check decides, exceeds the budget
+    (ABTUPLE_BUDGET, else 10**9).
     """
     q = len(t)
     if not (1 <= s < r <= q):
@@ -321,53 +315,47 @@ def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
     for s-sums (see ``_packed``): the report depends only on which s-sums are
     equal, so every exact packing gives the same report.
 
-    Every window's sums are counted by ``_window_counts``, which also gives
-    them in ``combinations`` order, to zip with the selections they belong
-    to.  The count decides whether the window fails; the zip, read only
-    then, finds the first failing selection.
+    Each window counts the sums of the selections that hold its first
+    ``lead`` positions, without them (``_window_counts``).  Only when the
+    count says the window has a failing selection are its sums formed
+    again, in ``combinations`` order up to the first one.  With
+    r != 2s, ``lead`` is 0 and a selection fails iff its sum occurs once.
+    With r == 2s, ``lead`` is 1 and only the C(r-1, s-1) selections S that
+    hold the window's first value v are counted, each by the sum x of S
+    without v.  With T the window's sum and k = T - 2v, every other
+    s-selection is the complement S'^c of such an S', with sum T - v - x',
+    and:
 
-    A window with r != 2s counts all C(r, s) sums and reports the first
-    selection whose sum occurs once.  A window with r == 2s counts only the
-    C(r-1, s-1) sums x of the selections S that hold its first value
-    ``lead``, each without ``lead``.  With T the window's sum and k = T -
-    2*lead, every other s-selection is the complement S'^c of such an S',
-    with sum T - lead - x', and:
-
-    - two lead-holding selections have equal sums iff their x are equal;
+    - two v-holding selections have equal sums iff their x are equal;
     - S and S'^c have equal sums iff x = k - x'.  When k - x == x, S^c
       itself matches S;
 
-    so S is unmatched iff ``counts[x] == 1`` and k - x is not in ``counts``.
-    Complementing preserves equal sums and distinctness, so S is unmatched
-    iff S^c is.  In ``combinations`` order every lead-holding selection
-    precedes every other one, so the first lead-holding S with a lonely x
-    is the window's first failure, and the report, witness included, is the
-    one the full count gives.
+    so S fails iff its x occurs once and k - x occurs nowhere.
+    Complementing preserves equal sums and distinctness, so S fails iff S^c
+    does.  In ``combinations`` order every v-holding selection precedes
+    every other one, so the first v-holding S that fails is the window's
+    first failure.
     """
     q = len(packed)
+    lead = 1 if r == 2 * s else 0
+    size = s - lead
     for window in combinations(range(q), r):
         vals = [packed[i] for i in window]
-        if r == 2 * s:
-            k = sum(vals) - 2 * vals[0]
-            counts, sums = _window_counts(vals[1:], s - 1)
-            lonely = {x for x, c in counts.items() if c == 1 and k - x not in counts}
-            if lonely:
-                for rest, x in zip(combinations(window[1:], s - 1), sums):
-                    if x in lonely:
-                        return PropertyReport(
-                            q=q,
-                            r=r,
-                            s=s,
-                            holds=False,
-                            failure_witness=(window, (window[0],) + rest),
-                        )
-            continue
-        counts, sums = _window_counts(vals, s)
-        if 1 in counts.values():
-            for sel, value in zip(combinations(window, s), sums):
-                if counts[value] == 1:
+        counts = _window_counts(vals[lead:], size)
+        k = sum(vals) - 2 * vals[0]
+        lonely = {
+            x for x, c in counts.items() if c == 1 and not (lead and k - x in counts)
+        }
+        if lonely:
+            sums = map(sum, combinations(vals[lead:], size))
+            for rest, x in zip(combinations(window[lead:], size), sums):
+                if x in lonely:
                     return PropertyReport(
-                        q=q, r=r, s=s, holds=False, failure_witness=(window, sel)
+                        q=q,
+                        r=r,
+                        s=s,
+                        holds=False,
+                        failure_witness=(window, window[:lead] + rest),
                     )
     return PropertyReport(q=q, r=r, s=s, holds=True, failure_witness=None)
 
@@ -377,14 +365,12 @@ def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
 _SPLIT_ABOVE = 256
 
 
-def _window_counts(vals: list[int], k: int) -> tuple[Counter, Iterable[int]]:
-    """Count the k-selection sums of ``vals``; return (counts, sums).
+def _window_counts(vals: list[int], k: int) -> Counter:
+    """Count the k-selection sums of ``vals``.
 
-    ``counts[x] == 1`` exactly when one k-selection has the sum x, and x is
-    a key of ``counts`` exactly when some k-selection has it; a count above
-    1 says only that x occurs more than once.  ``sums`` gives the
-    selections' sums in ``combinations`` order, lazily above the crossover,
-    so a failing window forms them only up to its witness.
+    The contract: ``counts[x] == 1`` exactly when one k-selection has the
+    sum x, and x is a key exactly when some k-selection has it; a count
+    above 1 says only that x occurs more than once.
 
     Up to ``_SPLIT_ABOVE`` selections each sum is formed directly, at the
     cost of a k-tuple and k - 1 additions, and counted.  Above it the sums
@@ -419,12 +405,10 @@ def _window_counts(vals: list[int], k: int) -> tuple[Counter, Iterable[int]]:
     count, all values distinct: C(9,4) = 126, 44 vs 53 us; C(11,3) = 165,
     55 vs 67 us; C(10,4) = 210, 68 vs 79 us; C(10,5) = 252, 92 vs 85 us;
     C(11,5) = 462, 129 vs 82 us; C(15,7) = 6,435, 2.0 vs 0.70 ms.  The two
-    break even between 210 and 252 selections, and a failing window above
-    the crossover forms its sums again up to its witness.
+    break even between 210 and 252 selections.
     """
     if comb(len(vals), k) <= _SPLIT_ABOVE:
-        sums = list(map(sum, combinations(vals, k)))
-        return Counter(sums), sums
+        return Counter(map(sum, combinations(vals, k)))
     classes = Counter(vals)
     singles = [u for u, m in classes.items() if m == 1]
     h = len(singles) // 2
@@ -457,5 +441,5 @@ def _window_counts(vals: list[int], k: int) -> tuple[Counter, Iterable[int]]:
     counts = Counter(once)
     counts.update(multi)
     counts.update(multi)
-    return counts, map(sum, combinations(vals, k))
+    return counts
 

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import importlib
 import json
+import os
 import random
 import sys
 from collections import Counter
@@ -46,12 +47,13 @@ from abtuple.tuples import (
 
 
 def reference_property_multisets(job):
-    """Non-deduplicating scan: every ordered tuple over the grid, reduced to
-    sorted-multiset form at the end.  Slow; tiny scales only."""
+    """Non-deduplicating scan: every ordered tuple over the grid that
+    contains zero, reduced to sorted-multiset form at the end.  Slow; tiny
+    scales only."""
     grid = value_grid(job.dim, job.bound)
     found = set()
     for combo in product(grid, repeat=job.q):
-        if job.require_zero and (0,) * job.dim not in combo:
+        if (0,) * job.dim not in combo:
             continue
         t = group_tuple(combo, dim=job.dim)
         if has_property(t, job.q, job.s).holds:
@@ -104,27 +106,14 @@ class TestEnumeration:
         assert rep["with_property"] == len(ref)
 
     @pytest.mark.parametrize(
-        "s, q, dim, bound, require_zero",
-        [
-            (2, 5, 1, 2, True),
-            (3, 4, 2, 1, True),
-            (2, 5, 1, 1, False),
-            (3, 5, 1, 2, False),
-        ],
+        "s, q, dim, bound", [(2, 5, 1, 2), (3, 4, 2, 1), (3, 5, 1, 2)]
     )
-    def test_reference_agrees_when_q_is_not_2s(self, s, q, dim, bound, require_zero):
+    def test_reference_agrees_when_q_is_not_2s(self, s, q, dim, bound):
         # With q != 2s the top and bottom tie conditions of the order filter
         # test different positions, so each one prunes on its own.
-        job = EnumerationJob(s=s, q=q, dim=dim, bound=bound, require_zero=require_zero)
+        job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
         rep = run_enumeration(job)
         assert rep["with_property"] == len(reference_property_multisets(job))
-
-    def test_reference_agrees_without_zero_pin(self):
-        job = EnumerationJob(s=2, q=3, dim=1, bound=1, require_zero=False)
-        rep = run_enumeration(job)
-        ref = reference_property_multisets(job)
-        assert rep["tuples"] == 10  # multichoose(3, 3)
-        assert rep["with_property"] == len(ref)
 
     def test_worker_count_is_invisible(self):
         job1 = EnumerationJob(s=2, q=4, dim=1, bound=2, jobs=1)
@@ -168,9 +157,11 @@ class TestEnumeration:
             run_enumeration(job)
         assert str(excinfo.value) == message
 
-    @pytest.mark.parametrize("jobs, started", [(2, 2), (3, 3), (5000, 3)])
-    def test_workers_capped_at_chunks(self, monkeypatch, jobs, started):
-        # s=2 q=3 dim=1 bound=1 has 3 chunks, one per grid value.
+    @staticmethod
+    def pools_started(monkeypatch, jobs, cpus):
+        """Worker counts of the pools run_enumeration starts, run in
+        process, on s=2 q=3 dim=1 bound=1 (3 chunks, one per grid value)
+        with os.cpu_count() patched to return ``cpus``."""
         pools = []
 
         class InProcessPool:
@@ -188,19 +179,21 @@ class TestEnumeration:
         # initializer sets this process's worker memo, restored afterwards.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(exhaustive, "_worker_memo", None)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         job = EnumerationJob(s=2, q=3, dim=1, bound=1, jobs=jobs)
         assert run_enumeration(job) == run_enumeration(replace(job, jobs=1))
-        assert pools == [started]
+        return pools
 
-    def test_without_zero_tracking(self):
-        # (1,1,1) holds (P_{3,2}) but contains no zero: counted, not classified.
-        rep = run_enumeration(
-            EnumerationJob(s=2, q=3, dim=1, bound=1, require_zero=False)
-        )
-        constant_tuples = 3  # (-1,-1,-1), (0,0,0), (1,1,1)
-        assert rep["with_property"] == constant_tuples
-        assert rep["without_zero"] == 2
-        assert rep["variants"] == {"rank_below": 1}
+    @pytest.mark.parametrize("jobs, started", [(2, 2), (3, 3), (5000, 3)])
+    def test_workers_capped_at_chunks(self, monkeypatch, jobs, started):
+        assert self.pools_started(monkeypatch, jobs, cpus=8) == [started]
+
+    @pytest.mark.parametrize("jobs, cpus, started", [(5000, 2, 2), (3, 1, 1), (3, None, 1)])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, jobs, cpus, started):
+        # One worker runs in process and starts no pool.  os.cpu_count()
+        # returns None when the count is unknown.
+        pools = self.pools_started(monkeypatch, jobs, cpus)
+        assert pools == ([started] if started > 1 else [])
 
 
 def report_digest(report) -> str:
@@ -256,7 +249,7 @@ class TestOrderFilter:
         assert not _fails_by_order(((0, 1), (0, 0), (0, 1), (0, 2)), 4, 2)
 
     def test_keeps_every_holder_of_a_cell(self):
-        job = EnumerationJob(s=2, q=4, dim=2, bound=1, require_zero=False)
+        job = EnumerationJob(s=2, q=4, dim=2, bound=1)
         grid = value_grid(job.dim, job.bound)
         kept = holders = 0
         for combo in product(grid, repeat=job.q):
@@ -417,7 +410,6 @@ def oracle_enumeration(job):
     test can patch them here and in ``exhaustive`` alike.
     """
     grid = value_grid(job.dim, job.bound)
-    zero = (0,) * job.dim
     in_range = 2 <= job.s < job.q <= 2 * job.s
     acc = _empty_partial()
     for first in range(len(grid)):
@@ -427,9 +419,6 @@ def oracle_enumeration(job):
             if not has_property(t, job.q, job.s).holds:
                 continue
             acc["with_property"] += 1
-            if zero not in elements:
-                acc["without_zero"] += 1
-                continue
             listed = [list(e) for e in elements]
             tr = rank(t)
             acc["ranks"][str(tr)] = acc["ranks"].get(str(tr), 0) + 1
@@ -462,9 +451,10 @@ def oracle_enumeration(job):
             "q": job.q,
             "dim": job.dim,
             "bound": job.bound,
-            "require_zero": job.require_zero,
+            "require_zero": True,
         },
         **acc,
+        "without_zero": 0,
         "ok": not quoted,
     }
 
@@ -474,24 +464,23 @@ def class_key(t: GroupTuple):
     return hnf_rows(zip(*t.elements), len(t)).basis
 
 
-# dim 1-3, with and without the zero pin, q = 2s, q < 2s and q > 2s
-# (out of the classifier's range).
+# dim 1-3, q = 2s, q < 2s and q > 2s (out of the classifier's range).
 MEMO_CELLS = [
-    (2, 4, 1, 2, True),
-    (2, 4, 2, 1, False),
-    (2, 5, 2, 1, True),
-    (3, 5, 3, 1, True),
-    (3, 6, 2, 1, True),
-    (3, 6, 1, 3, False),
-    (4, 8, 2, 1, True),
+    (2, 4, 1, 2),
+    (2, 4, 2, 1),
+    (2, 5, 2, 1),
+    (3, 5, 3, 1),
+    (3, 6, 2, 1),
+    (3, 6, 1, 3),
+    (4, 8, 2, 1),
 ]
 
 
-@pytest.mark.parametrize("s, q, dim, bound, require_zero", MEMO_CELLS)
-def test_memo_matches_per_holder_oracle(s, q, dim, bound, require_zero):
-    job = EnumerationJob(s=s, q=q, dim=dim, bound=bound, require_zero=require_zero)
+@pytest.mark.parametrize("s, q, dim, bound", MEMO_CELLS)
+def test_memo_matches_per_holder_oracle(s, q, dim, bound):
+    job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
     expected = oracle_enumeration(job)
-    assert expected["with_property"] > expected["without_zero"]
+    assert expected["with_property"] > 0
     for jobs in (1, 2):
         assert run_enumeration(replace(job, jobs=jobs)) == expected
 
