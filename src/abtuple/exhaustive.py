@@ -7,13 +7,18 @@ property, rank, classification variant, and audit outcomes are all invariant
 under position permutation, visiting one canonical representative per
 multiset loses nothing.
 
-Every tuple in the universe is counted.  Tuples whose order statistics
-already refute (P_{q,s}) (see ``_fails_by_order``) are dropped without forming
-a sum; only the survivors are tested for (P_{q,s}), on values packed once per
-job.  Holders are then ranked, classified, checked for an equal pair, and
-audited.  The report aggregates counts and quotes verbatim every tuple that is
-Unclassified, fails an audit claim, or lacks an equal pair — those are
-counterexample candidates for the classification lemma and force ok=false.
+Each job packs every grid value once into d tables of ints (see
+``_tables``): table k packs it with its coordinates rotated by k, so each
+coordinate is the most significant digit of one table.  Tuples are walked as
+table-0 ints, and every tuple in the universe is counted.  A tuple whose
+order statistics in any table already refute (P_{q,s}) (see
+``_fails_by_order``) is dropped without forming a sum; only the survivors
+are tested for (P_{q,s}), by the kernel on their table-0 ints.  Only
+holders are looked up as vectors.  They are then ranked, classified,
+checked for an equal pair, and audited.  The report aggregates counts and
+quotes verbatim every tuple that is Unclassified, fails an audit claim, or
+lacks an equal pair — those are counterexample candidates for the
+classification lemma and force ok=false.
 
 Holders that differ by a unimodular change of coordinates are analysed once.
 Read a tuple of q elements of Z^d as the d x q matrix M whose rows are its d
@@ -50,9 +55,9 @@ So ``_examine`` keeps only these facts per key, in a dict that lives for one
 ``run_enumeration`` call, and quotes every holder with its own elements.
 
 Work is partitioned into chunks by the first free slot's grid value, and run
-by at most min(jobs, chunks, CPU count) processes; the merge is a fold in grid
-order, so the report (and its JSON serialization) is byte-identical no matter
-how many workers ran.
+by at most min(jobs, chunks, CPU count) processes, each handed the tables
+once; the merge is a fold in grid order, so the report (and its JSON
+serialization) is byte-identical no matter how many workers ran.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ from .tuples import (
     property_work,
     rank,
 )
-from .lattice import hnf_rows, zero_vector
+from .lattice import hnf_rows
 
 VARIANT_OUT_OF_RANGE = "out_of_range"
 
@@ -116,13 +121,6 @@ def nominal_bill(job: EnumerationJob) -> int:
     return universe_size(job) * property_work(job.q, job.q, job.s)
 
 
-def _chunk_elements(job: EnumerationJob, grid, first_idx: int):
-    """Canonical tuples whose first free slot holds grid[first_idx]."""
-    head = (zero_vector(job.dim), grid[first_idx])
-    for rest in combinations_with_replacement(grid[first_idx:], job.q - 2):
-        yield head + rest
-
-
 def _empty_partial() -> dict:
     return {
         "tuples": 0,
@@ -135,25 +133,48 @@ def _empty_partial() -> dict:
     }
 
 
-def _fails_by_order(elements, q: int, s: int) -> bool:
-    """True when order statistics alone refute (P_{q,s}) on the elements.
+def _tables(job: EnumerationJob) -> tuple[list[int], dict, list[dict]]:
+    """The job's packed tables, built once per ``run_enumeration`` call.
 
-    Lexicographic order on Z^d is total and compatible with addition
-    (a <= b implies a + c <= b + c).  Sort the elements as v_0 <= ... <=
-    v_{q-1} and suppose v_{q-s-1} != v_{q-s}, so v_{q-s-1} < v_{q-s}.  Take
-    any s-selection other than the top one {q-s, ..., q-1}, with sorted
-    positions i_0 < ... < i_{s-1}.  Then i_j <= q-s+j, so
-    v_{i_j} <= v_{q-s+j} for every j, and i_0 < q-s because the selection
-    is not the top one, so v_{i_0} <= v_{q-s-1} < v_{q-s}.  Adding these
-    inequalities, one of them strict, gives a sum strictly below the top
-    selection's.  So the top selection has no distinct equal-sum partner in
-    the window of all q positions, and (P_{q,s}) fails.  Mirrored, the
-    bottom selection {0, ..., s-1} has none when v_{s-1} != v_s.
-
-    The predicate rejects only non-holders, and a report lists no
-    non-holder, so pruning leaves every report unchanged.
+    Table k packs every grid value with its coordinates rotated by k,
+    ``e[k:] + e[:k]``, through ``_packed`` in base 2sB + 1, for k = 0..d-1.
+    Every coordinate of the job lies in [-B, B], so every table is exact
+    for the s-sums of every tuple of the job.  Returns table 0 in grid
+    order, which the kernel reads; a map from each table-0 int to its grid
+    value; and, for k = 1..d-1, a map from each table-0 int to its table-k
+    int.
     """
-    v = sorted(elements)
+    grid = value_grid(job.dim, job.bound)
+    table0, *rotated = (
+        _packed([e[k:] + e[:k] for e in grid], job.s, job.bound)
+        for k in range(job.dim)
+    )
+    return table0, dict(zip(table0, grid)), [dict(zip(table0, t)) for t in rotated]
+
+
+def _fails_by_order(ints, q: int, s: int) -> bool:
+    """True when the order statistics of one table refute (P_{q,s}).
+
+    ``ints`` are a tuple's q elements, packed by one table of ``_tables``.
+    Z is totally ordered and its order is compatible with addition.  Sort
+    the ints as v_0 <= ... <= v_{q-1} and suppose v_{q-s-1} != v_{q-s}, so
+    v_{q-s-1} < v_{q-s}.  Take any s-selection other than the top one
+    {q-s, ..., q-1}, with sorted positions i_0 < ... < i_{s-1}.  Then
+    i_j <= q-s+j, so v_{i_j} <= v_{q-s+j} for every j, and i_0 < q-s
+    because the selection is not the top one, so v_{i_0} <= v_{q-s-1} <
+    v_{q-s}.  Adding these inequalities, one of them strict, gives an int
+    sum strictly below the top selection's.  The table packs s-sums exactly
+    (see ``_tables``), so equal vector sums would have equal int sums: the
+    two vector sums differ too.  So the top selection
+    has no distinct equal-sum partner in the window of all q positions, and
+    (P_{q,s}) fails.  Mirrored, the bottom selection {0, ..., s-1} has none
+    when v_{s-1} != v_s.
+
+    The argument holds for every table as it stands; no order on vectors
+    is needed.  The predicate rejects only non-holders, and a report lists
+    no non-holder, so pruning leaves every report unchanged.
+    """
+    v = sorted(ints)
     return v[q - s - 1] != v[q - s] or v[s - 1] != v[s]
 
 
@@ -180,15 +201,8 @@ def _holder_facts(job: EnumerationJob, elements) -> tuple:
     return cls.rank, cls.variant, cls.property_holds, missing, audit
 
 
-def _examine(job: EnumerationJob, part: dict, elements, pack: dict, memo: dict) -> None:
-    """Count one tuple and, if it holds (P_{q,s}), rank, classify and audit it.
-
-    ``pack`` maps each grid value to its packed int.  This is the one check
-    of the tuple's (P_{q,s}), and it skips ``has_property``'s budget guard:
-    a check decides at most ``property_work(q, q, s)`` selections, which is
-    at most ``nominal_bill`` (the universe holds at least one tuple), and
-    ``run_enumeration`` refuses the job up front when that bill exceeds the
-    budget.
+def _examine(job: EnumerationJob, part: dict, elements, memo: dict) -> None:
+    """Rank, classify and audit one holder of (P_{q,s}), and quote it.
 
     A holder is keyed by the HNF of its coordinate columns, and ``memo``
     maps each key to ``_holder_facts`` of the first holder seen with it; the
@@ -199,11 +213,6 @@ def _examine(job: EnumerationJob, part: dict, elements, pack: dict, memo: dict) 
     subtuple checks, and ``classify``'s property check of an Unclassified
     holder.
     """
-    part["tuples"] += 1
-    if _fails_by_order(elements, job.q, job.s):
-        return
-    if not _decide_packed([pack[e] for e in elements], job.q, job.s).holds:
-        return
     part["with_property"] += 1
     key = hnf_rows(zip(*elements), job.q).basis
     facts = memo.get(key)
@@ -226,30 +235,53 @@ def _examine(job: EnumerationJob, part: dict, elements, pack: dict, memo: dict) 
         )
 
 
-# A pool worker's class memo.  ``_start_worker``, the pool's initializer,
-# creates it when the worker starts, and it dies with the worker, so it
-# serves every chunk the worker runs in one ``run_enumeration`` call.
-_worker_memo: dict | None = None
+# A pool worker's state: the job's tables, which ``_start_worker``, the
+# pool's initializer, receives once, and the worker's class memo.  It dies
+# with the worker, so it serves every chunk the worker runs in one
+# ``run_enumeration`` call.
+_worker_state: tuple | None = None
 
 
-def _start_worker() -> None:
-    global _worker_memo
-    _worker_memo = {}
+def _start_worker(tables: tuple) -> None:
+    global _worker_state
+    _worker_state = tables, {}
 
 
-def _process_chunk(args, memo: dict | None = None) -> dict:
-    """Partial report of one chunk.  ``memo`` defaults to the pool
-    worker's memo, or to a fresh dict outside a pool."""
+def _process_chunk(args, state: tuple | None = None) -> dict:
+    """Partial report of the chunk whose first free slot holds
+    grid[first_idx].  ``state`` is the job's ``_tables`` and a class memo;
+    it defaults to the pool worker's.
+
+    The chunk's canonical tuples are walked as table-0 ints: packed zero is
+    0, then the chunk's grid value, then q - 2 values from it onward in grid
+    order.  Every tuple is counted.  A tuple that ``_fails_by_order`` on any
+    table is dropped; the kernel decides the (P_{q,s}) of the others on
+    table 0, and only a holder's ints are looked up as vectors.
+
+    This is the one check of each tuple's (P_{q,s}), and it skips
+    ``has_property``'s budget guard: a check decides at most
+    ``property_work(q, q, s)`` selections, which is at most ``nominal_bill``
+    (the universe holds at least one tuple), and ``run_enumeration``
+    refuses the job up front when that bill exceeds the budget.
+    """
     job, first_idx = args
-    if memo is None:
-        memo = {} if _worker_memo is None else _worker_memo
-    grid = value_grid(job.dim, job.bound)
-    # Every coordinate lies in [-bound, bound], so one packing is exact for
-    # the s-sums of every tuple of the job.
-    pack = dict(zip(grid, _packed(grid, job.s, job.bound)))
+    (table0, vectors, rotations), memo = _worker_state if state is None else state
+    q, s = job.q, job.s
     part = _empty_partial()
-    for elements in _chunk_elements(job, grid, first_idx):
-        _examine(job, part, elements, pack, memo)
+    head = (0, table0[first_idx])
+    tuples = 0
+    for rest in combinations_with_replacement(table0[first_idx:], q - 2):
+        tuples += 1
+        ints = head + rest
+        if _fails_by_order(ints, q, s):
+            continue
+        for r in rotations:
+            if _fails_by_order(map(r.__getitem__, ints), q, s):
+                break
+        else:
+            if _decide_packed(ints, q, s).holds:
+                _examine(job, part, tuple(vectors[x] for x in ints), memo)
+    part["tuples"] = tuples
     return part
 
 
@@ -269,9 +301,13 @@ def run_enumeration(job: EnumerationJob) -> dict:
 
     Raises BudgetExceeded before any work when ``nominal_bill`` exceeds the
     budget (ABTUPLE_BUDGET, else 10**9).  Each tuple's (P_{q,s}) is checked
-    once, in ``_examine``, under that bill; only the nested checks of the
-    audit's zero-axis subtuples, and ``classify``'s check of an Unclassified
-    holder, read the budget again.
+    once, in ``_process_chunk``, under that bill; only the nested checks of
+    the audit's zero-axis subtuples, and ``classify``'s check of an
+    Unclassified holder, read the budget again.
+
+    The packed tables (``_tables``) are built once per call.  With one
+    worker, chunks get them directly; a pool hands them to each worker once,
+    through its initializer.
 
     Each class of holders (see the module docstring) is analysed once per
     memo.  With one worker, one memo serves every chunk; in a pool each
@@ -281,20 +317,22 @@ def run_enumeration(job: EnumerationJob) -> dict:
     job.validate()
     bill = nominal_bill(job)
     _charge(bill, f"enumeration forms up to {bill} subset sums")
-    grid = value_grid(job.dim, job.bound)
-    chunk_args = [(job, g) for g in range(len(grid))]
+    tables = _tables(job)
+    chunk_args = [(job, g) for g in range(len(tables[0]))]
     # A pool may start all its workers at once, so start no idle ones and
     # no more than there are CPUs.
     workers = min(job.jobs, len(chunk_args), os.cpu_count() or 1)
     if workers == 1:
-        memo: dict = {}
-        partials = (_process_chunk(args, memo) for args in chunk_args)
+        state = tables, {}
+        partials = (_process_chunk(args, state) for args in chunk_args)
     else:
         # Imported only here: it loads multiprocessing, which a one-worker
         # run and a plain ``import abtuple`` never need.
         from concurrent.futures import ProcessPoolExecutor
 
-        executor = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
+        executor = ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=(tables,)
+        )
         try:
             partials = list(executor.map(_process_chunk, chunk_args))
         finally:

@@ -10,10 +10,10 @@ import random
 import sys
 from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abtuple import exhaustive, structure
@@ -21,18 +21,18 @@ from abtuple.classify import VARIANT_UNCLASSIFIED, classify
 from abtuple.cli import main
 from abtuple.exhaustive import (
     EnumerationJob,
-    _chunk_elements,
     _empty_partial,
     _examine,
     _fails_by_order,
     _holder_facts,
+    _tables,
     nominal_bill,
     run_enumeration,
     universe_size,
     value_grid,
 )
 from abtuple.generators import random_unimodular
-from abtuple.lattice import hnf_rows
+from abtuple.lattice import hnf_rows, zero_vector
 from abtuple.structure import _audit_holder, audit_claims
 from abtuple.tuples import (
     BudgetExceeded,
@@ -44,6 +44,22 @@ from abtuple.tuples import (
     has_property,
     rank,
 )
+
+
+def chunk_elements(job, grid, first_idx: int):
+    """Canonical tuples, as vectors, whose first free slot holds
+    grid[first_idx]: the walk the enumeration makes on packed ints."""
+    head = (zero_vector(job.dim), grid[first_idx])
+    for rest in combinations_with_replacement(grid[first_idx:], job.q - 2):
+        yield head + rest
+
+
+def fails_by_lex_order(elements, q: int, s: int) -> bool:
+    """The order filter on vectors under lexicographic order, which is
+    total and compatible with addition: the vector-level form of
+    ``_fails_by_order``."""
+    v = sorted(elements)
+    return v[q - s - 1] != v[q - s] or v[s - 1] != v[s]
 
 
 def reference_property_multisets(job):
@@ -59,6 +75,31 @@ def reference_property_multisets(job):
         if has_property(t, job.q, job.s).holds:
             found.add(tuple(sorted(combo)))
     return found
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Make run_enumeration's process pool run in this process, as one
+    worker that runs every chunk.  Returns the worker counts of the pools
+    started."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+        def shutdown(self):
+            pass
+
+    # run_enumeration imports the pool class when it needs one.  Its
+    # initializer sets this process's worker state, restored afterwards.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(exhaustive, "_worker_state", None)
+    return pools
 
 
 class TestUniverse:
@@ -158,42 +199,43 @@ class TestEnumeration:
         assert str(excinfo.value) == message
 
     @staticmethod
-    def pools_started(monkeypatch, jobs, cpus):
-        """Worker counts of the pools run_enumeration starts, run in
-        process, on s=2 q=3 dim=1 bound=1 (3 chunks, one per grid value)
-        with os.cpu_count() patched to return ``cpus``."""
-        pools = []
-
-        class InProcessPool:
-            def __init__(self, max_workers, initializer):
-                pools.append(max_workers)
-                initializer()
-
-            def map(self, fn, args):
-                return map(fn, args)
-
-            def shutdown(self):
-                pass
-
-        # run_enumeration imports the pool class when it needs one.  Its
-        # initializer sets this process's worker memo, restored afterwards.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(exhaustive, "_worker_memo", None)
+    def run_small_cell(monkeypatch, jobs, cpus):
+        """Run s=2 q=3 dim=1 bound=1 (3 chunks, one per grid value) with
+        os.cpu_count() patched to return ``cpus``, and check its report."""
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         job = EnumerationJob(s=2, q=3, dim=1, bound=1, jobs=jobs)
         assert run_enumeration(job) == run_enumeration(replace(job, jobs=1))
-        return pools
 
     @pytest.mark.parametrize("jobs, started", [(2, 2), (3, 3), (5000, 3)])
-    def test_workers_capped_at_chunks(self, monkeypatch, jobs, started):
-        assert self.pools_started(monkeypatch, jobs, cpus=8) == [started]
+    def test_workers_capped_at_chunks(self, monkeypatch, in_process_pool, jobs, started):
+        self.run_small_cell(monkeypatch, jobs, cpus=8)
+        assert in_process_pool == [started]
 
     @pytest.mark.parametrize("jobs, cpus, started", [(5000, 2, 2), (3, 1, 1), (3, None, 1)])
-    def test_workers_capped_at_cpu_count(self, monkeypatch, jobs, cpus, started):
+    def test_workers_capped_at_cpu_count(self, monkeypatch, in_process_pool, jobs, cpus, started):
         # One worker runs in process and starts no pool.  os.cpu_count()
         # returns None when the count is unknown.
-        pools = self.pools_started(monkeypatch, jobs, cpus)
-        assert pools == ([started] if started > 1 else [])
+        self.run_small_cell(monkeypatch, jobs, cpus)
+        assert in_process_pool == ([started] if started > 1 else [])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_tables_built_once_per_job(self, monkeypatch, in_process_pool, jobs):
+        # s=2 q=3 dim=5 bound=1 has 243 chunks.  The grid and its five
+        # tables are built once per call, in process and for a pool, not
+        # once per chunk.
+        calls = Counter()
+        for name in ("value_grid", "_packed"):
+
+            def counting(*args, _real=getattr(exhaustive, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(exhaustive, name, counting)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rep = run_enumeration(EnumerationJob(s=2, q=3, dim=5, bound=1, jobs=jobs))
+        assert rep["tuples"] == 29646
+        assert in_process_pool == ([2] if jobs == 2 else [])
+        assert calls == {"value_grid": 1, "_packed": 5}
 
 
 def report_digest(report) -> str:
@@ -205,7 +247,12 @@ def report_digest(report) -> str:
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize(
     "s, q, dim, bound, digest",
-    [(3, 6, 2, 2, "f56b9da68dab58a5"), (4, 8, 2, 1, "4bc9a59af0cbf5c1")],
+    [
+        (3, 6, 2, 2, "f56b9da68dab58a5"),
+        (4, 8, 2, 1, "4bc9a59af0cbf5c1"),
+        (2, 4, 4, 1, "671e4f2b624f6019"),
+        (3, 6, 1, 3, "b03c60816632fdbc"),
+    ],
 )
 def test_report_digests_pinned(s, q, dim, bound, digest, jobs):
     job = EnumerationJob(s=s, q=q, dim=dim, bound=bound, jobs=jobs)
@@ -230,36 +277,89 @@ def repetitive_windows(draw):
     return tuple(elements), q, s
 
 
+@functools.cache
+def grid_packing(s, q, dim, bound):
+    """Each grid value of the job and its ints in the job's tables, table 0
+    first, as ``_tables`` builds them."""
+    table0, vectors, rotations = _tables(EnumerationJob(s=s, q=q, dim=dim, bound=bound))
+    return {vectors[x]: (x, *(r[x] for r in rotations)) for x in table0}
+
+
+def table_ints(elements, q, s, bound=2):
+    """The elements' ints in each table of a job on [-bound, bound]^dim,
+    one tuple of q ints per table, table 0 first."""
+    packing = grid_packing(s, q, len(elements[0]), bound)
+    return list(zip(*(packing[e] for e in elements)))
+
+
 class TestOrderFilter:
     @given(repetitive_windows())
+    # A holder whose sorted values differ at positions (s, s+1).
+    @example((((-1,), (0,), (0,), (1,)), 4, 2))
+    # (0, 4) and (1, -1) are distinct 2-sums of these values.  Table 1 packs
+    # them as 4 + 9*0 and -1 + 9*1; in base 5, below 2sB + 1 = 9, both
+    # would be 4.
+    @example((((0, 2), (0, 2), (1, -1), (0, 0)), 4, 2))
     @settings(max_examples=600, deadline=None)
     def test_rejects_only_non_holders(self, case):
         elements, q, s = case
-        if _fails_by_order(elements, q, s):
-            assert not has_property(group_tuple(elements), q, s).holds
+        holds = has_property(group_tuple(elements), q, s).holds
+        vector_sums = {tuple(map(sum, zip(*sel))) for sel in combinations(elements, s)}
+        for k, ints in enumerate(table_ints(elements, q, s)):
+            # Each table is exact for s-sums ...
+            assert len(set(map(sum, combinations(ints, s)))) == len(vector_sums)
+            # ... and orders single values as lex order does their rotated
+            # coordinates read from the last one, so it is the vector-level
+            # filter under that order.
+            rotated = [tuple(reversed(e[k:] + e[:k])) for e in elements]
+            fails = _fails_by_order(ints, q, s)
+            assert fails == fails_by_lex_order(rotated, q, s)
+            if fails:
+                assert not holds
+
+    @pytest.mark.parametrize("s, dim, bound", [(2, 2, 2), (2, 4, 1), (3, 3, 1), (4, 2, 1)])
+    def test_every_table_is_exact_for_s_sums(self, s, dim, bound):
+        # The s-sums of grid values fill [-sB, sB]^dim, so a table packed in
+        # a base below 2sB + 1 maps two of them to one int.
+        packing = grid_packing(s, 2 * s, dim, bound)
+        vector_sums = set()
+        table_sums = [set() for _ in range(dim)]
+        for sel in combinations_with_replacement(packing, s):
+            vector_sums.add(tuple(map(sum, zip(*sel))))
+            for sums, x in zip(table_sums, map(sum, zip(*map(packing.get, sel)))):
+                sums.add(x)
+        assert len(vector_sums) == (2 * s * bound + 1) ** dim
+        assert [len(sums) for sums in table_sums] == [len(vector_sums)] * dim
 
     def test_each_tie_condition(self):
         # s=2, q=5, sorted: the top test compares v[2], v[3]; the bottom
         # test compares v[1], v[2].
-        assert _fails_by_order(((0,), (0,), (0,), (1,), (1,)), 5, 2)  # top
-        assert _fails_by_order(((0,), (0,), (1,), (1,), (1,)), 5, 2)  # bottom
-        assert not _fails_by_order(((0,), (1,), (1,), (1,), (2,)), 5, 2)
-        # Order is lexicographic on vectors, not by first coordinate alone.
-        assert _fails_by_order(((0, 1), (0, 0), (0, 0), (0, 2)), 4, 2)
-        assert not _fails_by_order(((0, 1), (0, 0), (0, 1), (0, 2)), 4, 2)
+        assert _fails_by_order((0, 0, 0, 1, 1), 5, 2)  # top
+        assert _fails_by_order((0, 0, 1, 1, 1), 5, 2)  # bottom
+        assert not _fails_by_order((0, 1, 1, 1, 2), 5, 2)
+        assert not _fails_by_order((2, 1, 0, 1, 1), 5, 2)
+        # Table 0 leads with the last coordinate and table 1 with the first,
+        # so only table 0 sees the middle pair tie.
+        ints0, ints1 = table_ints(((0, 0), (1, 1), (1, 1), (-1, 2)), 4, 2)
+        assert not _fails_by_order(ints0, 4, 2)
+        assert _fails_by_order(ints1, 4, 2)
 
     def test_keeps_every_holder_of_a_cell(self):
         job = EnumerationJob(s=2, q=4, dim=2, bound=1)
         grid = value_grid(job.dim, job.bound)
-        kept = holders = 0
+        kept = kept0 = holders = 0
         for combo in product(grid, repeat=job.q):
-            t = group_tuple(combo)
-            holds = has_property(t, job.q, job.s).holds
-            pruned = _fails_by_order(combo, job.q, job.s)
-            assert not (holds and pruned)
+            holds = has_property(group_tuple(combo), job.q, job.s).holds
+            fails = [
+                _fails_by_order(ints, job.q, job.s)
+                for ints in table_ints(combo, job.q, job.s, job.bound)
+            ]
+            assert not (holds and any(fails))
             holders += holds
-            kept += not pruned
-        assert holders < kept < len(grid) ** job.q
+            kept += not any(fails)
+            kept0 += not fails[0]
+        # The second table prunes tuples the first keeps.
+        assert holders < kept < kept0 < len(grid) ** job.q
 
 
 @st.composite
@@ -310,7 +410,7 @@ def cell_holders(job):
     found through has_property, not through the enumeration's fast path."""
     grid = value_grid(job.dim, job.bound)
     for first in range(len(grid)):
-        for elements in _chunk_elements(job, grid, first):
+        for elements in chunk_elements(job, grid, first):
             t = GroupTuple(dim=job.dim, elements=elements)
             if has_property(t, job.q, job.s).holds:
                 yield t
@@ -319,13 +419,14 @@ def cell_holders(job):
 @pytest.mark.parametrize("s, q, dim, bound", HOLDER_CELLS)
 def test_holder_pass_matches_public_functions(s, q, dim, bound):
     job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
-    grid = value_grid(dim, bound)
-    pack = dict(zip(grid, _packed(grid, s, bound)))
     holders = 0
     for t in cell_holders(job):
         holders += 1
+        tables = table_ints(t.elements, q, s, bound)
+        assert not any(_fails_by_order(ints, q, s) for ints in tables)
+        assert _decide_packed(tables[0], q, s).holds
         part = _empty_partial()
-        _examine(job, part, t.elements, pack, {})
+        _examine(job, part, t.elements, {})
         assert part["with_property"] == 1
         assert part["ranks"] == {str(rank(t)): 1}
         assert part["variants"] == {classify(t, s).variant: 1}
@@ -413,7 +514,7 @@ def oracle_enumeration(job):
     in_range = 2 <= job.s < job.q <= 2 * job.s
     acc = _empty_partial()
     for first in range(len(grid)):
-        for elements in _chunk_elements(job, grid, first):
+        for elements in chunk_elements(job, grid, first):
             acc["tuples"] += 1
             t = GroupTuple(dim=job.dim, elements=elements)
             if not has_property(t, job.q, job.s).holds:
@@ -483,6 +584,18 @@ def test_memo_matches_per_holder_oracle(s, q, dim, bound):
     assert expected["with_property"] > 0
     for jobs in (1, 2):
         assert run_enumeration(replace(job, jobs=jobs)) == expected
+
+
+@pytest.mark.parametrize("s, q, dim, bound", [(3, 6, 1, 3), (2, 4, 4, 1)])
+def test_rotations_match_oracle(monkeypatch, in_process_pool, s, q, dim, bound):
+    # The d = 1 and d = 4 ends of the family: one table, and four.  In
+    # process, then through a pool, which hands each worker the tables.
+    job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
+    expected = oracle_enumeration(job)
+    assert run_enumeration(job) == expected
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run_enumeration(replace(job, jobs=2)) == expected
+    assert in_process_pool == [2]
 
 
 @functools.cache
@@ -562,8 +675,8 @@ def test_each_run_analyses_each_class_once(monkeypatch, s, q, dim, bound, classe
 def test_pool_worker_keeps_one_memo(monkeypatch):
     # A pool worker gets its memo from the pool's initializer and keeps it
     # for every chunk it runs.  Run here chunk by chunk, as one worker
-    # would run them all, the cell analyses each class once; a fresh memo
-    # per chunk analyses some classes again.
+    # would run them all, the cell analyses each class once; a worker
+    # started afresh for each chunk analyses some classes again.
     audited = []
     real = exhaustive._audit_holder
 
@@ -572,14 +685,16 @@ def test_pool_worker_keeps_one_memo(monkeypatch):
         return real(t, s_outer)
 
     monkeypatch.setattr(exhaustive, "_audit_holder", counting)
-    monkeypatch.setattr(exhaustive, "_worker_memo", None)
+    monkeypatch.setattr(exhaustive, "_worker_state", None)
     job = EnumerationJob(s=3, q=6, dim=2, bound=2)
-    chunks = [(job, g) for g in range(len(value_grid(job.dim, job.bound)))]
+    tables = _tables(job)
+    chunks = [(job, g) for g in range(len(tables[0]))]
     for args in chunks:
+        exhaustive._start_worker(tables)
         exhaustive._process_chunk(args)
     assert len(audited) > 354
     audited.clear()
-    exhaustive._start_worker()
+    exhaustive._start_worker(tables)
     for args in chunks:
         exhaustive._process_chunk(args)
     assert len(audited) == len(set(audited)) == 354
