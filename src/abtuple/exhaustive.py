@@ -5,13 +5,51 @@ contain zero, each visited once in a canonical order: one zero element pinned
 first, then the other q - 1 elements sorted lexicographically.  Since the
 property, rank, classification variant, and audit outcomes are all invariant
 under position permutation, visiting one canonical representative per
-multiset loses nothing.
+multiset loses nothing.  A tuple's key is the grid indices of those q - 1
+elements; the canonical order is the order of the keys.
+
+The walk visits only the tuples that can hold (P_{q,s}), and of those only
+one per negation pair; every tuple of the universe is still counted, by
+``universe_size``.
+
+- Expansion.  Lex order on Z^d is total and compatible with addition, so
+  ``_fails_by_order``'s argument holds for it: a holder, sorted, ties at
+  positions (s-1, s) and (q-s-1, q-s).  Let c = |{s, q-s}|.  A sorted
+  q-multiset ties there iff it is the expansion of a sorted
+  (q-c)-multiset u: for p in {s, q-s} in increasing order, insert at p a
+  copy of the entry at p - 1 (``_expand``).  Expansion is a bijection, it
+  keeps zero, and it is strictly monotone in lex order, as is removing one
+  zero (two sorted sequences of one length compare as the least element
+  of their multiset difference, which a common element does not change).
+  So walking the (q-c)-universe in canonical order and expanding each
+  tuple yields the lex survivors, C(g+q-c-2, q-c-1) of them for a grid of
+  g values, in canonical order.
+- Negation.  x -> -x maps the universe onto itself, and on grid indices
+  it is i -> g-1-i.  It reverses lex order and every packed table's order
+  (packing is linear), and swaps the two tie pairs, so expand(-u) =
+  -expand(u), and each table's order filter drops t iff it drops -t.
+  (P_{q,s}) holds for t iff it holds for -t: negation maps equal sums to
+  equal sums.  So ``_visits`` yields u only when u <= -u, and a holder
+  stands for itself and -t: it is counted twice unless u = -u (Burnside's
+  lemma for a group of order 2), and quoted twice, t and canonical -t each
+  with its own key.
+- Shared facts.  -t, positions fixed, is t mapped by -I, which is in
+  GL(d, Z), so by the argument below it has t's facts.  Canonical -t is -t
+  with its nonzero positions reversed, so it has them too as far as the
+  facts are invariant under position permutation, which the first
+  paragraph already takes for granted: rank, the missing equal pair,
+  (P_{r,s}) and the ``classify`` variant are facts of the multiset.  The
+  audit's case and failed claims read positions (the first equal pair, the
+  greedy basis), so sharing them, like visiting one representative per
+  multiset, quotes the audit of one representative; on every holder of the
+  cells in ``tests/test_exhaustive.py`` canonical -t's own facts equal
+  t's.  Quoted lists are sorted by key at the merge, so they come out in
+  canonical order.
 
 Each job packs every grid value once into d tables of ints (see
 ``_tables``): table k packs it with its coordinates rotated by k, so each
-coordinate is the most significant digit of one table.  Tuples are walked as
-table-0 ints, and every tuple in the universe is counted.  A tuple whose
-order statistics in any table already refute (P_{q,s}) (see
+coordinate is the most significant digit of one table.  An expanded tuple
+whose order statistics in any table already refute (P_{q,s}) (see
 ``_fails_by_order``) is dropped without forming a sum; only the survivors
 are tested for (P_{q,s}), by the kernel on their table-0 ints.  Only
 holders are looked up as vectors.  They are then ranked, classified,
@@ -54,18 +92,21 @@ is invariant under such a W:
 So ``_examine`` keeps only these facts per key, in a dict that lives for one
 ``run_enumeration`` call, and quotes every holder with its own elements.
 
-Work is partitioned into chunks by the first free slot's grid value, and run
-by at most min(jobs, chunks, CPU count) processes, each handed the tables
-once; the merge is a fold in grid order, so the report (and its JSON
-serialization) is byte-identical no matter how many workers ran.
+Work is partitioned into chunks by the grid value of the walked tuple's
+first free slot, and run by at most min(jobs, chunks, CPU count) processes,
+each handed the tables once; the merge is a fold in grid order that sorts
+the quoted lists by key, so the report (and its JSON serialization) is
+byte-identical no matter how many workers ran.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import comb
+from operator import itemgetter
 
 from .classify import VARIANT_UNCLASSIFIED, classify
 from .structure import _audit_holder
@@ -115,10 +156,19 @@ def universe_size(job: EnumerationJob) -> int:
 
 
 def nominal_bill(job: EnumerationJob) -> int:
-    """Selections the property pass decides at most: universe size times
-    ``property_work(q, q, s)``.  An upper bound: tuples the order filter
-    drops decide none."""
-    return universe_size(job) * property_work(job.q, job.q, job.s)
+    """Selections the property pass decides at most: the lex survivors,
+    C(g+q-c-2, q-c-1) with c = |{s, q-s}| (see the module docstring), times
+    ``property_work(q, q, s)``.  An upper bound: the walk visits one tuple
+    per negation pair, and tuples a table's order filter drops decide
+    none."""
+    g = (2 * job.bound + 1) ** job.dim
+    n = job.q - len({job.s, job.q - job.s})
+    return comb(g + n - 2, n - 1) * property_work(job.q, job.q, job.s)
+
+
+# The report's lists of quoted holders.  In a partial report each entry is
+# paired with its holder's key.
+_QUOTED = ("equal_pair_missing", "unclassified", "audit_failures")
 
 
 def _empty_partial() -> dict:
@@ -178,6 +228,57 @@ def _fails_by_order(ints, q: int, s: int) -> bool:
     return v[q - s - 1] != v[q - s] or v[s - 1] != v[s]
 
 
+def _expand(u: tuple, q: int, s: int) -> tuple:
+    """The sorted q-multiset whose order statistics tie at (s-1, s) and
+    (q-s-1, q-s) that the sorted (q-c)-multiset ``u`` stands for: for p in
+    {s, q-s} in increasing order, insert at p a copy of the entry at p-1.
+    Entries are anything ordered; the walk passes grid indices."""
+    for p in sorted({s, q - s}):
+        u = u[:p] + u[p - 1 :]
+    return u
+
+
+def _visits(q: int, s: int, g: int, first_idx: int):
+    """The expanded tuples of one chunk of the walk, with their weights.
+
+    Walks the sorted grid-index tuples u of the (q-c)-universe, c =
+    |{s, q-s}|, whose first free slot (the least index besides the pinned
+    zero) is ``first_idx``, in canonical order, and yields (``_expand(u)``,
+    weight) for each u <= -u; -u is u negated, i -> g-1-i, and re-sorted,
+    and the weight is 1 when u = -u and else 2 (see the module docstring).
+
+    Sorted index tuples of one length compare as their least entries first,
+    and -u's least entry is g-1 minus u's greatest.  So u > -u whenever
+    u[0] + u[-1] > g-1: every u of a chunk past zero's index, and every u
+    with an entry above g-1-first_idx, which the walk never forms.  Only
+    when u[0] + u[-1] == g-1 are the two compared in full.  When q - c is
+    1 (s=1 q=2, s=1 q=3, s=2 q=3) the walk has no free slot and its one
+    tuple, zero alone, expands to the all-zero tuple, which the chunk of
+    zero's index yields.
+    """
+    top = g - 1
+    zero = top // 2
+    free = q - len({s, q - s}) - 1
+    if first_idx > zero or (free == 0 and first_idx != zero):
+        return
+    if free == 0:
+        yield (zero,) * q, 1
+        return
+    others = range(first_idx, top - first_idx + 1)
+    for rest in combinations_with_replacement(others, free - 1):
+        u = (first_idx,) + rest
+        i = bisect_left(u, zero)
+        u = u[:i] + (zero,) + u[i:]
+        weight = 2
+        if u[0] + u[-1] == top:
+            negated = tuple(map(top.__sub__, reversed(u)))
+            if u > negated:
+                continue
+            if u == negated:
+                weight = 1
+        yield _expand(u, q, s), weight
+
+
 def _holder_facts(job: EnumerationJob, elements) -> tuple:
     """What the report reads off one holder.
 
@@ -201,7 +302,9 @@ def _holder_facts(job: EnumerationJob, elements) -> tuple:
     return cls.rank, cls.variant, cls.property_holds, missing, audit
 
 
-def _examine(job: EnumerationJob, part: dict, elements, memo: dict) -> None:
+def _examine(
+    job: EnumerationJob, part: dict, elements, memo: dict, key=(), mirror=None
+) -> None:
     """Rank, classify and audit one holder of (P_{q,s}), and quote it.
 
     A holder is keyed by the HNF of its coordinate columns, and ``memo``
@@ -212,27 +315,35 @@ def _examine(job: EnumerationJob, part: dict, elements, memo: dict) -> None:
     ``_holder_facts`` reads the budget, in its nested checks: the audit's
     subtuple checks, and ``classify``'s property check of an Unclassified
     holder.
+
+    ``key`` is the holder's grid-index key, kept beside each quoted entry
+    for the merge's sort.  ``mirror``, when given, is the (key, elements)
+    of canonical -t for a holder t that is not its own negation: it shares
+    t's facts, so the holder is counted twice and -t quoted beside t.
     """
-    part["with_property"] += 1
-    key = hnf_rows(zip(*elements), job.q).basis
-    facts = memo.get(key)
+    weight = 1 if mirror is None else 2
+    part["with_property"] += weight
+    hnf = hnf_rows(zip(*elements), job.q).basis
+    facts = memo.get(hnf)
     if facts is None:
-        facts = memo[key] = _holder_facts(job, elements)
+        facts = memo[hnf] = _holder_facts(job, elements)
     tr, variant, property_holds, missing, audit = facts
-    listed = [list(e) for e in elements]
-    part["ranks"][str(tr)] = part["ranks"].get(str(tr), 0) + 1
-    part["variants"][variant] = part["variants"].get(variant, 0) + 1
-    if missing:
-        part["equal_pair_missing"].append({"elements": listed})
-    if variant == VARIANT_UNCLASSIFIED:
-        part["unclassified"].append(
-            {"elements": listed, "rank": tr, "property_holds": property_holds}
-        )
-    if audit is not None:
-        case, failed = audit
-        part["audit_failures"].append(
-            {"elements": listed, "case": case, "failed": list(failed)}
-        )
+    part["ranks"][str(tr)] = part["ranks"].get(str(tr), 0) + weight
+    part["variants"][variant] = part["variants"].get(variant, 0) + weight
+    quotes = [(key, elements)] if mirror is None else [(key, elements), mirror]
+    for k, quoted in quotes:
+        listed = [list(e) for e in quoted]
+        if missing:
+            part["equal_pair_missing"].append((k, {"elements": listed}))
+        if variant == VARIANT_UNCLASSIFIED:
+            part["unclassified"].append(
+                (k, {"elements": listed, "rank": tr, "property_holds": property_holds})
+            )
+        if audit is not None:
+            case, failed = audit
+            part["audit_failures"].append(
+                (k, {"elements": listed, "case": case, "failed": list(failed)})
+            )
 
 
 # A pool worker's state: the job's tables, which ``_start_worker``, the
@@ -248,31 +359,35 @@ def _start_worker(tables: tuple) -> None:
 
 
 def _process_chunk(args, state: tuple | None = None) -> dict:
-    """Partial report of the chunk whose first free slot holds
-    grid[first_idx].  ``state`` is the job's ``_tables`` and a class memo;
-    it defaults to the pool worker's.
+    """Partial report of the chunk whose walked tuples have their first
+    free slot at grid[first_idx].  ``state`` is the job's ``_tables`` and a
+    class memo; it defaults to the pool worker's.
 
-    The chunk's canonical tuples are walked as table-0 ints: packed zero is
-    0, then the chunk's grid value, then q - 2 values from it onward in grid
-    order.  Every tuple is counted.  A tuple that ``_fails_by_order`` on any
-    table is dropped; the kernel decides the (P_{q,s}) of the others on
-    table 0, and only a holder's ints are looked up as vectors.
+    ``_visits`` yields the chunk's expanded tuples as sorted grid indices,
+    one per negation pair.  Each is looked up as table-0 ints; one that
+    ``_fails_by_order`` on any table is dropped, the kernel decides the
+    (P_{q,s}) of the others on table 0, and only a holder is looked up as
+    vectors, in canonical form: zero, then the rest of its indices, its
+    key.  Canonical -t has the negated key, reversed.
 
     This is the one check of each tuple's (P_{q,s}), and it skips
     ``has_property``'s budget guard: a check decides at most
     ``property_work(q, q, s)`` selections, which is at most ``nominal_bill``
-    (the universe holds at least one tuple), and ``run_enumeration``
-    refuses the job up front when that bill exceeds the budget.
+    (the walk visits at least one tuple), and ``run_enumeration`` refuses
+    the job up front when that bill exceeds the budget.
     """
     job, first_idx = args
     (table0, vectors, rotations), memo = _worker_state if state is None else state
     q, s = job.q, job.s
+    top = len(table0) - 1
+    zero = top // 2
+
+    def canonical(key):
+        return (vectors[0],) + tuple(vectors[table0[i]] for i in key)
+
     part = _empty_partial()
-    head = (0, table0[first_idx])
-    tuples = 0
-    for rest in combinations_with_replacement(table0[first_idx:], q - 2):
-        tuples += 1
-        ints = head + rest
+    for w, weight in _visits(q, s, len(table0), first_idx):
+        ints = [table0[i] for i in w]
         if _fails_by_order(ints, q, s):
             continue
         for r in rotations:
@@ -280,24 +395,31 @@ def _process_chunk(args, state: tuple | None = None) -> dict:
                 break
         else:
             if _decide_packed(ints, q, s).holds:
-                _examine(job, part, tuple(vectors[x] for x in ints), memo)
-    part["tuples"] = tuples
+                i = bisect_left(w, zero)
+                key = w[:i] + w[i + 1 :]
+                mirror = None
+                if weight == 2:
+                    negated = tuple(map(top.__sub__, reversed(key)))
+                    mirror = negated, canonical(negated)
+                _examine(job, part, canonical(key), memo, key, mirror)
     return part
 
 
 def _merge(acc: dict, part: dict) -> dict:
-    for key in ("tuples", "with_property"):
-        acc[key] += part[key]
+    acc["with_property"] += part["with_property"]
     for key in ("ranks", "variants"):
         for k, v in part[key].items():
             acc[key][k] = acc[key].get(k, 0) + v
-    for key in ("equal_pair_missing", "unclassified", "audit_failures"):
+    for key in _QUOTED:
         acc[key].extend(part[key])
     return acc
 
 
 def run_enumeration(job: EnumerationJob) -> dict:
-    """Visit the whole universe and return the JSON-ready report.
+    """Enumerate the whole universe and return the JSON-ready report.
+
+    The walk visits one lex survivor per negation pair, and the report
+    counts every tuple of the universe (see the module docstring).
 
     Raises BudgetExceeded before any work when ``nominal_bill`` exceeds the
     budget (ABTUPLE_BUDGET, else 10**9).  Each tuple's (P_{q,s}) is checked
@@ -340,6 +462,9 @@ def run_enumeration(job: EnumerationJob) -> dict:
     acc = _empty_partial()
     for part in partials:
         _merge(acc, part)
+    acc["tuples"] = universe_size(job)
+    for key in _QUOTED:
+        acc[key] = [entry for _, entry in sorted(acc[key], key=itemgetter(0))]
     # Every universe pins zero.  The report still says so, and counts no
     # holder without zero, in the keys it has always had.
     report = {

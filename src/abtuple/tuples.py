@@ -316,9 +316,11 @@ def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
     equal, so every exact packing gives the same report.
 
     Each window counts the sums of the selections that hold its first
-    ``lead`` positions, without them (``_window_counts``).  Only when the
-    count says the window has a failing selection are its sums formed
-    again, in ``combinations`` order up to the first one.  With
+    ``lead`` positions, without them.  Up to ``_SPLIT_ABOVE`` selections
+    the sums are formed once, in ``combinations`` order, into the list the
+    count is built from, and the witness is read from that list; above it
+    ``_window_counts`` counts them by value class, and only a window with
+    a failing selection forms its sums, lazily, up to the first one.  With
     r != 2s, ``lead`` is 0 and a selection fails iff its sum occurs once.
     With r == 2s, ``lead`` is 1 and only the C(r-1, s-1) selections S that
     hold the window's first value v are counted, each by the sum x of S
@@ -339,15 +341,21 @@ def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
     q = len(packed)
     lead = 1 if r == 2 * s else 0
     size = s - lead
+    direct = comb(r - lead, size) <= _SPLIT_ABOVE
     for window in combinations(range(q), r):
         vals = [packed[i] for i in window]
-        counts = _window_counts(vals[lead:], size)
+        if direct:
+            sums = list(map(sum, combinations(vals[lead:], size)))
+            counts = Counter(sums)
+        else:
+            counts = _window_counts(vals[lead:], size)
         k = sum(vals) - 2 * vals[0]
         lonely = {
             x for x, c in counts.items() if c == 1 and not (lead and k - x in counts)
         }
         if lonely:
-            sums = map(sum, combinations(vals[lead:], size))
+            if not direct:
+                sums = map(sum, combinations(vals[lead:], size))
             for rest, x in zip(combinations(window[lead:], size), sums):
                 if x in lonely:
                     return PropertyReport(
@@ -360,7 +368,7 @@ def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
     return PropertyReport(q=q, r=r, s=s, holds=True, failure_witness=None)
 
 
-# The measured direct/class-count crossover of ``_window_counts``, in
+# The measured direct/class-count crossover of ``_decide_packed``, in
 # selections.
 _SPLIT_ABOVE = 256
 
@@ -372,9 +380,10 @@ def _window_counts(vals: list[int], k: int) -> Counter:
     sum x, and x is a key exactly when some k-selection has it; a count
     above 1 says only that x occurs more than once.
 
-    Up to ``_SPLIT_ABOVE`` selections each sum is formed directly, at the
-    cost of a k-tuple and k - 1 additions, and counted.  Above it the sums
-    are counted by value class, not by selection:
+    ``_decide_packed`` forms the sums of a window of up to
+    ``_SPLIT_ABOVE`` selections directly, at the cost of a k-tuple and
+    k - 1 additions each, and calls this only above it.  Here the sums are
+    counted by value class, not by selection:
 
     - The multiset of k-sums depends only on the multiset of values.
     - Group equal values into classes (u_i, m_i).  A composition c, with
@@ -407,8 +416,6 @@ def _window_counts(vals: list[int], k: int) -> Counter:
     C(11,5) = 462, 129 vs 82 us; C(15,7) = 6,435, 2.0 vs 0.70 ms.  The two
     break even between 210 and 252 selections.
     """
-    if comb(len(vals), k) <= _SPLIT_ABOVE:
-        return Counter(map(sum, combinations(vals, k)))
     classes = Counter(vals)
     singles = [u for u, m in classes.items() if m == 1]
     h = len(singles) // 2

@@ -335,7 +335,8 @@ class TestEnumerate:
         assert "1 with property" in err
 
     def test_budget_exit_three(self, capsys, monkeypatch):
-        monkeypatch.setenv("ABTUPLE_BUDGET", "5")
+        # The cell is billed 3: its one lex survivor times C(3, 2).
+        monkeypatch.setenv("ABTUPLE_BUDGET", "2")
         code, payload, _ = run_cli(
             capsys, "enumerate", "--s", "2", "--q", "3", "--dim", "1", "--bound", "1"
         )

@@ -11,6 +11,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,9 +24,11 @@ from abtuple.exhaustive import (
     EnumerationJob,
     _empty_partial,
     _examine,
+    _expand,
     _fails_by_order,
     _holder_facts,
     _tables,
+    _visits,
     nominal_bill,
     run_enumeration,
     universe_size,
@@ -190,6 +193,8 @@ class TestEnumeration:
         job = EnumerationJob(s=2, q=4, dim=1, bound=2, jobs=jobs)
         expected = run_enumeration(job)
         bill = nominal_bill(job)
+        # 15 lex survivors, C(6, 2), of the 35 tuples, C(4,2) selections each.
+        assert bill == 15 * 6
         monkeypatch.setenv("ABTUPLE_BUDGET", str(bill))
         assert run_enumeration(job) == expected
         monkeypatch.setenv("ABTUPLE_BUDGET", str(bill - 1))
@@ -252,6 +257,9 @@ def report_digest(report) -> str:
         (4, 8, 2, 1, "4bc9a59af0cbf5c1"),
         (2, 4, 4, 1, "671e4f2b624f6019"),
         (3, 6, 1, 3, "b03c60816632fdbc"),
+        # q != 2s, so the walk expands each tuple at two positions.
+        (3, 5, 3, 1, "7c702628185edd48"),
+        (2, 5, 2, 2, "74b61c8219bb41ef"),
     ],
 )
 def test_report_digests_pinned(s, q, dim, bound, digest, jobs):
@@ -360,6 +368,101 @@ class TestOrderFilter:
             kept0 += not fails[0]
         # The second table prunes tuples the first keeps.
         assert holders < kept < kept0 < len(grid) ** job.q
+
+
+# ---------------------------------------------------------------------------
+# The walk: expansion of the (q-c)-universe, one visit per negation pair
+
+
+@st.composite
+def walk_cells(draw):
+    """(q, s, g): q = 2s, q < 2s and q > 2s, over g grid indices, g odd,
+    with at most 5,000 tuples in the universe."""
+    s = draw(st.integers(1, 4))
+    q = draw(st.integers(s + 1, 2 * s + 2))
+    sizes = [g for g in range(3, 28, 2) if comb(g + q - 2, q - 1) <= 5000]
+    g = draw(st.sampled_from(sizes))
+    return q, s, g
+
+
+def lex_survivor_keys(q, s, g):
+    """Brute force: the keys of the universe over g grid indices, in walk
+    order, whose sorted indices tie at (s-1, s) and (q-s-1, q-s).  A key is
+    the sorted indices besides the pinned zero, so the walk order is
+    combinations_with_replacement order."""
+    zero = (g - 1) // 2
+    return [
+        key
+        for key in combinations_with_replacement(range(g), q - 1)
+        if not fails_by_lex_order((zero,) + key, q, s)
+    ]
+
+
+def negated_key(key, g):
+    return tuple(g - 1 - i for i in reversed(key))
+
+
+def without_zero(w, g):
+    i = w.index((g - 1) // 2)
+    return w[:i] + w[i + 1 :]
+
+
+def walk_examples(test):
+    """The edge cells without a free slot, then q = 2s, q < 2s, q > 2s."""
+    cells = [(2, 1, 25), (3, 1, 9), (3, 2, 5), (6, 3, 9), (5, 3, 9), (5, 2, 25), (8, 4, 5)]
+    for cell in cells:
+        test = example(cell)(test)
+    return test
+
+
+class TestWalk:
+    @given(walk_cells())
+    @settings(max_examples=150, deadline=None)
+    @walk_examples
+    def test_expansion_gives_the_lex_survivors_in_order(self, cell):
+        # Expand every tuple of the (q-c)-universe, in walk order, and drop
+        # one zero: that is the brute-force list.
+        q, s, g = cell
+        zero = (g - 1) // 2
+        n = q - len({s, q - s})
+        walked = [
+            without_zero(_expand(tuple(sorted((zero,) + key)), q, s), g)
+            for key in combinations_with_replacement(range(g), n - 1)
+        ]
+        assert walked == lex_survivor_keys(q, s, g)
+
+    @given(walk_cells())
+    @settings(max_examples=150, deadline=None)
+    @walk_examples
+    def test_visits_one_survivor_per_negation_pair(self, cell):
+        # The chunks visit, in walk order, the survivors no greater than
+        # their negation: weight 1 for a self-negating one, 2 for the rest.
+        q, s, g = cell
+        survivors = lex_survivor_keys(q, s, g)
+        visits = [
+            (without_zero(w, g), weight)
+            for first in range(g)
+            for w, weight in _visits(q, s, g, first)
+        ]
+        assert visits == [
+            (key, 1 if key == negated_key(key, g) else 2)
+            for key in survivors
+            if key <= negated_key(key, g)
+        ]
+        visited = {key for key, _ in visits}
+        assert visited | {negated_key(key, g) for key in visited} == set(survivors)
+        assert sum(weight for _, weight in visits) == len(survivors)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_expansion_commutes_with_negation(self, data):
+        s = data.draw(st.integers(1, 6))
+        q = data.draw(st.integers(s + 1, 2 * s + 2))
+        n = q - len({s, q - s})
+        entries = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+        u = tuple(sorted(data.draw(entries)))
+        negated = tuple(sorted(-x for x in u))
+        assert _expand(negated, q, s) == tuple(sorted(-x for x in _expand(u, q, s)))
 
 
 @st.composite
@@ -574,6 +677,9 @@ MEMO_CELLS = [
     (3, 6, 2, 1),
     (3, 6, 1, 3),
     (4, 8, 2, 1),
+    # The walk has no free slot: only the all-zero tuple survives.
+    (1, 2, 2, 2),
+    (1, 3, 2, 1),
 ]
 
 
@@ -623,20 +729,50 @@ def test_facts_invariant_under_unimodular_maps(data):
     assert _holder_facts(job, image) == _holder_facts(job, elements)
 
 
+def multiset_kind(t: GroupTuple):
+    """Rank and sorted value multiplicities: unchanged by every map in
+    GL(d,Z), -I among them, and by every permutation of positions."""
+    return rank(t), sorted(Counter(t.elements).values())
+
+
+def canonical_negation(elements):
+    """-t in canonical form: zero first, then the rest sorted."""
+    negated = [tuple(-x for x in e) for e in elements]
+    return (negated[0],) + tuple(sorted(negated[1:]))
+
+
+@pytest.mark.parametrize("s, q, dim, bound", HOLDER_CELLS)
+def test_canonical_negation_has_the_same_facts(s, q, dim, bound):
+    # The walk quotes canonical -t with t's facts.  -t has them by the
+    # GL(d,Z) argument; canonical -t reorders its positions, which the
+    # audit reads, yet on every holder of these cells its facts agree.
+    job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
+    for elements in holders_of((s, q, dim, bound)):
+        negation = canonical_negation(elements)
+        assert _holder_facts(job, negation) == _holder_facts(job, elements)
+
+
 @pytest.mark.parametrize("patched", ["classify", "_audit_holder"])
 def test_every_member_of_a_failing_class_is_quoted(monkeypatch, patched):
     # Real cells have no Unclassified holder and no failing audit, so make
-    # the largest class of a cell fail one way or the other.
+    # the holders of the largest class's kind fail one way or the other.
+    # The kind is shared by every GL(d,Z) image, by -t and by every
+    # permutation, as each fact the report reads is.
     job = EnumerationJob(s=3, q=6, dim=2, bound=1)
     holders = list(cell_holders(job))
     [(target, size)] = Counter(map(class_key, holders)).most_common(1)
     assert size > 1
-    members = [[list(e) for e in t.elements] for t in holders if class_key(t) == target]
+    kind = next(multiset_kind(t) for t in holders if class_key(t) == target)
+    members = [t.elements for t in holders if multiset_kind(t) == kind]
+    # The walk visits one of t and -t; here some member is not its own
+    # negation, and both are quoted.
+    assert {canonical_negation(e) for e in members} == set(members)
+    assert any(canonical_negation(e) != e for e in members)
     real = {"classify": classify, "_audit_holder": _audit_holder}[patched]
 
     def failing(t, s):
         result = real(t, s)
-        if class_key(t) != target:
+        if multiset_kind(t) != kind:
             return result
         if patched == "classify":
             return replace(result, variant=VARIANT_UNCLASSIFIED, property_holds=True)
@@ -647,12 +783,16 @@ def test_every_member_of_a_failing_class_is_quoted(monkeypatch, patched):
     monkeypatch.setattr(sys.modules[__name__], patched, failing)
     rep = run_enumeration(job)
     quoted = rep["unclassified" if patched == "classify" else "audit_failures"]
-    assert [entry["elements"] for entry in quoted] == members
+    # In key order, which is the grid order cell_holders walks in.
+    assert [entry["elements"] for entry in quoted] == [
+        [list(e) for e in elements] for elements in members
+    ]
     assert rep["ok"] is False
     assert rep == oracle_enumeration(job)
+    assert run_enumeration(replace(job, jobs=2)) == rep
 
 
-@pytest.mark.parametrize("s, q, dim, bound, classes", [(3, 6, 2, 2, 354), (4, 8, 2, 1, 403)])
+@pytest.mark.parametrize("s, q, dim, bound, classes", [(3, 6, 2, 2, 230), (4, 8, 2, 1, 231)])
 def test_each_run_analyses_each_class_once(monkeypatch, s, q, dim, bound, classes):
     # At jobs=1 one memo serves the whole call and dies with it, so a
     # second call analyses every class again.
@@ -692,9 +832,9 @@ def test_pool_worker_keeps_one_memo(monkeypatch):
     for args in chunks:
         exhaustive._start_worker(tables)
         exhaustive._process_chunk(args)
-    assert len(audited) > 354
+    assert len(audited) > 230
     audited.clear()
     exhaustive._start_worker(tables)
     for args in chunks:
         exhaustive._process_chunk(args)
-    assert len(audited) == len(set(audited)) == 354
+    assert len(audited) == len(set(audited)) == 230

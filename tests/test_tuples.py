@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abtuple import tuples as tuples_module
 from abtuple.generators import GeneratorSpec, generate
 from abtuple.lattice import hnf_rows
 from abtuple.tuples import (
@@ -457,6 +458,27 @@ class TestHasProperty:
         # selections; the witness must still be the first failing one.
         t, r, s = case
         assert has_property(t, r, s) == counted_property(t, r, s)
+
+    def test_direct_window_forms_each_sum_once(self, monkeypatch):
+        # A failing window below the crossover reads its witness from the
+        # sums its count was built from.  Its last selection is the first
+        # to fail, so forming the sums again to find it would double them.
+        sizes = []
+
+        def counting(values):
+            values = tuple(values)
+            sizes.append(len(values))
+            return sum(values)
+
+        monkeypatch.setattr(tuples_module, "sum", counting, raising=False)
+        t = group_tuple([(v,) for v in (-3, -3, -3, -3, 0, 1, 2)])
+        rep = has_property(t, 7, 3)
+        monkeypatch.undo()
+        assert rep.failure_witness == (tuple(range(7)), (4, 5, 6))
+        assert rep == scan_property(t, 7, 3)
+        # One sum per selection, and the window's own sum.
+        assert sizes.count(3) == property_work(7, 7, 3) == 35
+        assert sizes == [3] * 35 + [7]
 
     def test_packing_base_carries_s(self):
         # With s=2 and B=1, (1,0)+(1,0) and (0,1)+(-1,0) pack to the same
