@@ -46,16 +46,17 @@ one per negation pair; every tuple of the universe is still counted, by
   t's.  Quoted lists are sorted by key at the merge, so they come out in
   canonical order.
 
-Each job packs every grid value once into d tables of ints (see
-``_tables``): table k packs it with its coordinates rotated by k, so each
-coordinate is the most significant digit of one table.  An expanded tuple
-whose order statistics in any table already refute (P_{q,s}) (see
-``_fails_by_order``) is dropped without forming a sum; only the survivors
-are tested for (P_{q,s}), by the kernel on their table-0 ints.  Only
-holders are looked up as vectors.  They are then ranked, classified,
-checked for an equal pair, and audited.  The report aggregates counts and
-quotes verbatim every tuple that is Unclassified, fails an audit claim, or
-lacks an equal pair — those are counterexample candidates for the
+Each job packs every grid value once into d tables of ints indexed like
+the grid (see ``_tables``): table k packs it with its coordinates rotated
+by k, so each coordinate is the most significant digit of one table, and
+table 0 is in grid order.  An expanded tuple already ties in grid order;
+one whose order statistics in any other table refute (P_{q,s}) (see
+``_fails_by_order``) is dropped without forming a sum.  The survivors are
+tested for (P_{q,s}) by the kernel on their table-0 ints, and only holders
+are looked up as vectors.  They are then ranked, classified, checked for
+an equal pair, and audited.  The report aggregates counts and quotes
+verbatim every tuple that is Unclassified, fails an audit claim, or lacks
+an equal pair — those are counterexample candidates for the
 classification lemma and force ok=false.
 
 Holders that differ by a unimodular change of coordinates are analysed once.
@@ -183,23 +184,21 @@ def _empty_partial() -> dict:
     }
 
 
-def _tables(job: EnumerationJob) -> tuple[list[int], dict, list[dict]]:
-    """The job's packed tables, built once per ``run_enumeration`` call.
+def _tables(job: EnumerationJob) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The job's grid and packed tables, built once per ``run_enumeration`` call.
 
     Table k packs every grid value with its coordinates rotated by k,
-    ``e[k:] + e[:k]``, through ``_packed`` in base 2sB + 1, for k = 0..d-1.
-    Every coordinate of the job lies in [-B, B], so every table is exact
-    for the s-sums of every tuple of the job.  Returns table 0 in grid
-    order, which the kernel reads; a map from each table-0 int to its grid
-    value; and, for k = 1..d-1, a map from each table-0 int to its table-k
-    int.
+    ``e[k:] + e[:k]``, through ``_packed`` in base 2sB + 1, for k = 0..d-1,
+    into a list indexed like the grid.  Every coordinate of the job lies in
+    [-B, B], so every table is exact for the s-sums of every tuple of the
+    job.  Table 0, unrotated, orders values lexicographically as the grid
+    does, so it is strictly increasing.  The kernel reads table 0.
     """
     grid = value_grid(job.dim, job.bound)
-    table0, *rotated = (
+    return grid, [
         _packed([e[k:] + e[:k] for e in grid], job.s, job.bound)
         for k in range(job.dim)
-    )
-    return table0, dict(zip(table0, grid)), [dict(zip(table0, t)) for t in rotated]
+    ]
 
 
 def _fails_by_order(ints, q: int, s: int) -> bool:
@@ -222,7 +221,8 @@ def _fails_by_order(ints, q: int, s: int) -> bool:
 
     The argument holds for every table as it stands; no order on vectors
     is needed.  The predicate rejects only non-holders, and a report lists
-    no non-holder, so pruning leaves every report unchanged.
+    no non-holder, so pruning leaves every report unchanged.  On table 0,
+    which orders values as the grid does, it keeps all that ``_visits`` yields.
     """
     v = sorted(ints)
     return v[q - s - 1] != v[q - s] or v[s - 1] != v[s]
@@ -364,11 +364,11 @@ def _process_chunk(args, state: tuple | None = None) -> dict:
     class memo; it defaults to the pool worker's.
 
     ``_visits`` yields the chunk's expanded tuples as sorted grid indices,
-    one per negation pair.  Each is looked up as table-0 ints; one that
-    ``_fails_by_order`` on any table is dropped, the kernel decides the
-    (P_{q,s}) of the others on table 0, and only a holder is looked up as
-    vectors, in canonical form: zero, then the rest of its indices, its
-    key.  Canonical -t has the negated key, reversed.
+    one per negation pair.  One that ``_fails_by_order`` on any table but
+    table 0 is dropped (table 0 drops none of them), the kernel decides
+    the (P_{q,s}) of the others on their table-0 ints, and only a holder
+    is looked up as vectors, in canonical form: zero, then the rest of its
+    indices, its key.  Canonical -t has the negated key, reversed.
 
     This is the one check of each tuple's (P_{q,s}), and it skips
     ``has_property``'s budget guard: a check decides at most
@@ -377,24 +377,21 @@ def _process_chunk(args, state: tuple | None = None) -> dict:
     the job up front when that bill exceeds the budget.
     """
     job, first_idx = args
-    (table0, vectors, rotations), memo = _worker_state if state is None else state
+    (grid, (table0, *rotated)), memo = _worker_state if state is None else state
     q, s = job.q, job.s
-    top = len(table0) - 1
+    top = len(grid) - 1
     zero = top // 2
 
     def canonical(key):
-        return (vectors[0],) + tuple(vectors[table0[i]] for i in key)
+        return (grid[zero],) + tuple(grid[i] for i in key)
 
     part = _empty_partial()
-    for w, weight in _visits(q, s, len(table0), first_idx):
-        ints = [table0[i] for i in w]
-        if _fails_by_order(ints, q, s):
-            continue
-        for r in rotations:
-            if _fails_by_order(map(r.__getitem__, ints), q, s):
+    for w, weight in _visits(q, s, len(grid), first_idx):
+        for t in rotated:
+            if _fails_by_order(map(t.__getitem__, w), q, s):
                 break
         else:
-            if _decide_packed(ints, q, s).holds:
+            if _decide_packed([table0[i] for i in w], q, s).holds:
                 i = bisect_left(w, zero)
                 key = w[:i] + w[i + 1 :]
                 mirror = None

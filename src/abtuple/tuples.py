@@ -273,13 +273,15 @@ def _packed(values, s: int, bound: int) -> list[int]:
     sum of s values lies in [-sB, sB], the digit range of the balanced base
     M.  Balanced representations are unique, and packing is linear, so two
     packed s-sums are equal exactly when the vector sums are.  Coordinate 0
-    is the least significant digit.
+    is the most significant, so packed values order as lex order does: past
+    the first coordinate that differs, the differences (each at most 2B <
+    M) weigh less than that one's place value.
     """
     base = 2 * s * bound + 1
     packed = []
     for e in values:
         value = 0
-        for x in reversed(e):
+        for x in e:
             value = value * base + x
         packed.append(value)
     return packed

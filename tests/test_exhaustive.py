@@ -289,8 +289,8 @@ def repetitive_windows(draw):
 def grid_packing(s, q, dim, bound):
     """Each grid value of the job and its ints in the job's tables, table 0
     first, as ``_tables`` builds them."""
-    table0, vectors, rotations = _tables(EnumerationJob(s=s, q=q, dim=dim, bound=bound))
-    return {vectors[x]: (x, *(r[x] for r in rotations)) for x in table0}
+    grid, tables = _tables(EnumerationJob(s=s, q=q, dim=dim, bound=bound))
+    return dict(zip(grid, zip(*tables)))
 
 
 def table_ints(elements, q, s, bound=2):
@@ -304,8 +304,8 @@ class TestOrderFilter:
     @given(repetitive_windows())
     # A holder whose sorted values differ at positions (s, s+1).
     @example((((-1,), (0,), (0,), (1,)), 4, 2))
-    # (0, 4) and (1, -1) are distinct 2-sums of these values.  Table 1 packs
-    # them as 4 + 9*0 and -1 + 9*1; in base 5, below 2sB + 1 = 9, both
+    # (0, 4) and (1, -1) are distinct 2-sums of these values.  Table 0 packs
+    # them as 9*0 + 4 and 9*1 - 1; in base 5, below 2sB + 1 = 9, both
     # would be 4.
     @example((((0, 2), (0, 2), (1, -1), (0, 0)), 4, 2))
     @settings(max_examples=600, deadline=None)
@@ -317,9 +317,8 @@ class TestOrderFilter:
             # Each table is exact for s-sums ...
             assert len(set(map(sum, combinations(ints, s)))) == len(vector_sums)
             # ... and orders single values as lex order does their rotated
-            # coordinates read from the last one, so it is the vector-level
-            # filter under that order.
-            rotated = [tuple(reversed(e[k:] + e[:k])) for e in elements]
+            # coordinates, so it is the vector-level filter under that order.
+            rotated = [e[k:] + e[:k] for e in elements]
             fails = _fails_by_order(ints, q, s)
             assert fails == fails_by_lex_order(rotated, q, s)
             if fails:
@@ -346,11 +345,11 @@ class TestOrderFilter:
         assert _fails_by_order((0, 0, 1, 1, 1), 5, 2)  # bottom
         assert not _fails_by_order((0, 1, 1, 1, 2), 5, 2)
         assert not _fails_by_order((2, 1, 0, 1, 1), 5, 2)
-        # Table 0 leads with the last coordinate and table 1 with the first,
-        # so only table 0 sees the middle pair tie.
+        # Table 0 leads with the first coordinate and table 1 with the
+        # second, so only table 1 sees the middle pair tie.
         ints0, ints1 = table_ints(((0, 0), (1, 1), (1, 1), (-1, 2)), 4, 2)
-        assert not _fails_by_order(ints0, 4, 2)
-        assert _fails_by_order(ints1, 4, 2)
+        assert _fails_by_order(ints0, 4, 2)
+        assert not _fails_by_order(ints1, 4, 2)
 
     def test_keeps_every_holder_of_a_cell(self):
         job = EnumerationJob(s=2, q=4, dim=2, bound=1)
@@ -463,6 +462,56 @@ class TestWalk:
         u = tuple(sorted(data.draw(entries)))
         negated = tuple(sorted(-x for x in u))
         assert _expand(negated, q, s) == tuple(sorted(-x for x in _expand(u, q, s)))
+
+
+@st.composite
+def filter_cells(draw):
+    """(s, q, dim, bound): q = 2s, q < 2s and q > 2s, dims 1 to 3, with at
+    most 3,000 lex survivors."""
+    s = draw(st.integers(1, 4))
+    q = draw(st.integers(s + 1, 2 * s + 2))
+    n = q - len({s, q - s})
+    cells = [
+        (dim, bound)
+        for dim in (1, 2, 3)
+        for bound in (1, 2, 3)
+        if comb((2 * bound + 1) ** dim + n - 2, n - 1) <= 3000
+    ]
+    return (s, q, *draw(st.sampled_from(cells)))
+
+
+class TestTableZero:
+    """Why ``_process_chunk`` runs no order filter on table 0."""
+
+    @pytest.mark.parametrize(
+        "s, dim, bound",
+        [
+            (s, dim, bound)
+            for s in (1, 2, 3)
+            for dim in (1, 2, 3, 4)
+            for bound in (1, 2)
+            if (2 * bound + 1) ** dim <= 625
+        ],
+    )
+    def test_table0_is_in_grid_order(self, s, dim, bound):
+        _, (table0, *_) = _tables(EnumerationJob(s=s, q=2 * s, dim=dim, bound=bound))
+        assert all(a < b for a, b in zip(table0, table0[1:]))
+
+    @given(filter_cells())
+    @settings(max_examples=100, deadline=None)
+    @example((3, 6, 2, 2))
+    @example((3, 5, 3, 1))
+    @example((2, 5, 2, 1))
+    def test_table0_keeps_every_visit(self, cell):
+        # Every visit ties at (s-1, s) and (q-s-1, q-s) in grid order, which
+        # is table 0's order.
+        s, q, dim, bound = cell
+        grid, (table0, *_) = _tables(EnumerationJob(s=s, q=q, dim=dim, bound=bound))
+        g = len(grid)
+        visits = [w for first in range(g) for w, _ in _visits(q, s, g, first)]
+        assert visits
+        for w in visits:
+            assert not _fails_by_order([table0[i] for i in w], q, s)
 
 
 @st.composite

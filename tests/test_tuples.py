@@ -481,12 +481,17 @@ class TestHasProperty:
         assert sizes == [3] * 35 + [7]
 
     def test_packing_base_carries_s(self):
-        # With s=2 and B=1, (1,0)+(1,0) and (0,1)+(-1,0) pack to the same
-        # int in base 2B+1 = 3; base 2sB+1 = 5 keeps them apart.
-        t = group_tuple([(1, 0), (1, 0), (0, 1), (-1, 0)])
-        rep = has_property(t, 4, 2)
-        assert rep == scan_property(t, 4, 2)
-        assert rep.failure_witness == ((0, 1, 2, 3), (0, 1))
+        # With s=2 and B=1, (0,1)+(0,1) and (1,0)+(0,-1) pack to the same
+        # int in base 2B+1 = 3; base 2sB+1 = 5 keeps them apart.  With the
+        # coordinates swapped, the same holds for the reversed digit order.
+        for rows in (
+            [(0, 1), (0, 1), (1, 0), (0, -1)],
+            [(1, 0), (1, 0), (0, 1), (-1, 0)],
+        ):
+            t = group_tuple(rows)
+            rep = has_property(t, 4, 2)
+            assert rep == scan_property(t, 4, 2)
+            assert rep.failure_witness == ((0, 1, 2, 3), (0, 1))
 
     @given(small_tuples(), st.data())
     @settings(max_examples=100, deadline=None)
