@@ -91,13 +91,14 @@ is invariant under such a W:
   agree by the arguments above.
 
 So ``_examine`` keeps only these facts per key, in a dict that lives for one
-``run_enumeration`` call, and quotes every holder with its own elements.
+share of the walk, and quotes every holder with its own elements.
 
-Work is partitioned into chunks by the grid value of the walked tuple's
-first free slot, and run by at most min(jobs, chunks, CPU count) processes,
-each handed the tables once; the merge is a fold in grid order that sorts
-the quoted lists by key, so the report (and its JSON serialization) is
-byte-identical no matter how many workers ran.
+The walk is split by position, not by value: of n shares, share i takes
+every n-th walked tuple from the i-th on, before any is checked, and
+min(jobs, CPU count, lex survivors) processes run one share each, handed
+the tables with it; one worker runs share 0 of 1 in process.  The merge
+sums the counts and sorts the quoted lists by key, so the report (and its
+JSON serialization) is byte-identical no matter how many workers ran.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from functools import partial
+from itertools import chain, combinations_with_replacement, islice, product
 from math import comb
 from operator import itemgetter
 
@@ -156,15 +158,21 @@ def universe_size(job: EnumerationJob) -> int:
     return comb(g + job.q - 2, job.q - 1)
 
 
-def nominal_bill(job: EnumerationJob) -> int:
-    """Selections the property pass decides at most: the lex survivors,
-    C(g+q-c-2, q-c-1) with c = |{s, q-s}| (see the module docstring), times
-    ``property_work(q, q, s)``.  An upper bound: the walk visits one tuple
-    per negation pair, and tuples a table's order filter drops decide
-    none."""
+def _lex_survivors(job: EnumerationJob) -> int:
+    """C(g+q-c-2, q-c-1) with c = |{s, q-s}|, for a grid of g values: the
+    tuples of the universe that can hold (P_{q,s}) (see the module
+    docstring)."""
     g = (2 * job.bound + 1) ** job.dim
     n = job.q - len({job.s, job.q - job.s})
-    return comb(g + n - 2, n - 1) * property_work(job.q, job.q, job.s)
+    return comb(g + n - 2, n - 1)
+
+
+def nominal_bill(job: EnumerationJob) -> int:
+    """Selections the property pass decides at most: the lex survivors
+    times ``property_work(q, q, s)``.  An upper bound: the walk visits one
+    tuple per negation pair, and tuples a table's order filter drops decide
+    none."""
+    return _lex_survivors(job) * property_work(job.q, job.q, job.s)
 
 
 # The report's lists of quoted holders.  In a partial report each entry is
@@ -238,37 +246,41 @@ def _expand(u: tuple, q: int, s: int) -> tuple:
     return u
 
 
-def _visits(q: int, s: int, g: int, first_idx: int):
-    """The expanded tuples of one chunk of the walk, with their weights.
+def _visits(q: int, s: int, g: int, i: int, n: int):
+    """Share i of n of the walk: its expanded tuples, with their weights.
 
-    Walks the sorted grid-index tuples u of the (q-c)-universe, c =
-    |{s, q-s}|, whose first free slot (the least index besides the pinned
-    zero) is ``first_idx``, in canonical order, and yields (``_expand(u)``,
-    weight) for each u <= -u; -u is u negated, i -> g-1-i, and re-sorted,
+    The walk runs over the sorted grid-index tuples u of the
+    (q-c)-universe, c = |{s, q-s}|, in canonical order, as the free slots
+    (u without its pinned zero); the share takes every n-th of them from
+    the i-th on, before the negation check and the expansion, so it does
+    Python work only for its own tuples.  For each u <= -u it yields
+    (``_expand(u)``, weight); -u is u negated, x -> g-1-x, and re-sorted,
     and the weight is 1 when u = -u and else 2 (see the module docstring).
 
     Sorted index tuples of one length compare as their least entries first,
     and -u's least entry is g-1 minus u's greatest.  So u > -u whenever
-    u[0] + u[-1] > g-1: every u of a chunk past zero's index, and every u
-    with an entry above g-1-first_idx, which the walk never forms.  Only
-    when u[0] + u[-1] == g-1 are the two compared in full.  When q - c is
-    1 (s=1 q=2, s=1 q=3, s=2 q=3) the walk has no free slot and its one
-    tuple, zero alone, expands to the all-zero tuple, which the chunk of
-    zero's index yields.
+    u[0] + u[-1] > g-1: every u whose first free slot is past zero's index,
+    and every u with an entry above g-1 minus its first free slot, which
+    the walk never forms.  Only when u[0] + u[-1] == g-1 are the two
+    compared in full.  When q - c is 1 (s=1 q=2, s=1 q=3, s=2 q=3) the walk
+    has no free slot: it is the one empty tuple, zero alone, which expands
+    to the all-zero tuple.
     """
     top = g - 1
     zero = top // 2
     free = q - len({s, q - s}) - 1
-    if first_idx > zero or (free == 0 and first_idx != zero):
-        return
-    if free == 0:
-        yield (zero,) * q, 1
-        return
-    others = range(first_idx, top - first_idx + 1)
-    for rest in combinations_with_replacement(others, free - 1):
-        u = (first_idx,) + rest
-        i = bisect_left(u, zero)
-        u = u[:i] + (zero,) + u[i:]
+    walk = [()]
+    if free:
+        walk = chain.from_iterable(
+            map(
+                (first,).__add__,
+                combinations_with_replacement(range(first, g - first), free - 1),
+            )
+            for first in range(zero + 1)
+        )
+    for u in islice(walk, i, None, n):
+        j = bisect_left(u, zero)
+        u = u[:j] + (zero,) + u[j:]
         weight = 2
         if u[0] + u[-1] == top:
             negated = tuple(map(top.__sub__, reversed(u)))
@@ -310,8 +322,7 @@ def _examine(
     A holder is keyed by the HNF of its coordinate columns, and ``memo``
     maps each key to ``_holder_facts`` of the first holder seen with it; the
     module docstring proves that every holder with the key has the same
-    facts.  ``run_enumeration`` passes one ``memo`` for the whole call in
-    process, and each pool worker keeps one for the call.  Only
+    facts.  ``_process_share`` passes one ``memo`` for its share.  Only
     ``_holder_facts`` reads the budget, in its nested checks: the audit's
     subtuple checks, and ``classify``'s property check of an Unclassified
     holder.
@@ -346,29 +357,17 @@ def _examine(
             )
 
 
-# A pool worker's state: the job's tables, which ``_start_worker``, the
-# pool's initializer, receives once, and the worker's class memo.  It dies
-# with the worker, so it serves every chunk the worker runs in one
-# ``run_enumeration`` call.
-_worker_state: tuple | None = None
+def _process_share(job: EnumerationJob, tables: tuple, i: int, n: int) -> dict:
+    """Partial report of share i of n of the walk.  ``tables`` is the
+    job's ``_tables``.
 
-
-def _start_worker(tables: tuple) -> None:
-    global _worker_state
-    _worker_state = tables, {}
-
-
-def _process_chunk(args, state: tuple | None = None) -> dict:
-    """Partial report of the chunk whose walked tuples have their first
-    free slot at grid[first_idx].  ``state`` is the job's ``_tables`` and a
-    class memo; it defaults to the pool worker's.
-
-    ``_visits`` yields the chunk's expanded tuples as sorted grid indices,
+    ``_visits`` yields the share's expanded tuples as sorted grid indices,
     one per negation pair.  One that ``_fails_by_order`` on any table but
     table 0 is dropped (table 0 drops none of them), the kernel decides
     the (P_{q,s}) of the others on their table-0 ints, and only a holder
     is looked up as vectors, in canonical form: zero, then the rest of its
-    indices, its key.  Canonical -t has the negated key, reversed.
+    indices, its key.  Canonical -t has the negated key, reversed.  The
+    class memo is a local: it serves the share and ends with the call.
 
     This is the one check of each tuple's (P_{q,s}), and it skips
     ``has_property``'s budget guard: a check decides at most
@@ -376,24 +375,24 @@ def _process_chunk(args, state: tuple | None = None) -> dict:
     (the walk visits at least one tuple), and ``run_enumeration`` refuses
     the job up front when that bill exceeds the budget.
     """
-    job, first_idx = args
-    (grid, (table0, *rotated)), memo = _worker_state if state is None else state
+    grid, (table0, *rotated) = tables
     q, s = job.q, job.s
     top = len(grid) - 1
     zero = top // 2
 
     def canonical(key):
-        return (grid[zero],) + tuple(grid[i] for i in key)
+        return (grid[zero],) + tuple(grid[k] for k in key)
 
     part = _empty_partial()
-    for w, weight in _visits(q, s, len(grid), first_idx):
+    memo = {}
+    for w, weight in _visits(q, s, len(grid), i, n):
         for t in rotated:
             if _fails_by_order(map(t.__getitem__, w), q, s):
                 break
         else:
-            if _decide_packed([table0[i] for i in w], q, s).holds:
-                i = bisect_left(w, zero)
-                key = w[:i] + w[i + 1 :]
+            if _decide_packed([table0[k] for k in w], q, s).holds:
+                j = bisect_left(w, zero)
+                key = w[:j] + w[j + 1 :]
                 mirror = None
                 if weight == 2:
                     negated = tuple(map(top.__sub__, reversed(key)))
@@ -420,42 +419,34 @@ def run_enumeration(job: EnumerationJob) -> dict:
 
     Raises BudgetExceeded before any work when ``nominal_bill`` exceeds the
     budget (ABTUPLE_BUDGET, else 10**9).  Each tuple's (P_{q,s}) is checked
-    once, in ``_process_chunk``, under that bill; only the nested checks of
+    once, in ``_process_share``, under that bill; only the nested checks of
     the audit's zero-axis subtuples, and ``classify``'s check of an
     Unclassified holder, read the budget again.
 
-    The packed tables (``_tables``) are built once per call.  With one
-    worker, chunks get them directly; a pool hands them to each worker once,
-    through its initializer.
+    The packed tables (``_tables``) are built once per call.  One worker
+    runs share 0 of 1 of the walk in process.  Otherwise a pool runs one
+    share per worker, each a task that carries the tables, so each worker
+    receives them once.
 
     Each class of holders (see the module docstring) is analysed once per
-    memo.  With one worker, one memo serves every chunk; in a pool each
-    worker has one memo for all the chunks it runs, created by the pool's
-    initializer.  No memo outlives the call: the pool's workers end with it.
+    share: the memo is a local of ``_process_share``.
     """
     job.validate()
     bill = nominal_bill(job)
     _charge(bill, f"enumeration forms up to {bill} subset sums")
-    tables = _tables(job)
-    chunk_args = [(job, g) for g in range(len(tables[0]))]
-    # A pool may start all its workers at once, so start no idle ones and
-    # no more than there are CPUs.
-    workers = min(job.jobs, len(chunk_args), os.cpu_count() or 1)
+    # A pool may start all its workers at once, so start no more than there
+    # are CPUs or lex survivors: a cell with one survivor starts no pool.
+    workers = min(job.jobs, os.cpu_count() or 1, _lex_survivors(job))
+    share = partial(_process_share, job, _tables(job), n=workers)
     if workers == 1:
-        state = tables, {}
-        partials = (_process_chunk(args, state) for args in chunk_args)
+        partials = [share(0)]
     else:
         # Imported only here: it loads multiprocessing, which a one-worker
         # run and a plain ``import abtuple`` never need.
         from concurrent.futures import ProcessPoolExecutor
 
-        executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker, initargs=(tables,)
-        )
-        try:
-            partials = list(executor.map(_process_chunk, chunk_args))
-        finally:
-            executor.shutdown()
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            partials = list(executor.map(share, range(workers)))
     acc = _empty_partial()
     for part in partials:
         _merge(acc, part)

@@ -3,6 +3,7 @@
 import concurrent.futures
 import functools
 import hashlib
+import heapq
 import importlib
 import json
 import os
@@ -27,6 +28,7 @@ from abtuple.exhaustive import (
     _expand,
     _fails_by_order,
     _holder_facts,
+    _process_share,
     _tables,
     _visits,
     nominal_bill,
@@ -49,12 +51,13 @@ from abtuple.tuples import (
 )
 
 
-def chunk_elements(job, grid, first_idx: int):
-    """Canonical tuples, as vectors, whose first free slot holds
-    grid[first_idx]: the walk the enumeration makes on packed ints."""
-    head = (zero_vector(job.dim), grid[first_idx])
-    for rest in combinations_with_replacement(grid[first_idx:], job.q - 2):
-        yield head + rest
+def universe_elements(job):
+    """Every canonical tuple of the universe, as vectors, in canonical
+    order: the tuples the enumeration walks on packed ints."""
+    zero = zero_vector(job.dim)
+    grid = value_grid(job.dim, job.bound)
+    for rest in combinations_with_replacement(grid, job.q - 1):
+        yield (zero,) + rest
 
 
 def fails_by_lex_order(elements, q: int, s: int) -> bool:
@@ -82,26 +85,25 @@ def reference_property_multisets(job):
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Make run_enumeration's process pool run in this process, as one
-    worker that runs every chunk.  Returns the worker counts of the pools
-    started."""
+    """Make run_enumeration's process pool run in this process, each share
+    in turn.  Returns the worker counts of the pools started."""
     pools = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             pools.append(max_workers)
-            initializer(*initargs)
 
         def map(self, fn, args):
             return map(fn, args)
 
-        def shutdown(self):
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
             pass
 
-    # run_enumeration imports the pool class when it needs one.  Its
-    # initializer sets this process's worker state, restored afterwards.
+    # run_enumeration imports the pool class when it needs one.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(exhaustive, "_worker_state", None)
     return pools
 
 
@@ -204,17 +206,23 @@ class TestEnumeration:
         assert str(excinfo.value) == message
 
     @staticmethod
-    def run_small_cell(monkeypatch, jobs, cpus):
-        """Run s=2 q=3 dim=1 bound=1 (3 chunks, one per grid value) with
-        os.cpu_count() patched to return ``cpus``, and check its report."""
+    def run_small_cell(monkeypatch, jobs, cpus, q=4):
+        """Run s=2 q=4 dim=1 bound=1 (6 lex survivors), or s=2 q=3 dim=1
+        bound=1 (1), with os.cpu_count() patched to return ``cpus``, and
+        check its report."""
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        job = EnumerationJob(s=2, q=3, dim=1, bound=1, jobs=jobs)
+        job = EnumerationJob(s=2, q=q, dim=1, bound=1, jobs=jobs)
         assert run_enumeration(job) == run_enumeration(replace(job, jobs=1))
 
-    @pytest.mark.parametrize("jobs, started", [(2, 2), (3, 3), (5000, 3)])
-    def test_workers_capped_at_chunks(self, monkeypatch, in_process_pool, jobs, started):
+    @pytest.mark.parametrize("jobs, started", [(2, 2), (3, 3), (5000, 6)])
+    def test_workers_capped_at_lex_survivors(self, monkeypatch, in_process_pool, jobs, started):
         self.run_small_cell(monkeypatch, jobs, cpus=8)
         assert in_process_pool == [started]
+
+    @pytest.mark.parametrize("jobs", [2, 3, 5000])
+    def test_one_lex_survivor_starts_no_pool(self, monkeypatch, in_process_pool, jobs):
+        self.run_small_cell(monkeypatch, jobs, cpus=8, q=3)
+        assert in_process_pool == []
 
     @pytest.mark.parametrize("jobs, cpus, started", [(5000, 2, 2), (3, 1, 1), (3, None, 1)])
     def test_workers_capped_at_cpu_count(self, monkeypatch, in_process_pool, jobs, cpus, started):
@@ -225,9 +233,9 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_tables_built_once_per_job(self, monkeypatch, in_process_pool, jobs):
-        # s=2 q=3 dim=5 bound=1 has 243 chunks.  The grid and its five
-        # tables are built once per call, in process and for a pool, not
-        # once per chunk.
+        # s=2 q=4 dim=5 bound=1 has 29,646 lex survivors.  The grid and its
+        # five tables are built once per call, in process and for a pool,
+        # not once per share.
         calls = Counter()
         for name in ("value_grid", "_packed"):
 
@@ -237,8 +245,8 @@ class TestEnumeration:
 
             monkeypatch.setattr(exhaustive, name, counting)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        rep = run_enumeration(EnumerationJob(s=2, q=3, dim=5, bound=1, jobs=jobs))
-        assert rep["tuples"] == 29646
+        rep = run_enumeration(EnumerationJob(s=2, q=4, dim=5, bound=1, jobs=jobs))
+        assert rep["tuples"] == 2421090
         assert in_process_pool == ([2] if jobs == 2 else [])
         assert calls == {"value_grid": 1, "_packed": 5}
 
@@ -434,15 +442,12 @@ class TestWalk:
     @settings(max_examples=150, deadline=None)
     @walk_examples
     def test_visits_one_survivor_per_negation_pair(self, cell):
-        # The chunks visit, in walk order, the survivors no greater than
-        # their negation: weight 1 for a self-negating one, 2 for the rest.
+        # The whole walk, share 0 of 1, visits in walk order the survivors
+        # no greater than their negation: weight 1 for a self-negating one,
+        # 2 for the rest.
         q, s, g = cell
         survivors = lex_survivor_keys(q, s, g)
-        visits = [
-            (without_zero(w, g), weight)
-            for first in range(g)
-            for w, weight in _visits(q, s, g, first)
-        ]
+        visits = [(without_zero(w, g), weight) for w, weight in _visits(q, s, g, 0, 1)]
         assert visits == [
             (key, 1 if key == negated_key(key, g) else 2)
             for key in survivors
@@ -451,6 +456,24 @@ class TestWalk:
         visited = {key for key, _ in visits}
         assert visited | {negated_key(key, g) for key in visited} == set(survivors)
         assert sum(weight for _, weight in visits) == len(survivors)
+
+    @given(walk_cells(), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    # The edge cells without a free slot, then q = 2s, q < 2s, q > 2s.
+    @example((2, 1, 25), 3)
+    @example((3, 2, 5), 2)
+    @example((6, 3, 9), 5)
+    @example((5, 3, 9), 4)
+    @example((5, 2, 25), 2)
+    def test_shares_split_the_walk(self, cell, n):
+        # Share i of n takes every n-th walked tuple from the i-th on, before
+        # the negation check drops any, so each share visits in walk order,
+        # and the n shares, merged in walk order, are share 0 of 1: the same
+        # visits, in the same order, with the same weights.
+        q, s, g = cell
+        shares = [list(_visits(q, s, g, i, n)) for i in range(n)]
+        assert all(share == sorted(share) for share in shares)
+        assert list(heapq.merge(*shares)) == list(_visits(q, s, g, 0, 1))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -481,7 +504,7 @@ def filter_cells(draw):
 
 
 class TestTableZero:
-    """Why ``_process_chunk`` runs no order filter on table 0."""
+    """Why ``_process_share`` runs no order filter on table 0."""
 
     @pytest.mark.parametrize(
         "s, dim, bound",
@@ -508,7 +531,7 @@ class TestTableZero:
         s, q, dim, bound = cell
         grid, (table0, *_) = _tables(EnumerationJob(s=s, q=q, dim=dim, bound=bound))
         g = len(grid)
-        visits = [w for first in range(g) for w, _ in _visits(q, s, g, first)]
+        visits = [w for w, _ in _visits(q, s, g, 0, 1)]
         assert visits
         for w in visits:
             assert not _fails_by_order([table0[i] for i in w], q, s)
@@ -560,12 +583,10 @@ HOLDER_CELLS = [
 def cell_holders(job):
     """Every tuple of the universe that holds (P_{q,s}) and contains zero,
     found through has_property, not through the enumeration's fast path."""
-    grid = value_grid(job.dim, job.bound)
-    for first in range(len(grid)):
-        for elements in chunk_elements(job, grid, first):
-            t = GroupTuple(dim=job.dim, elements=elements)
-            if has_property(t, job.q, job.s).holds:
-                yield t
+    for elements in universe_elements(job):
+        t = GroupTuple(dim=job.dim, elements=elements)
+        if has_property(t, job.q, job.s).holds:
+            yield t
 
 
 @pytest.mark.parametrize("s, q, dim, bound", HOLDER_CELLS)
@@ -662,41 +683,39 @@ def oracle_enumeration(job):
     ``classify`` and ``_audit_holder`` are looked up in this module, so a
     test can patch them here and in ``exhaustive`` alike.
     """
-    grid = value_grid(job.dim, job.bound)
     in_range = 2 <= job.s < job.q <= 2 * job.s
     acc = _empty_partial()
-    for first in range(len(grid)):
-        for elements in chunk_elements(job, grid, first):
-            acc["tuples"] += 1
-            t = GroupTuple(dim=job.dim, elements=elements)
-            if not has_property(t, job.q, job.s).holds:
-                continue
-            acc["with_property"] += 1
-            listed = [list(e) for e in elements]
-            tr = rank(t)
-            acc["ranks"][str(tr)] = acc["ranks"].get(str(tr), 0) + 1
-            missing = equal_pair(t) is None
-            if missing:
-                acc["equal_pair_missing"].append({"elements": listed})
-            cls = classify(t, job.s) if in_range else None
-            variant = cls.variant if cls else "out_of_range"
-            acc["variants"][variant] = acc["variants"].get(variant, 0) + 1
-            if cls is None:
-                continue
-            if variant == VARIANT_UNCLASSIFIED:
-                acc["unclassified"].append(
-                    {"elements": listed, "rank": tr, "property_holds": cls.property_holds}
+    for elements in universe_elements(job):
+        acc["tuples"] += 1
+        t = GroupTuple(dim=job.dim, elements=elements)
+        if not has_property(t, job.q, job.s).holds:
+            continue
+        acc["with_property"] += 1
+        listed = [list(e) for e in elements]
+        tr = rank(t)
+        acc["ranks"][str(tr)] = acc["ranks"].get(str(tr), 0) + 1
+        missing = equal_pair(t) is None
+        if missing:
+            acc["equal_pair_missing"].append({"elements": listed})
+        cls = classify(t, job.s) if in_range else None
+        variant = cls.variant if cls else "out_of_range"
+        acc["variants"][variant] = acc["variants"].get(variant, 0) + 1
+        if cls is None:
+            continue
+        if variant == VARIANT_UNCLASSIFIED:
+            acc["unclassified"].append(
+                {"elements": listed, "rank": tr, "property_holds": cls.property_holds}
+            )
+        if not missing:
+            report = _audit_holder(t, job.s)
+            if not report.all_pass:
+                acc["audit_failures"].append(
+                    {
+                        "elements": listed,
+                        "case": report.case,
+                        "failed": [c.name for c in report.failures],
+                    }
                 )
-            if not missing:
-                report = _audit_holder(t, job.s)
-                if not report.all_pass:
-                    acc["audit_failures"].append(
-                        {
-                            "elements": listed,
-                            "case": report.case,
-                            "failed": [c.name for c in report.failures],
-                        }
-                    )
     quoted = acc["equal_pair_missing"] or acc["unclassified"] or acc["audit_failures"]
     return {
         "job": {
@@ -861,29 +880,35 @@ def test_each_run_analyses_each_class_once(monkeypatch, s, q, dim, bound, classe
     assert [len(set(keys)) for keys in audited] == [classes, classes]
 
 
-def test_pool_worker_keeps_one_memo(monkeypatch):
-    # A pool worker gets its memo from the pool's initializer and keeps it
-    # for every chunk it runs.  Run here chunk by chunk, as one worker
-    # would run them all, the cell analyses each class once; a worker
-    # started afresh for each chunk analyses some classes again.
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_share_analyses_each_of_its_classes_once(monkeypatch, n):
+    # The memo is a local of _process_share: each share analyses each class
+    # it meets once, and a class met by two shares is analysed by both.
     audited = []
     real = exhaustive._audit_holder
 
     def counting(t, s_outer):
-        audited.append(class_key(t))
+        audited[-1].append(class_key(t))
         return real(t, s_outer)
 
     monkeypatch.setattr(exhaustive, "_audit_holder", counting)
-    monkeypatch.setattr(exhaustive, "_worker_state", None)
     job = EnumerationJob(s=3, q=6, dim=2, bound=2)
     tables = _tables(job)
-    chunks = [(job, g) for g in range(len(tables[0]))]
-    for args in chunks:
-        exhaustive._start_worker(tables)
-        exhaustive._process_chunk(args)
-    assert len(audited) > 230
-    audited.clear()
-    exhaustive._start_worker(tables)
-    for args in chunks:
-        exhaustive._process_chunk(args)
-    assert len(audited) == len(set(audited)) == 230
+    for i in range(n):
+        audited.append([])
+        _process_share(job, tables, i, n)
+    assert all(len(keys) == len(set(keys)) for keys in audited)
+    assert len(set().union(*audited)) == 230
+    assert sum(map(len, audited)) > 230
+
+
+@pytest.mark.parametrize("s, q, dim, bound", [(3, 6, 2, 1), (2, 5, 2, 1), (2, 4, 1, 2)])
+def test_report_is_the_same_at_any_share_count(monkeypatch, in_process_pool, s, q, dim, bound):
+    # Up to 5 shares, run in this process.  A 2-core host never runs more
+    # than 2 for real.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
+    expected = report_digest(run_enumeration(job))
+    for jobs in (2, 3, 5):
+        assert report_digest(run_enumeration(replace(job, jobs=jobs))) == expected
+    assert in_process_pool == [2, 3, 5]
