@@ -33,18 +33,18 @@ one per negation pair; every tuple of the universe is still counted, by
   stands for itself and -t: it is counted twice unless u = -u (Burnside's
   lemma for a group of order 2), and quoted twice, t and canonical -t each
   with its own key.
-- Shared facts.  -t, positions fixed, is t mapped by -I, which is in
-  GL(d, Z), so by the argument below it has t's facts.  Canonical -t is -t
-  with its nonzero positions reversed, so it has them too as far as the
-  facts are invariant under position permutation, which the first
-  paragraph already takes for granted: rank, the missing equal pair,
-  (P_{r,s}) and the ``classify`` variant are facts of the multiset.  The
-  audit's case and failed claims read positions (the first equal pair, the
-  greedy basis), so sharing them, like visiting one representative per
-  multiset, quotes the audit of one representative; on every holder of the
-  cells in ``tests/test_exhaustive.py`` canonical -t's own facts equal
-  t's.  Quoted lists are sorted by key at the merge, so they come out in
-  canonical order.
+- Shared facts.  -t, positions fixed, has t's coordinate columns negated,
+  which span the same rational row space, so by the argument below it has
+  t's facts.  Canonical -t is -t with its nonzero positions reversed, so
+  it has them too as far as the facts are invariant under position
+  permutation, which the first paragraph already takes for granted: rank,
+  the missing equal pair, (P_{r,s}) and the ``classify`` variant are facts
+  of the multiset.  The audit's case and failed claims read positions (the
+  first equal pair, the greedy basis), so sharing them, like visiting one
+  representative per multiset, quotes the audit of one representative; on
+  every holder of the cells in ``tests/test_exhaustive.py`` canonical -t's
+  own facts equal t's.  Quoted lists are sorted by key at the merge, so
+  they come out in canonical order.
 
 Each job packs every grid value once into d tables of ints indexed like
 the grid (see ``_tables``): table k packs it with its coordinates rotated
@@ -59,36 +59,45 @@ verbatim every tuple that is Unclassified, fails an audit claim, or lacks
 an equal pair — those are counterexample candidates for the
 classification lemma and force ok=false.
 
-Holders that differ by a unimodular change of coordinates are analysed once.
-Read a tuple of q elements of Z^d as the d x q matrix M whose rows are its d
-coordinate columns, and key a holder by H = ``hnf_rows(rows of M, q).basis``.
-``hnf_rows`` reaches H by unimodular row operations, so M = V [H; 0] for some
-V in GL(d, Z), also when the rank of H is below d.  Two holders with the same
-key therefore satisfy M' = W M with W = V' V^-1 in GL(d, Z): t'_i = W t_i at
-every position i, positions fixed.  Every fact the report reads off a holder
-is invariant under such a W:
+Holders whose coordinates span the same rational row space are analysed
+once.  Read a tuple of q elements of Z^d as the d x q matrix M whose rows
+are its d coordinate columns, and key a holder by the canonical basis of
+M's row space over Q (``lattice._rational_row_basis``).  Two holders t and
+t' with one key have the same integer relations Rel = {n in Z^q : M n = 0},
+the integer points of the row space's orthogonal complement.  So
+phi(sum n_i t_i) = sum n_i t'_i is a well-defined group isomorphism
+span(t) -> span(t') with phi(t_i) = t'_i at every position i, and it
+extends to a Q-linear isomorphism of the rational spans.
+When M' = W M for an integer matrix W of nonzero determinant, phi is W;
+a unimodular W, a change of coordinates, is the special case.
+Every fact the report reads off a holder is stated through the tuple's own
+elements, never by comparing a subgroup with Z^d, and phi preserves each:
 
-- rank: W is invertible.
-- a missing equal pair: W is injective, so t_i = t_j exactly when
-  t'_i = t'_j, and the first equal pair sits at the same positions.
+- rank: the rational spans are isomorphic.
+- a missing equal pair: t_i = t_j exactly when the relation with 1 at i
+  and -1 at j is in Rel, so exactly when t'_i = t'_j; the first equal
+  pair, and zero, sit at the same positions.
 - the ``classify`` variant.  Rank below s-1 is a rank test.  The type-A test
-  reads value multiplicities and the lattice equality
-  ``hnf_rows(basis) == span(t)``, which W maps to the same equality between
-  the images.  The type-B result does not depend on the order of the
-  nonzero values (see ``classify._match_type_b``), and its block test reads
-  rational coordinates over the chosen basis, which W preserves.  Both
-  translate by a value of the tuple, and translation commutes with W.
-  (P_{r,s}), checked on an Unclassified holder, is invariant under injective
-  homomorphisms: W maps equal sums to equal sums and back.
+  reads value multiplicities and the equality ``hnf_rows(basis) ==
+  span(t)`` of two subgroups generated by values of the tuple, inside
+  span(t), which phi maps to the same equality between the images.  The
+  type-B result does not depend on the order of the nonzero values (see
+  ``classify._match_type_b``), and its block test reads the same kind of
+  equality and rational coordinates over the chosen basis, which phi
+  preserves.  Both translate by a value t_j of the tuple, and translation
+  commutes with phi: phi(x - t_j) = phi(x) - t'_j.  (P_{r,s}), checked on
+  an Unclassified holder, reads which selections have equal sums, that is
+  integer relations: phi maps equal sums to equal sums and back.
 - ``_audit_holder``'s case and failed claims.  Translating by the value of
-  the first equal pair commutes with W, and zero sits at the same
+  the first equal pair commutes with phi, and zero sits at the same
   positions.  The greedy positions of ``q_basis_certificate`` are the first
-  independent ones, and its exponents are the rational coordinates over
-  them scaled by the least clearing multipliers: rational linear invariants.
-  So the case, the multiplicity classes, the sign partitions and their zero
-  positions correspond position by position, the nested subtuples are W
-  images of each other, and their (P_{r,s}), rank and ``classify`` results
-  agree by the arguments above.
+  Q-independent ones, and its exponents are the rational coordinates over
+  them scaled by the least clearing multipliers; phi keeps both.  So the
+  case, the multiplicity classes, the sign partitions and their zero
+  positions correspond position by position, the nested subtuples are phi
+  images of each other, phi restricts to an isomorphism of their spans,
+  and their (P_{r,s}), rank and ``classify`` results agree by the
+  arguments above.
 
 So ``_examine`` keeps only these facts per key, in a dict that lives for one
 share of the walk, and quotes every holder with its own elements.
@@ -122,7 +131,7 @@ from .tuples import (
     property_work,
     rank,
 )
-from .lattice import hnf_rows
+from .lattice import _rational_row_basis
 
 VARIANT_OUT_OF_RANGE = "out_of_range"
 
@@ -296,10 +305,11 @@ def _holder_facts(job: EnumerationJob, elements) -> tuple:
 
     Returns (rank, variant, property_holds, equal pair missing, audit),
     where ``audit`` is None when the audit passes or is skipped, and else its
-    case and failed claim names.  Every entry is invariant under a
-    unimodular change of coordinates (see the module docstring).  A holder
-    without an equal pair is not audited: ``_audit_holder`` cannot normalise
-    it, and the missing pair is already quoted.
+    case and failed claim names.  Every holder whose coordinate columns
+    span the same rational row space has the same entries (see the module
+    docstring).  A holder without an equal pair is not audited:
+    ``_audit_holder`` cannot normalise it, and the missing pair is already
+    quoted.
     """
     t = GroupTuple(dim=job.dim, elements=elements)
     missing = equal_pair(t) is None
@@ -319,10 +329,11 @@ def _examine(
 ) -> None:
     """Rank, classify and audit one holder of (P_{q,s}), and quote it.
 
-    A holder is keyed by the HNF of its coordinate columns, and ``memo``
-    maps each key to ``_holder_facts`` of the first holder seen with it; the
-    module docstring proves that every holder with the key has the same
-    facts.  ``_process_share`` passes one ``memo`` for its share.  Only
+    A holder is keyed by the rational row space of its coordinate columns
+    (``_rational_row_basis``), and ``memo`` maps each key to
+    ``_holder_facts`` of the first holder seen with it; the module
+    docstring proves that every holder with the key has the same facts.
+    ``_process_share`` passes one ``memo`` for its share.  Only
     ``_holder_facts`` reads the budget, in its nested checks: the audit's
     subtuple checks, and ``classify``'s property check of an Unclassified
     holder.
@@ -334,10 +345,10 @@ def _examine(
     """
     weight = 1 if mirror is None else 2
     part["with_property"] += weight
-    hnf = hnf_rows(zip(*elements), job.q).basis
-    facts = memo.get(hnf)
+    span = _rational_row_basis(zip(*elements))
+    facts = memo.get(span)
     if facts is None:
-        facts = memo[hnf] = _holder_facts(job, elements)
+        facts = memo[span] = _holder_facts(job, elements)
     tr, variant, property_holds, missing, audit = facts
     part["ranks"][str(tr)] = part["ranks"].get(str(tr), 0) + weight
     part["variants"][variant] = part["variants"].get(variant, 0) + weight
@@ -428,8 +439,9 @@ def run_enumeration(job: EnumerationJob) -> dict:
     share per worker, each a task that carries the tables, so each worker
     receives them once.
 
-    Each class of holders (see the module docstring) is analysed once per
-    share: the memo is a local of ``_process_share``.
+    Each class of holders, those whose coordinate columns span one rational
+    row space (see the module docstring), is analysed once per share: the
+    memo is a local of ``_process_share``.
     """
     job.validate()
     bill = nominal_bill(job)

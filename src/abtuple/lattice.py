@@ -135,6 +135,42 @@ def hnf_rows(rows, dim: int) -> Lattice:
     return Lattice(dim=dim, basis=tuple(tuple(row) for row in mat[:top]))
 
 
+def _rational_row_basis(rows) -> tuple[Vector, ...]:
+    """Canonical basis of the rational row span of ``rows``: the reduced row
+    echelon form, each row scaled to coprime integers with a positive pivot,
+    rows in pivot order.  Two row sets span the same subspace of Q^n iff
+    they have the same result; zero rows are ignored.
+
+    Fraction-free Gauss-Jordan, one row at a time: each new row is cleared
+    at the kept rows' pivots, and its own pivot is cleared from the kept
+    rows.  Leading entries are never disturbed, so each row's pivot is its
+    first nonzero entry.
+    """
+    basis = {}  # pivot column -> row
+    for r in rows:
+        for p, b in basis.items():
+            f = r[p]
+            if f:
+                r = [b[p] * x - f * y for x, y in zip(r, b)]
+        for p, f in enumerate(r):
+            if f:
+                break
+        else:
+            continue
+        g = gcd(*r) if f > 0 else -gcd(*r)
+        if g != 1:
+            r = [x // g for x in r]
+            f = r[p]
+        for c, b in basis.items():
+            h = b[p]
+            if h:
+                b = [f * x - h * y for x, y in zip(b, r)]
+                g = gcd(*b)
+                basis[c] = [x // g for x in b] if g != 1 else b
+        basis[p] = r
+    return tuple(tuple(basis[p]) for p in sorted(basis))
+
+
 def full_lattice(dim: int) -> Lattice:
     """Z^dim with its standard basis."""
     rows = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
