@@ -32,7 +32,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Lattice, Vector, _bareiss_reduce, hnf_rows, vec_neg, zero_vector
+from .lattice import (
+    Lattice,
+    Vector,
+    _leading_index,
+    _rational_row_basis,
+    hnf_rows,
+    vec_neg,
+    zero_vector,
+)
 from .tuples import (
     GroupTuple,
     has_property,
@@ -218,18 +226,24 @@ def _match_type_a(tp: GroupTuple, lat: Lattice, s: int):
 def _block_certificate(tp: GroupTuple, lat: Lattice, s: int, values):
     """Type-B certificate pieces over the first s-1 independent ``values``.
 
-    One fraction-free elimination of ``values`` (``_bareiss_reduce``) picks
-    the basis: its first s-1 pivot columns, i.e. the greedy independent
-    values in the given order.  Every other value must read 0 or -d in each
-    row of the reduced matrix (coordinates 0 or -1 over the basis), and the
-    supports of the -1 coordinates must be nonempty and disjoint.  The basis
-    is reordered so each support becomes a consecutive block, in the order of
+    One primitive RREF (``_rational_row_basis``) of the matrix whose columns
+    are ``values`` picks the basis: its first s-1 pivot columns, i.e. the
+    greedy independent values in the given order.  Row tau, with pivot p_tau,
+    holds p_tau times coordinate tau over the basis, so every other value
+    must read 0 or -p_tau in each row (coordinates 0 or -1), and the supports
+    of the -1 coordinates must be nonempty and disjoint.  The basis is
+    reordered so each support becomes a consecutive block, in the order of
     the remaining values; basis members outside every block go last, keeping
     their relative order.  Returns (permutation, basis, k, breakpoints) with
     k the number of remaining values; ValueError names the first failed
     condition.
+
+    No separate integer re-check is needed: ``hnf_rows`` checks the basis,
+    and ``_assign_positions`` matches the whole pattern, negated block sums
+    included, against the tuple's own values before anything is returned.
     """
-    pivots, d, reduced = _bareiss_reduce(values, tp.dim)
+    reduced = _rational_row_basis(zip(*values))
+    pivots = [_leading_index(row) for row in reduced]
     chosen = pivots[: s - 1]
     basis = [values[j] for j in chosen]
     if hnf_rows(basis, tp.dim) != lat:
@@ -239,10 +253,9 @@ def _block_certificate(tp: GroupTuple, lat: Lattice, s: int, values):
     for j in range(len(values)):
         if j in chosen:
             continue
-        column = [row[j] for row in reduced]
-        if any(x not in (0, -d) for x in column):
+        if any(row[j] not in (0, -row[p]) for row, p in zip(reduced, pivots)):
             raise ValueError("remaining value does not reduce to a negated block sum")
-        sup = [i for i, x in enumerate(column) if x]
+        sup = [i for i, row in enumerate(reduced) if row[j]]
         if not sup or any(i in order for i in sup):
             raise ValueError("block supports are not disjoint and nonempty")
         order.extend(sup)
@@ -255,7 +268,7 @@ def _block_certificate(tp: GroupTuple, lat: Lattice, s: int, values):
     )
     perm = _assign_positions(tp, pattern)
     if perm is None:
-        raise ValueError("pattern does not rearrange the tuple")  # defensive
+        raise ValueError("pattern does not rearrange the tuple")
     return perm, basis, k, tuple(breakpoints)
 
 

@@ -352,6 +352,8 @@ def _examine(
     tr, variant, property_holds, missing, audit = facts
     part["ranks"][str(tr)] = part["ranks"].get(str(tr), 0) + weight
     part["variants"][variant] = part["variants"].get(variant, 0) + weight
+    if not (missing or variant == VARIANT_UNCLASSIFIED or audit is not None):
+        return
     quotes = [(key, elements)] if mirror is None else [(key, elements), mirror]
     for k, quoted in quotes:
         listed = [list(e) for e in quoted]

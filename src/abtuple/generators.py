@@ -138,18 +138,3 @@ def spec_to_json_obj(spec: GeneratorSpec) -> dict:
         "permutation_seed": spec.permutation_seed,
     }
 
-
-def spec_from_json_obj(obj: dict) -> GeneratorSpec:
-    return GeneratorSpec(
-        kind=obj["kind"],
-        s=int(obj["s"]),
-        dim=int(obj["dim"]),
-        k=int(obj.get("k", 0)),
-        breakpoints=tuple(obj.get("breakpoints", ())),
-        seed=int(obj.get("seed", 0)),
-        unimodular_bound=int(obj.get("unimodular_bound", 0)),
-        translation=(
-            None if obj.get("translation") is None else tuple(obj["translation"])
-        ),
-        permutation_seed=obj.get("permutation_seed"),
-    )

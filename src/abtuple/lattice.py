@@ -11,12 +11,18 @@ Conventions:
   * zero rows and duplicate rows are accepted silently by ``hnf_rows``;
   * ``primitive_representative`` normalizes the primitive vector so its first
     nonzero coordinate is positive, so the cofactor ``d`` carries the sign.
+
+Rational questions (row spaces over Q, coordinates over a greedy basis) go
+through one elimination, ``_rational_row_basis``: the reduced row echelon
+form with each row scaled to coprime integers and a positive pivot.  It
+serves ``solve_rational_combination`` here, the rational basis and type-B
+certificates in ``structure`` and ``classify``, and ``exhaustive``'s class key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -274,67 +280,29 @@ def primitive_representative(lat: Lattice, v: Vector) -> tuple[Vector, int]:
     return tuple(p), d
 
 
-def _bareiss_reduce(columns, dim: int) -> tuple[list[int], int, list[list[int]]]:
-    """Fraction-free Gauss-Jordan elimination of the dim-by-n integer matrix
-    whose columns are ``columns``.
-
-    Columns are taken in order; a column gets a pivot iff it is independent
-    of the columns before it, and the pivot row is the first nonzero one at
-    or below the current row.  Each step also clears the entries above the
-    pivot.  Returns (pivots, d, reduced): every pivot entry ends equal to d,
-    and column j of the first len(pivots) reduced rows holds d times the
-    coordinates of column j over the pivot columns.  Every division is exact
-    by Sylvester's identity (each entry is a minor of the input), so no
-    fraction is formed.  Each non-pivot column is re-checked in integers
-    against its recombination; a failure raises RuntimeError.
-    """
-    n = len(columns)
-    mat = [[col[c] for col in columns] for c in range(dim)]
-    pivots: list[int] = []
-    prev = 1
-    top = 0
-    for c in range(n):
-        sel = next((i for i in range(top, dim) if mat[i][c]), None)
-        if sel is None:
-            continue
-        mat[top], mat[sel] = mat[sel], mat[top]
-        prow = mat[top]
-        p = prow[c]
-        for i in range(dim):
-            if i != top:
-                f = mat[i][c]
-                mat[i] = [(p * x - f * y) // prev for x, y in zip(mat[i], prow)]
-        prev = p
-        pivots.append(c)
-        top += 1
-    reduced = mat[:top]
-    base = [columns[c] for c in pivots]
-    for j in range(n):
-        if j in pivots:
-            continue
-        coeffs = [row[j] for row in reduced]
-        for c in range(dim):
-            if prev * columns[j][c] != sum(n_k * b[c] for n_k, b in zip(coeffs, base)):
-                raise RuntimeError(f"column {j} fails its integer recombination")
-    return pivots, prev, reduced
-
-
 def solve_rational_combination(rows, target: Vector) -> tuple[Fraction, ...] | None:
     """Rational coefficients x with sum(x_i * rows_i) == target, or None.
 
-    One fraction-free elimination of ``rows + [target]`` (see
-    ``_bareiss_reduce``); the target is outside the span iff its column
-    pivots.  Free coefficients (when the rows are dependent) are set to zero;
-    the recombination is verified exactly, in integers, before returning.
+    One primitive RREF (``_rational_row_basis``) of the matrix whose columns
+    are ``rows`` and then ``target``: the target is outside the span iff its
+    column k pivots, and otherwise the row r pivoting at column c gives
+    x_c = r[k] / r[c].  Free coefficients (when the rows are dependent) are
+    set to zero.  The recombination is verified exactly, in integers, before
+    returning; a failure raises RuntimeError.
     """
     from fractions import Fraction  # imported here to keep package import light
 
     k = len(rows)
-    pivots, d, reduced = _bareiss_reduce(list(rows) + [target], len(target))
+    reduced = _rational_row_basis(zip(*rows, target))
+    pivots = [_leading_index(r) for r in reduced]
     if pivots and pivots[-1] == k:
         return None
+    big = lcm(*(r[c] for r, c in zip(reduced, pivots)))
+    scaled = [(r[k] * (big // r[c]), rows[c]) for r, c in zip(reduced, pivots)]
+    for i, y in enumerate(target):
+        if big * y != sum(n * row[i] for n, row in scaled):
+            raise RuntimeError("target fails its integer recombination")
     x = [Fraction(0)] * k
-    for row, c in zip(reduced, pivots):
-        x[c] = Fraction(row[k], d)
+    for r, c in zip(reduced, pivots):
+        x[c] = Fraction(r[k], r[c])
     return tuple(x)
-

@@ -8,9 +8,15 @@ q-by-t integer exponent matrix l(i, tau) so that
 
     a_i = sum_tau l(i, tau) * eta_tau,      eta_tau = a_{i_tau} / l_tau
 
-holds exactly over the rationals.  An *adequate basis*, by contrast, lives in
-the span itself: a basis eta_1..eta_t of span(t) with t tuple elements being
-integer multiples of distinct basis elements.  Such a basis need not exist;
+holds exactly over the rationals.  All of it is read off one primitive
+reduced row echelon form of the d-by-q coordinate matrix
+(``lattice._rational_row_basis``): the positions are its pivot columns,
+l_tau is the pivot of row tau, and the exponent matrix is the form itself,
+transposed.
+
+An *adequate basis*, by contrast, lives in the span itself: a basis
+eta_1..eta_t of span(t) with t tuple elements being integer multiples of
+distinct basis elements.  Such a basis need not exist;
 ``adequate_basis_decide`` settles the question with a witness or a complete
 refutation, using the fact that a basis element is primitive in the span and
 the primitive element parallel to a given direction is unique up to sign.
@@ -40,7 +46,8 @@ from typing import TYPE_CHECKING
 from .classify import classify
 from .lattice import (
     Vector,
-    _bareiss_reduce,
+    _leading_index,
+    _rational_row_basis,
     hnf_rows,
     primitive_representative,
     solve_coordinates,
@@ -102,27 +109,32 @@ class QBasisCertificate:
 def q_basis_certificate(t: GroupTuple) -> QBasisCertificate:
     """Deterministic rational basis certificate (greedy indices, LCM scaling).
 
-    One fraction-free elimination of the whole tuple (``_bareiss_reduce``)
-    gives both: its pivot columns are the greedy independent positions, and
-    the reduced column of element j holds d times its coordinates n_tau over
-    them, so the least multiplier l_tau is the lcm of |d| / gcd(n_tau, d)
-    and the exponent is n_tau * l_tau / d.  Raises ValueError on a rank-0
-    tuple.
+    One primitive RREF (``_rational_row_basis``) of the d-by-q matrix whose
+    columns are the elements gives the positions and the exponents.  Its
+    pivot columns are the greedy independent positions i_tau.  Row r_tau
+    has coprime entries and a positive pivot p_tau at column i_tau, and
+    coordinate tau of element j over the chosen elements is r_tau[j] / p_tau.
+    The least multiplier clearing these denominators is
+    l_tau = lcm_j p_tau / gcd(p_tau, r_tau[j])
+          = p_tau / gcd(p_tau, r_tau[0], ..., r_tau[q-1]),
+    which is p_tau because the row is primitive; so the exponent l(j, tau)
+    is r_tau[j] itself.
+    Every element is re-checked in integers against its recombination,
+    L a_j == sum_tau r_tau[j] (L / p_tau) a_{i_tau} with L = lcm(p_tau); a
+    failure raises RuntimeError.  Raises ValueError on a rank-0 tuple.
     """
-    chosen, d, reduced = _bareiss_reduce(t.elements, t.dim)
-    tr = len(chosen)
-    if tr == 0:
+    rows = _rational_row_basis(zip(*t.elements))
+    if not rows:
         raise ValueError("rank-0 tuple admits no basis certificate")
-    mult = []
-    for row in reduced:
-        m = 1
-        for n in row:
-            m = lcm(m, d // gcd(n, d))
-        mult.append(m)
-    exponents = tuple(
-        tuple(row[j] * m // d for row, m in zip(reduced, mult))
-        for j in range(len(t))
-    )
+    chosen = [_leading_index(r) for r in rows]
+    mult = [r[i] for r, i in zip(rows, chosen)]
+    exponents = tuple(zip(*rows))
+    big = lcm(*mult)
+    base = [[x * (big // m) for x in t.elements[i]] for i, m in zip(chosen, mult)]
+    for j, (e, row) in enumerate(zip(t.elements, exponents)):
+        for c in range(t.dim):
+            if big * e[c] != sum(n * b[c] for n, b in zip(row, base)):
+                raise RuntimeError(f"element {j} fails its integer recombination")
     eta_num = []
     eta_den = []
     for i, m in zip(chosen, mult):

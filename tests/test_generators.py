@@ -10,8 +10,6 @@ from abtuple.generators import (
     GeneratorSpec,
     generate,
     random_unimodular,
-    spec_from_json_obj,
-    spec_to_json_obj,
 )
 from abtuple.lattice import det_bareiss
 from abtuple.tuples import rank
@@ -113,17 +111,3 @@ class TestGenerate:
             generate(GeneratorSpec(kind="b", s=3, dim=2, seed=-7))
         with pytest.raises(ValueError, match="permutation_seed must be >= 0"):
             generate(GeneratorSpec(kind="b", s=3, dim=2, permutation_seed=-1))
-
-    def test_spec_json_round_trip(self):
-        spec = GeneratorSpec(
-            kind="b",
-            s=4,
-            dim=3,
-            k=1,
-            breakpoints=(2,),
-            seed=9,
-            unimodular_bound=2,
-            translation=(0, 0, 1),
-            permutation_seed=4,
-        )
-        assert spec_from_json_obj(spec_to_json_obj(spec)) == spec

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abtuple import lattice
 from abtuple.lattice import (
     Lattice,
     contains,
@@ -274,6 +275,19 @@ class TestRationalSolve:
         )
         assert solve_rational_combination([(2, 0), (0, 3)], (4, 3)) == (2, 1)
         assert solve_rational_combination([(1, 0)], (0, 1)) is None
+
+    def test_wrong_elimination_raises(self, monkeypatch):
+        # One wrong entry of the row echelon form must fail the integer
+        # re-check, not come back as coefficients.
+        real = lattice._rational_row_basis
+
+        def perturbed(rows):
+            first, *rest = real(rows)
+            return (first[:-1] + (first[-1] + 1,), *rest)
+
+        monkeypatch.setattr(lattice, "_rational_row_basis", perturbed)
+        with pytest.raises(RuntimeError):
+            solve_rational_combination([(2, 0), (0, 3)], (1, 1))
 
 
 class TestLatticeValue:

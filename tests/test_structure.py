@@ -69,6 +69,19 @@ class TestQBasisCertificate:
         with pytest.raises(ValueError):
             q_basis_certificate(group_tuple([(0, 0), (0, 0)]))
 
+    def test_wrong_elimination_raises(self, monkeypatch):
+        # One wrong entry of the row echelon form must fail the integer
+        # re-check, not leave the library as a certificate.
+        real = structure._rational_row_basis
+
+        def perturbed(rows):
+            first, *rest = real(rows)
+            return (first[:-1] + (first[-1] + 1,), *rest)
+
+        monkeypatch.setattr(structure, "_rational_row_basis", perturbed)
+        with pytest.raises(RuntimeError):
+            q_basis_certificate(group_tuple([(0, 0), (2, 0), (0, 3), (1, 1)]))
+
     def test_verify_rejects_tampering(self):
         t = group_tuple([(0, 0), (2, 0), (0, 3), (1, 1)])
         cert = q_basis_certificate(t)
