@@ -99,15 +99,19 @@ elements, never by comparing a subgroup with Z^d, and phi preserves each:
   and their (P_{r,s}), rank and ``classify`` results agree by the
   arguments above.
 
-So ``_examine`` keeps only these facts per key, in a dict that lives for one
-share of the walk, and quotes every holder with its own elements.
+So ``run_enumeration`` analyses each class once per run, in the calling
+process, on its least-key holder, and quotes every member with its own
+elements.
 
 The walk is split by position, not by value: of n shares, share i takes
 every n-th walked tuple from the i-th on, before any is checked, and
 min(jobs, CPU count, lex survivors) processes run one share each, handed
-the tables with it; one worker runs share 0 of 1 in process.  The merge
-sums the counts and sorts the quoted lists by key, so the report (and its
-JSON serialization) is byte-identical no matter how many workers ran.
+the tables with it; one worker runs share 0 of 1 in process.  A share
+analyses no holder: it returns its holders' keys and weights grouped by
+class key.  The merge joins the classes, analyses each on its least-key
+holder, which is the same holder however the walk was split, sums the
+counts and sorts the quoted lists by key, so the report (and its JSON
+serialization) is byte-identical no matter how many workers ran.
 """
 
 from __future__ import annotations
@@ -182,23 +186,6 @@ def nominal_bill(job: EnumerationJob) -> int:
     tuple per negation pair, and tuples a table's order filter drops decide
     none."""
     return _lex_survivors(job) * property_work(job.q, job.q, job.s)
-
-
-# The report's lists of quoted holders.  In a partial report each entry is
-# paired with its holder's key.
-_QUOTED = ("equal_pair_missing", "unclassified", "audit_failures")
-
-
-def _empty_partial() -> dict:
-    return {
-        "tuples": 0,
-        "with_property": 0,
-        "ranks": {},
-        "variants": {},
-        "equal_pair_missing": [],
-        "unclassified": [],
-        "audit_failures": [],
-    }
 
 
 def _tables(job: EnumerationJob) -> tuple[list[tuple[int, ...]], list[list[int]]]:
@@ -307,9 +294,12 @@ def _holder_facts(job: EnumerationJob, elements) -> tuple:
     where ``audit`` is None when the audit passes or is skipped, and else its
     case and failed claim names.  Every holder whose coordinate columns
     span the same rational row space has the same entries (see the module
-    docstring).  A holder without an equal pair is not audited:
-    ``_audit_holder`` cannot normalise it, and the missing pair is already
-    quoted.
+    docstring), so ``run_enumeration`` calls this once per class per run,
+    in the calling process, on the class's least-key holder.  A holder
+    without an equal pair is not audited: ``_audit_holder`` cannot
+    normalise it, and the missing pair is already quoted.  Only this
+    function reads the budget, in its nested checks: the audit's subtuple
+    checks, and ``classify``'s property check of an Unclassified holder.
     """
     t = GroupTuple(dim=job.dim, elements=elements)
     missing = equal_pair(t) is None
@@ -324,63 +314,18 @@ def _holder_facts(job: EnumerationJob, elements) -> tuple:
     return cls.rank, cls.variant, cls.property_holds, missing, audit
 
 
-def _examine(
-    job: EnumerationJob, part: dict, elements, memo: dict, key=(), mirror=None
-) -> None:
-    """Rank, classify and audit one holder of (P_{q,s}), and quote it.
-
-    A holder is keyed by the rational row space of its coordinate columns
-    (``_rational_row_basis``), and ``memo`` maps each key to
-    ``_holder_facts`` of the first holder seen with it; the module
-    docstring proves that every holder with the key has the same facts.
-    ``_process_share`` passes one ``memo`` for its share.  Only
-    ``_holder_facts`` reads the budget, in its nested checks: the audit's
-    subtuple checks, and ``classify``'s property check of an Unclassified
-    holder.
-
-    ``key`` is the holder's grid-index key, kept beside each quoted entry
-    for the merge's sort.  ``mirror``, when given, is the (key, elements)
-    of canonical -t for a holder t that is not its own negation: it shares
-    t's facts, so the holder is counted twice and -t quoted beside t.
-    """
-    weight = 1 if mirror is None else 2
-    part["with_property"] += weight
-    span = _rational_row_basis(zip(*elements))
-    facts = memo.get(span)
-    if facts is None:
-        facts = memo[span] = _holder_facts(job, elements)
-    tr, variant, property_holds, missing, audit = facts
-    part["ranks"][str(tr)] = part["ranks"].get(str(tr), 0) + weight
-    part["variants"][variant] = part["variants"].get(variant, 0) + weight
-    if not (missing or variant == VARIANT_UNCLASSIFIED or audit is not None):
-        return
-    quotes = [(key, elements)] if mirror is None else [(key, elements), mirror]
-    for k, quoted in quotes:
-        listed = [list(e) for e in quoted]
-        if missing:
-            part["equal_pair_missing"].append((k, {"elements": listed}))
-        if variant == VARIANT_UNCLASSIFIED:
-            part["unclassified"].append(
-                (k, {"elements": listed, "rank": tr, "property_holds": property_holds})
-            )
-        if audit is not None:
-            case, failed = audit
-            part["audit_failures"].append(
-                (k, {"elements": listed, "case": case, "failed": list(failed)})
-            )
-
-
 def _process_share(job: EnumerationJob, tables: tuple, i: int, n: int) -> dict:
-    """Partial report of share i of n of the walk.  ``tables`` is the
-    job's ``_tables``.
+    """The holders of share i of n of the walk, grouped by class.
+    ``tables`` is the job's ``_tables``.
 
     ``_visits`` yields the share's expanded tuples as sorted grid indices,
     one per negation pair.  One that ``_fails_by_order`` on any table but
-    table 0 is dropped (table 0 drops none of them), the kernel decides
-    the (P_{q,s}) of the others on their table-0 ints, and only a holder
-    is looked up as vectors, in canonical form: zero, then the rest of its
-    indices, its key.  Canonical -t has the negated key, reversed.  The
-    class memo is a local: it serves the share and ends with the call.
+    table 0 is dropped (table 0 drops none of them), and the kernel decides
+    the (P_{q,s}) of the others on their table-0 ints.  A holder's key is
+    its indices without zero's; its canonical form is zero, then the
+    values at its key.  Returns {class key: [(key, weight), ...]}, in walk
+    order, where the class key is ``_rational_row_basis`` of the canonical
+    form's coordinate columns.  The share analyses no holder.
 
     This is the one check of each tuple's (P_{q,s}), and it skips
     ``has_property``'s budget guard: a check decides at most
@@ -390,14 +335,8 @@ def _process_share(job: EnumerationJob, tables: tuple, i: int, n: int) -> dict:
     """
     grid, (table0, *rotated) = tables
     q, s = job.q, job.s
-    top = len(grid) - 1
-    zero = top // 2
-
-    def canonical(key):
-        return (grid[zero],) + tuple(grid[k] for k in key)
-
-    part = _empty_partial()
-    memo = {}
+    zero = (len(grid) - 1) // 2
+    classes = {}
     for w, weight in _visits(q, s, len(grid), i, n):
         for t in rotated:
             if _fails_by_order(map(t.__getitem__, w), q, s):
@@ -406,22 +345,9 @@ def _process_share(job: EnumerationJob, tables: tuple, i: int, n: int) -> dict:
             if _decide_packed([table0[k] for k in w], q, s).holds:
                 j = bisect_left(w, zero)
                 key = w[:j] + w[j + 1 :]
-                mirror = None
-                if weight == 2:
-                    negated = tuple(map(top.__sub__, reversed(key)))
-                    mirror = negated, canonical(negated)
-                _examine(job, part, canonical(key), memo, key, mirror)
-    return part
-
-
-def _merge(acc: dict, part: dict) -> dict:
-    acc["with_property"] += part["with_property"]
-    for key in ("ranks", "variants"):
-        for k, v in part[key].items():
-            acc[key][k] = acc[key].get(k, 0) + v
-    for key in _QUOTED:
-        acc[key].extend(part[key])
-    return acc
+                span = _rational_row_basis(zip(grid[zero], *map(grid.__getitem__, key)))
+                classes.setdefault(span, []).append((key, weight))
+    return classes
 
 
 def run_enumeration(job: EnumerationJob) -> dict:
@@ -441,9 +367,13 @@ def run_enumeration(job: EnumerationJob) -> dict:
     share per worker, each a task that carries the tables, so each worker
     receives them once.
 
-    Each class of holders, those whose coordinate columns span one rational
-    row space (see the module docstring), is analysed once per share: the
-    memo is a local of ``_process_share``.
+    The shares' classes are merged here, and each class of holders, those
+    whose coordinate columns span one rational row space (see the module
+    docstring), is analysed once per run, in this process, on its
+    least-key holder.  The walk is in key order, so that is the holder one
+    share of one analyses first, and the report does not depend on how the
+    walk was split.  A class that quotes quotes every member, and the
+    canonical -t of each member t that is not its own negation.
     """
     job.validate()
     bill = nominal_bill(job)
@@ -451,22 +381,52 @@ def run_enumeration(job: EnumerationJob) -> dict:
     # A pool may start all its workers at once, so start no more than there
     # are CPUs or lex survivors: a cell with one survivor starts no pool.
     workers = min(job.jobs, os.cpu_count() or 1, _lex_survivors(job))
-    share = partial(_process_share, job, _tables(job), n=workers)
+    tables = _tables(job)
+    share = partial(_process_share, job, tables, n=workers)
     if workers == 1:
-        partials = [share(0)]
+        parts = [share(0)]
     else:
         # Imported only here: it loads multiprocessing, which a one-worker
         # run and a plain ``import abtuple`` never need.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            partials = list(executor.map(share, range(workers)))
-    acc = _empty_partial()
-    for part in partials:
-        _merge(acc, part)
-    acc["tuples"] = universe_size(job)
-    for key in _QUOTED:
-        acc[key] = [entry for _, entry in sorted(acc[key], key=itemgetter(0))]
+            parts = list(executor.map(share, range(workers)))
+    classes = {}
+    for part in parts:
+        for span, members in part.items():
+            classes.setdefault(span, []).extend(members)
+    grid = tables[0]
+    top = len(grid) - 1
+
+    def canonical(key):
+        return (grid[top // 2],) + tuple(grid[k] for k in key)
+
+    with_property, ranks, variants = 0, {}, {}
+    quoted = {"equal_pair_missing": [], "unclassified": [], "audit_failures": []}
+    for members in classes.values():
+        facts = _holder_facts(job, canonical(min(members)[0]))
+        tr, variant, property_holds, missing, audit = facts
+        weight = sum(w for _, w in members)
+        with_property += weight
+        ranks[str(tr)] = ranks.get(str(tr), 0) + weight
+        variants[variant] = variants.get(variant, 0) + weight
+        if not (missing or variant == VARIANT_UNCLASSIFIED or audit is not None):
+            continue
+        keys = [key for key, _ in members]
+        keys += [tuple(map(top.__sub__, reversed(k))) for k, w in members if w == 2]
+        for key in keys:
+            listed = [list(e) for e in canonical(key)]
+            if missing:
+                quoted["equal_pair_missing"].append((key, {"elements": listed}))
+            if variant == VARIANT_UNCLASSIFIED:
+                entry = {"elements": listed, "rank": tr, "property_holds": property_holds}
+                quoted["unclassified"].append((key, entry))
+            if audit is not None:
+                entry = {"elements": listed, "case": audit[0], "failed": list(audit[1])}
+                quoted["audit_failures"].append((key, entry))
+    for name, entries in quoted.items():
+        quoted[name] = [entry for _, entry in sorted(entries, key=itemgetter(0))]
     # Every universe pins zero.  The report still says so, and counts no
     # holder without zero, in the keys it has always had.
     report = {
@@ -477,10 +437,12 @@ def run_enumeration(job: EnumerationJob) -> dict:
             "bound": job.bound,
             "require_zero": True,
         },
-        **acc,
+        "tuples": universe_size(job),
+        "with_property": with_property,
+        "ranks": ranks,
+        "variants": variants,
+        **quoted,
         "without_zero": 0,
-        "ok": not (
-            acc["equal_pair_missing"] or acc["unclassified"] or acc["audit_failures"]
-        ),
+        "ok": not any(quoted.values()),
     }
     return report

@@ -288,10 +288,16 @@ def solve_rational_combination(rows, target: Vector) -> tuple[Fraction, ...] | N
     column k pivots, and otherwise the row r pivoting at column c gives
     x_c = r[k] / r[c].  Free coefficients (when the rows are dependent) are
     set to zero.  The recombination is verified exactly, in integers, before
-    returning; a failure raises RuntimeError.
+    returning; a failure raises RuntimeError.  A row whose length differs
+    from the target's raises ValueError.
     """
     from fractions import Fraction  # imported here to keep package import light
 
+    for row in rows:
+        if len(row) != len(target):
+            raise ValueError(
+                f"row of length {len(row)} for a target of length {len(target)}"
+            )
     k = len(rows)
     reduced = _rational_row_basis(zip(*rows, target))
     pivots = [_leading_index(r) for r in reduced]

@@ -24,12 +24,9 @@ from abtuple.classify import VARIANT_UNCLASSIFIED, classify
 from abtuple.cli import main
 from abtuple.exhaustive import (
     EnumerationJob,
-    _empty_partial,
-    _examine,
     _expand,
     _fails_by_order,
     _holder_facts,
-    _process_share,
     _tables,
     _visits,
     nominal_bill,
@@ -599,12 +596,16 @@ def test_holder_pass_matches_public_functions(s, q, dim, bound):
         tables = table_ints(t.elements, q, s, bound)
         assert not any(_fails_by_order(ints, q, s) for ints in tables)
         assert _decide_packed(tables[0], q, s).holds
-        part = _empty_partial()
-        _examine(job, part, t.elements, {})
-        assert part["with_property"] == 1
-        assert part["ranks"] == {str(rank(t)): 1}
-        assert part["variants"] == {classify(t, s).variant: 1}
-        assert _audit_holder(t, s) == audit_claims(t, s)
+        cls = classify(t, s)
+        report = audit_claims(t, s)
+        assert _audit_holder(t, s) == report
+        audit = None
+        if not report.all_pass:
+            audit = report.case, tuple(c.name for c in report.failures)
+        missing = equal_pair(t) is None
+        assert _holder_facts(job, t.elements) == (
+            rank(t), cls.variant, cls.property_holds, missing, audit
+        )
     assert holders > 0
 
 
@@ -673,11 +674,11 @@ def test_holder_without_equal_pair_is_quoted(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# The class memo: one analysis per rational row space of coordinate columns
+# Classes: one analysis per rational row space of coordinate columns
 
 
 def oracle_enumeration(job):
-    """The per-holder pass the class memo replaced, in process.
+    """The per-holder pass that one analysis per class replaced, in process.
 
     Every tuple's (P_{q,s}) is decided by has_property, and every holder is
     ranked, classified, checked for an equal pair and audited on its own.
@@ -685,7 +686,15 @@ def oracle_enumeration(job):
     test can patch them here and in ``exhaustive`` alike.
     """
     in_range = 2 <= job.s < job.q <= 2 * job.s
-    acc = _empty_partial()
+    acc = {
+        "tuples": 0,
+        "with_property": 0,
+        "ranks": {},
+        "variants": {},
+        "equal_pair_missing": [],
+        "unclassified": [],
+        "audit_failures": [],
+    }
     for elements in universe_elements(job):
         acc["tuples"] += 1
         t = GroupTuple(dim=job.dim, elements=elements)
@@ -760,7 +769,7 @@ def rational_rref(rows):
 
 
 def class_key(t: GroupTuple):
-    """The memo's key: the rational row space of the tuple's coordinate
+    """The class key: the rational row space of the tuple's coordinate
     columns, by the slow oracle."""
     return rational_rref(zip(*t.elements))
 
@@ -955,45 +964,56 @@ def test_every_member_of_a_failing_class_is_quoted(monkeypatch, patched):
 
 
 @pytest.mark.parametrize("s, q, dim, bound, classes", [(3, 6, 2, 2, 47), (4, 8, 2, 1, 187)])
-def test_each_run_analyses_each_class_once(monkeypatch, s, q, dim, bound, classes):
-    # At jobs=1 one memo serves the whole call and dies with it, so a
-    # second call analyses every class again.
-    audited = []
-    real = exhaustive._audit_holder
+def test_each_run_analyses_each_class_once(
+    monkeypatch, in_process_pool, s, q, dim, bound, classes
+):
+    # One _holder_facts call per class per run, in the caller, however many
+    # shares the walk is split into.  A class met by two shares is still
+    # analysed once.
+    analysed = []
+    real = exhaustive._holder_facts
 
-    def counting(t, s_outer):
-        audited[-1].append(class_key(t))
-        return real(t, s_outer)
+    def counting(job, elements):
+        analysed[-1].append(class_key(GroupTuple(dim=job.dim, elements=elements)))
+        return real(job, elements)
 
-    monkeypatch.setattr(exhaustive, "_audit_holder", counting)
+    monkeypatch.setattr(exhaustive, "_holder_facts", counting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
-    for _ in range(2):
-        audited.append([])
-        run_enumeration(job)
-    assert [len(keys) for keys in audited] == [classes, classes]
-    assert [len(set(keys)) for keys in audited] == [classes, classes]
+    for jobs in (1, 2, 3):
+        analysed.append([])
+        run_enumeration(replace(job, jobs=jobs))
+    assert [len(keys) for keys in analysed] == [classes] * 3
+    assert [len(set(keys)) for keys in analysed] == [classes] * 3
+    assert in_process_pool == [2, 3]
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_each_share_analyses_each_of_its_classes_once(monkeypatch, n):
-    # The memo is a local of _process_share: each share analyses each class
-    # it meets once, and a class met by two shares is analysed by both.
-    audited = []
+def test_report_does_not_depend_on_the_share_split(monkeypatch, in_process_pool):
+    # Make the audit fail on every holder but the least-key member of its
+    # class.  The run analyses each class on its least-key holder, whatever
+    # the split, so every split passes.  A share that analysed its
+    # own classes would analyse the first member it meets, which for a
+    # share past the first need not be the least-key one.
+    job = EnumerationJob(s=3, q=6, dim=2, bound=2)
+    least = {}
+    for t in cell_holders(job):
+        least.setdefault(class_key(t), t.elements)
     real = exhaustive._audit_holder
 
-    def counting(t, s_outer):
-        audited[-1].append(class_key(t))
-        return real(t, s_outer)
+    def failing(t, s):
+        result = real(t, s)
+        if least[class_key(t)] == t.elements:
+            return result
+        claims = (replace(result.claims[0], status="fail"),) + result.claims[1:]
+        return replace(result, claims=claims)
 
-    monkeypatch.setattr(exhaustive, "_audit_holder", counting)
-    job = EnumerationJob(s=3, q=6, dim=2, bound=2)
-    tables = _tables(job)
-    for i in range(n):
-        audited.append([])
-        _process_share(job, tables, i, n)
-    assert all(len(keys) == len(set(keys)) for keys in audited)
-    assert len(set().union(*audited)) == 47
-    assert sum(map(len, audited)) > 47
+    monkeypatch.setattr(exhaustive, "_audit_holder", failing)
+    monkeypatch.setattr(sys.modules[__name__], "_audit_holder", failing)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    reports = [run_enumeration(replace(job, jobs=jobs)) for jobs in (1, 2, 3)]
+    assert all(report["ok"] for report in reports)
+    assert len({report_digest(report) for report in reports}) == 1
+    assert in_process_pool == [2, 3]
 
 
 @pytest.mark.parametrize("s, q, dim, bound", [(3, 6, 2, 1), (2, 5, 2, 1), (2, 4, 1, 2)])

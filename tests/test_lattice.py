@@ -276,6 +276,18 @@ class TestRationalSolve:
         assert solve_rational_combination([(2, 0), (0, 3)], (4, 3)) == (2, 1)
         assert solve_rational_combination([(1, 0)], (0, 1)) is None
 
+    @pytest.mark.parametrize(
+        "rows, target",
+        [
+            # Extra coordinates must not be ignored: 1 * (1, 0, 5) != (1, 0).
+            ([(1, 0, 5)], (1, 0)),
+            ([(1, 0), (1,)], (1, 0)),
+        ],
+    )
+    def test_row_length_mismatch_raises(self, rows, target):
+        with pytest.raises(ValueError):
+            solve_rational_combination(rows, target)
+
     def test_wrong_elimination_raises(self, monkeypatch):
         # One wrong entry of the row echelon form must fail the integer
         # re-check, not come back as coefficients.

@@ -16,11 +16,25 @@ from abtuple.structure import (
     sign_partition,
     verify_certificate,
 )
-from abtuple.tuples import BudgetExceeded, group_tuple, rank, span
+from abtuple.tuples import BudgetExceeded, group_tuple, has_property, rank, span
 
 EXAMPLE_FULL_RANK = ((1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 2, 5))
 TYPE_A_S3 = ((0, 0), (0, 0), (1, 0), (1, 0), (0, 1), (0, 1))
 TYPE_B_S3 = ((0, 0), (0, 0), (0, 0), (1, 0), (0, 1), (-1, -1))
+# A holder of the s=5 q=10 dim=3 bound=1 enumeration cell, of rank 3 < s-1,
+# whose audit fails: every value occurs twice, so (P_{10,5}) holds.
+AUDIT_FAILURE_S5 = (
+    (0, 0, 0),
+    (-1, -1, -1),
+    (-1, -1, -1),
+    (-1, -1, 0),
+    (-1, -1, 0),
+    (-1, -1, 1),
+    (-1, -1, 1),
+    (-1, 0, -1),
+    (-1, 0, -1),
+    (0, 0, 0),
+)
 
 
 def small_tuples(max_dim=3, max_len=6, bound=4):
@@ -329,6 +343,18 @@ class TestAuditClaims:
         drop_claim = next(c for c in axis2 if c.name == "zero_axis_rank_drop")
         assert drop_claim.status == "pass"
         assert drop_claim.witness["rank"] == 1
+
+    def test_s5_holder_below_maximal_rank_fails_zero_axis_not_type_a(self):
+        # The status quo on the s=5 cell: the zero part of axis 1, of rank 2,
+        # is type A, and no zero-axis claim is skipped below rank s-1.
+        t = group_tuple(AUDIT_FAILURE_S5)
+        assert has_property(t, 10, 5).holds
+        rep = audit_claims(t, 5)
+        assert rep.case == "beta"
+        [failure] = rep.failures
+        assert failure.name == "zero_axis_not_type_a"
+        assert failure.witness["axis"] == 1
+        assert failure.witness["variant"] == "type_a"
 
     def test_normalization_translates_to_double_zero(self):
         rep = audit_claims(group_tuple([(0,), (1,), (1,), (2,)]), 2)
