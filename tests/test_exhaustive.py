@@ -27,6 +27,7 @@ from abtuple.exhaustive import (
     _expand,
     _fails_by_order,
     _holder_facts,
+    _process_share,
     _tables,
     _visits,
     nominal_bill,
@@ -986,6 +987,31 @@ def test_each_run_analyses_each_class_once(
     assert [len(keys) for keys in analysed] == [classes] * 3
     assert [len(set(keys)) for keys in analysed] == [classes] * 3
     assert in_process_pool == [2, 3]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_share_analyses_each_of_its_classes_once(monkeypatch, in_process_pool, n):
+    # The shares of an n-way split group their holders by class and analyse
+    # none; some class is met by more than one share.  A run split the same
+    # way analyses each class once, however many shares met it.
+    analysed = []
+    real = exhaustive._holder_facts
+
+    def counting(job, elements):
+        analysed.append(class_key(GroupTuple(dim=job.dim, elements=elements)))
+        return real(job, elements)
+
+    monkeypatch.setattr(exhaustive, "_holder_facts", counting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    job = EnumerationJob(s=3, q=6, dim=2, bound=2)
+    tables = _tables(job)
+    shares = [set(_process_share(job, tables, i, n)) for i in range(n)]
+    assert analysed == []
+    assert len(set().union(*shares)) == 47
+    assert sum(map(len, shares)) > 47
+    run_enumeration(replace(job, jobs=n))
+    assert len(analysed) == len(set(analysed)) == 47
+    assert in_process_pool == [n]
 
 
 def test_report_does_not_depend_on_the_share_split(monkeypatch, in_process_pool):
