@@ -11,21 +11,25 @@ patterns over an integer basis b_1..b_{s-1} of its span:
                                 ..., -(b_{a_{k-1}+1}+...+b_{a_k})
 
 with 0 <= k <= s-1 and breakpoints 1 <= a_1 < ... < a_k <= s-1.  The
-classifier searches for such a certificate directly; an Unclassified result is
-first-class and, when the tuple also satisfies (P_{q,s}), marks a
-counterexample candidate for the classification lemma.
+classifier reads such a certificate off the tuple without a search; an
+Unclassified result is first-class and, when the tuple also satisfies
+(P_{q,s}), marks a counterexample candidate for the classification lemma.
 
 Since both patterns contain a zero entry, the translation constant must occur
-among the tuple's values, and no scan over those values is needed.  The
-type-A test does not depend on the value subtracted: multiplicities are
-translation invariant, and because t contains zero the nonzero values of
-t - c generate span(t) for every value c of t; so type A is tried at t[0].
-In type B zero has multiplicity s+1-k >= 2 and every nonzero value
-multiplicity 1, so the constant is the one value that occurs more than once;
-with none, or several, the tuple is not type B.  Type A and type B are
-mutually exclusive (A forces every value to have multiplicity 2, B forces
-multiplicity 1 on all nonzero values), so trying A first is a fixed
-cosmetic order, not a semantic choice.
+among the tuple's values, and ``classify`` reads both shapes off rank(t) and
+one table of value multiplicities, which translation does not change.  Type
+A is every value occurring twice; because t contains zero, t - c spans
+span(t) for every value c of t, so type A is read at t[0].  In type B zero
+has multiplicity s+1-k >= 2 and every nonzero value multiplicity 1, so the
+constant is the one value that occurs more than once; with none, or several,
+the tuple is not type B.  Type A and type B are mutually exclusive (A forces
+every value to have multiplicity 2, B forces multiplicity 1 on all nonzero
+values), so testing A first is a fixed cosmetic order, not a semantic choice.
+Rank s-1 already makes the chosen basis an integer basis of span(t) (see
+``classify``), so no lattice is compared there.  Certificates that come from
+outside, in ``verify_classification`` and ``rebase_type_b``, are checked
+against span(t) with one HNF of their basis, which shows both independence
+and generation.
 """
 
 from __future__ import annotations
@@ -33,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import (
-    Lattice,
     Vector,
     _leading_index,
     _rational_row_basis,
     hnf_rows,
     vec_neg,
+    vec_sub,
     zero_vector,
 )
 from .tuples import (
@@ -203,27 +207,7 @@ def _assign_positions(tp: GroupTuple, pattern) -> tuple[int, ...] | None:
     return tuple(perm)
 
 
-def _match_type_a(tp: GroupTuple, lat: Lattice, s: int):
-    """Certificate pieces for the doubled pattern, or None."""
-    if s % 2 == 0 or len(tp) != 2 * s:
-        return None
-    mults = value_multiplicities(tp)
-    if len(mults) != s or any(c != 2 for _, c in mults):
-        return None
-    zero = zero_vector(tp.dim)
-    if zero not in (v for v, _ in mults):
-        return None
-    basis = tuple(v for v, _ in mults if v != zero)
-    if hnf_rows(basis, tp.dim) != lat:
-        return None
-    pattern = canonical_pattern(VARIANT_TYPE_A, s, basis)
-    perm = _assign_positions(tp, pattern)
-    if perm is None:  # unreachable given the multiplicity check
-        return None
-    return perm, basis
-
-
-def _block_certificate(tp: GroupTuple, lat: Lattice, s: int, values):
+def _block_certificate(tp: GroupTuple, s: int, values):
     """Type-B certificate pieces over the first s-1 independent ``values``.
 
     One primitive RREF (``_rational_row_basis``) of the matrix whose columns
@@ -238,16 +222,19 @@ def _block_certificate(tp: GroupTuple, lat: Lattice, s: int, values):
     k the number of remaining values; ValueError names the first failed
     condition.
 
-    No separate integer re-check is needed: ``hnf_rows`` checks the basis,
-    and ``_assign_positions`` matches the whole pattern, negated block sums
-    included, against the tuple's own values before anything is returned.
+    No lattice is compared here.  When the values have rank s-1, the basis
+    is independent, and every remaining value that passes reads 0 or -1 over
+    it, an integer combination; so the basis is an integer basis of the span
+    of the values.  ``classify`` passes values of rank s-1 that span
+    span(t); ``rebase_type_b`` compares its chosen values with span(t)
+    itself.  ``_assign_positions`` matches the whole pattern, negated block
+    sums included, against the tuple's own values before anything is
+    returned.
     """
     reduced = _rational_row_basis(zip(*values))
     pivots = [_leading_index(row) for row in reduced]
     chosen = pivots[: s - 1]
     basis = [values[j] for j in chosen]
-    if hnf_rows(basis, tp.dim) != lat:
-        raise ValueError("chosen values do not form an integer basis of the span")
     order: list[int] = []
     breakpoints = []
     for j in range(len(values)):
@@ -272,72 +259,67 @@ def _block_certificate(tp: GroupTuple, lat: Lattice, s: int, values):
     return perm, basis, k, tuple(breakpoints)
 
 
-def _match_type_b(tp: GroupTuple, lat: Lattice, s: int):
-    """Certificate pieces for the block-inverse pattern, or None.
-
-    Each block together with its negated sum is a zero-sum circuit and the
-    basis members outside every block are coloops, so on a type-B tuple any
-    s-1 independent nonzero values form an integer basis over which every
-    other nonzero value is a negated block sum.  The greedy basis of the
-    sorted nonzero values is therefore the lexicographically first subset
-    that certifies, and when it does not certify no subset does.
-    """
-    if len(tp) != 2 * s:
-        return None
-    mults = value_multiplicities(tp)
-    zero = zero_vector(tp.dim)
-    z = dict(mults).get(zero, 0)
-    k = s + 1 - z
-    if not (0 <= k <= s - 1):
-        return None
-    nonzero = sorted(v for v, c in mults if v != zero)
-    if len(nonzero) != s - 1 + k or any(
-        c != 1 for v, c in mults if v != zero
-    ):
-        return None
-    try:
-        return _block_certificate(tp, lat, s, nonzero)
-    except ValueError:
-        return None
-
-
 def classify(t: GroupTuple, s: int) -> Classification:
     """Decide rank-below / type A / type B / Unclassified for the tuple.
 
     Preconditions (ValueError): 2 <= s < q <= 2s and the zero element occurs
-    in t.  Type A is matched first, translated by t[0]; then type B,
-    translated by the one value that occurs more than once (see the module
-    docstring).  The property check of an Unclassified result reads the
-    budget (ABTUPLE_BUDGET, else 10**9).
+    in t.  Both shapes are read off rank(t) and one value-multiplicity
+    table, for q = 2s and rank s-1 only:
+
+    - type A when s is odd and all s values occur twice: translated by t[0],
+      the basis is the nonzero values in first-occurrence order;
+    - type B when exactly one value c repeats, at most s+1 times: translated
+      by c, ``_block_certificate`` picks the basis from the sorted nonzero
+      values, or refuses and the tuple is Unclassified.  Each block together
+      with its negated sum is a zero-sum circuit and the basis members
+      outside every block are coloops, so on a type-B tuple any s-1
+      independent nonzero values form an integer basis over which every
+      other nonzero value is a negated block sum.  The greedy basis of the
+      sorted nonzero values is therefore the lexicographically first subset
+      that certifies, and when it does not certify no subset does.
+
+    No lattice is compared.  t holds zero, so t - c spans span(t) for every
+    value c of t, a group of rank s-1.  In type A the s-1 distinct nonzero
+    values of t - t[0] generate it, and s-1 generators of a free group of
+    rank s-1 are a basis of it.  In type B the basis is independent and
+    every remaining value reads 0 or -1 over it, so it generates span(t).
+
+    The property check of an Unclassified result reads the budget
+    (ABTUPLE_BUDGET, else 10**9).
     """
     q = len(t)
     if not (2 <= s < q <= 2 * s):
         raise ValueError(f"classify requires 2 <= s < q <= 2s, got s={s}, q={q}")
     if zero_vector(t.dim) not in t.elements:
         raise ValueError("classify requires the zero element to occur in the tuple")
-    lat = span(t)
-    tr = lat.rank
+    tr = rank(t)
     if tr < s - 1:
         return Classification(variant=VARIANT_RANK_BELOW, s=s, rank=tr)
     if tr == s - 1 and q == 2 * s:
-        c = t.elements[0]
-        m = _match_type_a(translate(t, c), lat, s)
-        if m is not None:
-            perm, basis = m
+        mults = value_multiplicities(t)
+        if s % 2 and all(n == 2 for _, n in mults):
+            c = t.elements[0]
+            basis = tuple(vec_sub(v, c) for v, _ in mults[1:])
+            pattern = canonical_pattern(VARIANT_TYPE_A, s, basis)
             return Classification(
                 variant=VARIANT_TYPE_A,
                 s=s,
                 rank=tr,
                 scaling=c,
-                permutation=perm,
+                permutation=_assign_positions(translate(t, c), pattern),
                 basis=basis,
             )
-        repeated = [v for v, n in value_multiplicities(t) if n > 1]
-        if len(repeated) == 1:
-            c = repeated[0]
-            m = _match_type_b(translate(t, c), lat, s)
-            if m is not None:
-                perm, basis, k, breaks = m
+        repeated = [(v, n) for v, n in mults if n > 1]
+        if len(repeated) == 1 and repeated[0][1] <= s + 1:
+            c = repeated[0][0]
+            tp = translate(t, c)
+            try:
+                perm, basis, k, breaks = _block_certificate(
+                    tp, s, sorted(v for v in tp.elements if any(v))
+                )
+            except ValueError:
+                pass
+            else:
                 return Classification(
                     variant=VARIANT_TYPE_B,
                     s=s,
@@ -361,12 +343,15 @@ def verify_classification(t: GroupTuple, c: Classification) -> bool:
     """Pure certificate check; no search.  False on any mismatch.
 
     Rank-below certificates verify by re-deriving the rank; type A/B
-    certificates verify by rebuilding the canonical pattern and comparing
-    element-wise against the translated, permuted tuple, plus checking that
-    the recorded basis is an integer basis of span(t).  Unclassified results
-    certify nothing and never verify.
+    certificates need 2 <= s and verify by rebuilding the canonical pattern
+    and comparing element-wise against the translated, permuted tuple, plus
+    checking that the recorded basis is an integer basis of span(t): one HNF
+    of the basis must have rank s-1 (the basis is independent) and equal
+    span(t).  Unclassified results certify nothing and never verify.
     """
     q = len(t)
+    if c.s < 2:
+        return False
     if c.variant == VARIANT_RANK_BELOW:
         return rank(t) == c.rank and c.rank < c.s - 1
     if c.variant == VARIANT_UNCLASSIFIED:
@@ -400,7 +385,8 @@ def verify_classification(t: GroupTuple, c: Classification) -> bool:
     tp = translate(t, c.scaling)
     if any(tp.elements[p] != value for p, value in zip(c.permutation, pattern)):
         return False
-    return hnf_rows(c.basis, t.dim) == span(t)
+    lat = hnf_rows(c.basis, t.dim)
+    return lat.rank == s - 1 and lat == span(t)
 
 
 def rebase_type_b(t: GroupTuple, c: Classification, chosen) -> Classification:
@@ -412,7 +398,8 @@ def rebase_type_b(t: GroupTuple, c: Classification, chosen) -> Classification:
     sum of a block of them.  Returns the certificate over the new basis;
     ValueError when a position is not an integer in 0..q-1, when the chosen
     values are dependent, or when (defensively) they fail to generate the
-    span or the rest of the tuple fails the block pattern.
+    span or the rest of the tuple fails the block pattern.  One HNF of the
+    chosen values decides both independence and generation.
     """
     if c.variant != VARIANT_TYPE_B:
         raise ValueError("rebase applies to type-B certificates only")
@@ -431,12 +418,15 @@ def rebase_type_b(t: GroupTuple, c: Classification, chosen) -> Classification:
         if v == zero:
             raise ValueError(f"position {p + 1} carries the zero value")
         vals.append(v)
-    if hnf_rows(vals, t.dim).rank < s - 1:
+    lat = hnf_rows(vals, t.dim)
+    if lat.rank < s - 1:
         raise ValueError("chosen values are dependent")
+    if lat != span(t):
+        raise ValueError("chosen values do not form an integer basis of the span")
     rest = sorted(
         v for i, v in enumerate(tp.elements) if i not in chosen and v != zero
     )
-    perm, basis, k, breakpoints = _block_certificate(tp, span(t), s, vals + rest)
+    perm, basis, k, breakpoints = _block_certificate(tp, s, vals + rest)
     return Classification(
         variant=VARIANT_TYPE_B,
         s=s,

@@ -77,16 +77,16 @@ elements, never by comparing a subgroup with Z^d, and phi preserves each:
 - a missing equal pair: t_i = t_j exactly when the relation with 1 at i
   and -1 at j is in Rel, so exactly when t'_i = t'_j; the first equal
   pair, and zero, sit at the same positions.
-- the ``classify`` variant.  Rank below s-1 is a rank test.  The type-A test
-  reads value multiplicities and the equality ``hnf_rows(basis) ==
-  span(t)`` of two subgroups generated by values of the tuple, inside
-  span(t), which phi maps to the same equality between the images.  The
-  type-B result does not depend on the order of the nonzero values (see
-  ``classify._match_type_b``), and its block test reads the same kind of
-  equality and rational coordinates over the chosen basis, which phi
-  preserves.  Both translate by a value t_j of the tuple, and translation
-  commutes with phi: phi(x - t_j) = phi(x) - t'_j.  (P_{r,s}), checked on
-  an Unclassified holder, reads which selections have equal sums, that is
+- the ``classify`` variant.  ``classify`` reads the rank, the value
+  multiplicities, which equal pairs fix, and for type B rational
+  coordinates over the chosen basis; it compares no lattices.  Rank below
+  s-1 is a rank test, and type A is a multiplicity test.  The type-B
+  result does not depend on the order of the nonzero values (see
+  ``classify``): its block test reads the rational coordinates of the
+  other values over the greedy independent ones, which phi preserves.
+  Both translate by a value t_j of the tuple, and translation commutes
+  with phi: phi(x - t_j) = phi(x) - t'_j.  (P_{r,s}), checked on an
+  Unclassified holder, reads which selections have equal sums, that is
   integer relations: phi maps equal sums to equal sums and back.
 - ``_audit_holder``'s case and failed claims.  Translating by the value of
   the first equal pair commutes with phi, and zero sits at the same

@@ -206,6 +206,67 @@ class TestVerifyClassification:
         )
         assert not verify_classification(t, c)
 
+    @pytest.mark.parametrize(
+        "elements, cert",
+        [
+            # (a) The pattern matches, but the basis is dependent; classify
+            # calls this tuple rank_below.
+            (
+                [(0,), (0,), (1,), (1,), (1,), (1,)],
+                {
+                    "variant": "type_a",
+                    "s": 3,
+                    "scaling": [0],
+                    "permutation": [1, 2, 3, 4, 5, 6],
+                    "basis": [[1], [1]],
+                },
+            ),
+            # (b) The same dependent basis in a type-B pattern with k = 0.
+            (
+                [(0,), (0,), (0,), (0,), (1,), (1,)],
+                {
+                    "variant": "type_b",
+                    "s": 3,
+                    "scaling": [0],
+                    "permutation": [1, 2, 3, 4, 5, 6],
+                    "basis": [[1], [1]],
+                    "k": 0,
+                    "breakpoints": [],
+                },
+            ),
+            # (c) s = 1, which classify refuses, with an empty basis.
+            (
+                [(0,), (0,)],
+                {
+                    "variant": "type_a",
+                    "s": 1,
+                    "scaling": [0],
+                    "permutation": [1, 2],
+                    "basis": [],
+                },
+            ),
+            (
+                [(0,), (0,)],
+                {
+                    "variant": "type_b",
+                    "s": 1,
+                    "scaling": [0],
+                    "permutation": [1, 2],
+                    "basis": [],
+                    "k": 0,
+                    "breakpoints": [],
+                },
+            ),
+        ],
+        ids=["dependent_type_a", "dependent_type_b", "s1_type_a", "s1_type_b"],
+    )
+    def test_dependent_basis_or_s_below_two_fails(self, elements, cert):
+        t = group_tuple(elements)
+        c = classification_from_json_obj(cert)
+        if c.s >= 2:
+            assert classify(t, c.s).variant == VARIANT_RANK_BELOW
+        assert not verify_classification(t, c)
+
     def test_json_round_trip(self):
         for elements, s in ((TYPE_A_S3, 3), (TYPE_B_S3, 3)):
             t = group_tuple(elements)
@@ -254,6 +315,23 @@ class TestRebase:
         for bad in (9, -1, 4.0, True):
             with pytest.raises(ValueError, match=rf"position {bad!r} is not an integer"):
                 rebase_type_b(t, c, (bad, 4))
+
+    @pytest.mark.parametrize(
+        "chosen, message",
+        [
+            ((2,), "chosen values do not form an integer basis of the span"),
+            ((3,), "remaining value does not reduce to a negated block sum"),
+        ],
+    )
+    def test_refusals_after_independence(self, chosen, message):
+        # A certificate issued for 0 0 2 -2 applied to 3 3 5 1, whose span
+        # is Z: 5 is independent but generates 5Z; 1 generates Z, but 3
+        # reads 3 over it.
+        c = classify(group_tuple([(0,), (0,), (2,), (-2,)]), 2)
+        t = group_tuple([(3,), (3,), (5,), (1,)])
+        with pytest.raises(ValueError) as got:
+            rebase_type_b(t, c, chosen)
+        assert str(got.value) == message
 
     def test_dependent_choice_rejected(self):
         # Type B at s=3 with k=2: values beta_1, beta_2, -beta_1, -beta_2.

@@ -3,9 +3,10 @@ replaced.
 
 The oracles below are the slow reference implementations: ``classify`` tries
 every distinct tuple value as the translation constant, first for type A and
-then for type B, and the type-B matcher scans ``combinations(nonzero, s-1)``
-in lexicographic order, probing each candidate basis with ``hnf_rows`` and
-solving every remaining value over it.  ``oracle_rebase`` solves each
+then for type B.  The type-A matcher checks the multiplicities and zero and
+compares ``hnf_rows`` of the nonzero values with the span; the type-B matcher
+scans ``combinations(nonzero, s-1)`` in lexicographic order, probing each
+candidate basis with ``hnf_rows`` and solving every remaining value over it.  ``oracle_rebase`` solves each
 remaining value over the chosen basis the same way.  The library must return
 the same ``Classification`` and, on a refused rebase, the same ``ValueError``
 message.
@@ -24,7 +25,6 @@ from abtuple.classify import (
     VARIANT_UNCLASSIFIED,
     Classification,
     _assign_positions,
-    _match_type_a,
     canonical_pattern,
     classify,
     rebase_type_b,
@@ -68,6 +68,22 @@ def _blocks(tp, s, basis, supports, k):
         VARIANT_TYPE_B, s, basis, k=k, breakpoints=tuple(breakpoints)
     )
     return _assign_positions(tp, pattern), basis, tuple(breakpoints)
+
+
+def oracle_match_type_a(tp, lat, s):
+    if s % 2 == 0 or len(tp) != 2 * s:
+        return None
+    mults = value_multiplicities(tp)
+    if len(mults) != s or any(c != 2 for _, c in mults):
+        return None
+    zero = zero_vector(tp.dim)
+    if zero not in dict(mults):
+        return None
+    basis = tuple(v for v, _ in mults if v != zero)
+    if hnf_rows(basis, tp.dim) != lat:
+        return None
+    perm = _assign_positions(tp, canonical_pattern(VARIANT_TYPE_A, s, basis))
+    return None if perm is None else (perm, basis)
 
 
 def oracle_match_type_b(tp, lat, s):
@@ -116,7 +132,7 @@ def oracle_classify(t, s):
         lat = span(t)
         candidates = [v for v, _ in value_multiplicities(t)]
         for c in candidates:
-            m = _match_type_a(translate(t, c), lat, s)
+            m = oracle_match_type_a(translate(t, c), lat, s)
             if m is not None:
                 perm, basis = m
                 return Classification(

@@ -153,6 +153,71 @@ class TestVerify:
         assert code == 1
         assert payload == {"valid": False}
 
+    @pytest.mark.parametrize(
+        "text, s, cert",
+        [
+            (
+                "0\n0\n1\n1\n1\n1\n",
+                3,
+                {
+                    "variant": "type_a",
+                    "s": 3,
+                    "scaling": [0],
+                    "permutation": [1, 2, 3, 4, 5, 6],
+                    "basis": [[1], [1]],
+                },
+            ),
+            (
+                "0\n0\n0\n0\n1\n1\n",
+                3,
+                {
+                    "variant": "type_b",
+                    "s": 3,
+                    "scaling": [0],
+                    "permutation": [1, 2, 3, 4, 5, 6],
+                    "basis": [[1], [1]],
+                    "k": 0,
+                    "breakpoints": [],
+                },
+            ),
+            (
+                "0\n0\n",
+                1,
+                {
+                    "variant": "type_a",
+                    "s": 1,
+                    "scaling": [0],
+                    "permutation": [1, 2],
+                    "basis": [],
+                },
+            ),
+            (
+                "0\n0\n",
+                1,
+                {
+                    "variant": "type_b",
+                    "s": 1,
+                    "scaling": [0],
+                    "permutation": [1, 2],
+                    "basis": [],
+                    "k": 0,
+                    "breakpoints": [],
+                },
+            ),
+        ],
+        ids=["dependent_type_a", "dependent_type_b", "s1_type_a", "s1_type_b"],
+    )
+    def test_dependent_basis_or_s_below_two_fails(
+        self, capsys, tuple_file, tmp_path, text, s, cert
+    ):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(cert))
+        code, payload, err = run_cli(
+            capsys, "verify", "--s", str(s), tuple_file(text), str(cert_file)
+        )
+        assert code == 1
+        assert payload == {"valid": False}
+        assert "INVALID" in err
 
     @pytest.mark.parametrize(
         "cert, field",
