@@ -29,7 +29,9 @@ Rank s-1 already makes the chosen basis an integer basis of span(t) (see
 ``classify``), so no lattice is compared there.  Certificates that come from
 outside, in ``verify_classification`` and ``rebase_type_b``, are checked
 against span(t) with one HNF of their basis, which shows both independence
-and generation.
+and generation; ``verify_classification`` first requires the tuple to lie
+in ``classify``'s domain, so it accepts no certificate ``classify`` could
+not have issued.
 """
 
 from __future__ import annotations
@@ -259,6 +261,16 @@ def _block_certificate(tp: GroupTuple, s: int, values):
     return perm, basis, k, tuple(breakpoints)
 
 
+def _outside_domain(t: GroupTuple, s: int) -> str | None:
+    """Why ``classify`` refuses (t, s), or None when it accepts them."""
+    q = len(t)
+    if not (2 <= s < q <= 2 * s):
+        return f"classify requires 2 <= s < q <= 2s, got s={s}, q={q}"
+    if zero_vector(t.dim) not in t.elements:
+        return "classify requires the zero element to occur in the tuple"
+    return None
+
+
 def classify(t: GroupTuple, s: int) -> Classification:
     """Decide rank-below / type A / type B / Unclassified for the tuple.
 
@@ -287,11 +299,10 @@ def classify(t: GroupTuple, s: int) -> Classification:
     The property check of an Unclassified result reads the budget
     (ABTUPLE_BUDGET, else 10**9).
     """
+    refusal = _outside_domain(t, s)
+    if refusal is not None:
+        raise ValueError(refusal)
     q = len(t)
-    if not (2 <= s < q <= 2 * s):
-        raise ValueError(f"classify requires 2 <= s < q <= 2s, got s={s}, q={q}")
-    if zero_vector(t.dim) not in t.elements:
-        raise ValueError("classify requires the zero element to occur in the tuple")
     tr = rank(t)
     if tr < s - 1:
         return Classification(variant=VARIANT_RANK_BELOW, s=s, rank=tr)
@@ -342,16 +353,18 @@ def classify(t: GroupTuple, s: int) -> Classification:
 def verify_classification(t: GroupTuple, c: Classification) -> bool:
     """Pure certificate check; no search.  False on any mismatch.
 
-    Rank-below certificates verify by re-deriving the rank; type A/B
-    certificates need 2 <= s and verify by rebuilding the canonical pattern
-    and comparing element-wise against the translated, permuted tuple, plus
-    checking that the recorded basis is an integer basis of span(t): one HNF
-    of the basis must have rank s-1 (the basis is independent) and equal
-    span(t).  Unclassified results certify nothing and never verify.
+    A certificate verifies only inside ``classify``'s domain: 2 <= s < q <=
+    2s and the zero element occurs in t.  Rank-below certificates verify by
+    re-deriving the rank; type A/B certificates verify by rebuilding the
+    canonical pattern and comparing element-wise against the translated,
+    permuted tuple, plus checking that the recorded basis is an integer
+    basis of span(t): one HNF of the basis must have rank s-1 (the basis is
+    independent) and equal span(t).  Unclassified results certify nothing
+    and never verify.
     """
-    q = len(t)
-    if c.s < 2:
+    if _outside_domain(t, c.s) is not None:
         return False
+    q = len(t)
     if c.variant == VARIANT_RANK_BELOW:
         return rank(t) == c.rank and c.rank < c.s - 1
     if c.variant == VARIANT_UNCLASSIFIED:

@@ -17,10 +17,11 @@ one per negation pair; every tuple of the universe is still counted, by
   positions (s-1, s) and (q-s-1, q-s).  Let c = |{s, q-s}|.  A sorted
   q-multiset ties there iff it is the expansion of a sorted
   (q-c)-multiset u: for p in {s, q-s} in increasing order, insert at p a
-  copy of the entry at p - 1 (``_expand``).  Expansion is a bijection, it
-  keeps zero, and it is strictly monotone in lex order, as is removing one
-  zero (two sorted sequences of one length compare as the least element
-  of their multiset difference, which a common element does not change).
+  copy of the entry at p - 1 (``_visits`` does).  Expansion is a
+  bijection, it keeps zero, and it is strictly monotone in lex order, as
+  is removing one zero (two sorted sequences of one length compare as the
+  least element of their multiset difference, which a common element does
+  not change).
   So walking the (q-c)-universe in canonical order and expanding each
   tuple yields the lex survivors, C(g+q-c-2, q-c-1) of them for a grid of
   g values, in canonical order.
@@ -52,12 +53,13 @@ by k, so each coordinate is the most significant digit of one table, and
 table 0 is in grid order.  An expanded tuple already ties in grid order;
 one whose order statistics in any other table refute (P_{q,s}) (see
 ``_fails_by_order``) is dropped without forming a sum.  The survivors are
-tested for (P_{q,s}) by the kernel on their table-0 ints, and only holders
-are looked up as vectors.  They are then ranked, classified, checked for
-an equal pair, and audited.  The report aggregates counts and quotes
-verbatim every tuple that is Unclassified, fails an audit claim, or lacks
-an equal pair — those are counterexample candidates for the
-classification lemma and force ok=false.
+tested for (P_{q,s}) by the kernel, ``tuples._decide_packed``, on their
+table-0 ints; it returns a failure witness or None, and only the tuples it
+returns None for, the holders, are looked up as vectors.  They are then
+ranked, classified, checked for an equal pair, and audited.  The report
+aggregates counts and quotes verbatim every tuple that is Unclassified,
+fails an audit claim, or lacks an equal pair — those are counterexample
+candidates for the classification lemma and force ok=false.
 
 Holders whose coordinates span the same rational row space are analysed
 once.  Read a tuple of q elements of Z^d as the d x q matrix M whose rows
@@ -232,16 +234,6 @@ def _fails_by_order(ints, q: int, s: int) -> bool:
     return v[q - s - 1] != v[q - s] or v[s - 1] != v[s]
 
 
-def _expand(u: tuple, q: int, s: int) -> tuple:
-    """The sorted q-multiset whose order statistics tie at (s-1, s) and
-    (q-s-1, q-s) that the sorted (q-c)-multiset ``u`` stands for: for p in
-    {s, q-s} in increasing order, insert at p a copy of the entry at p-1.
-    Entries are anything ordered; the walk passes grid indices."""
-    for p in sorted({s, q - s}):
-        u = u[:p] + u[p - 1 :]
-    return u
-
-
 def _visits(q: int, s: int, g: int, i: int, n: int):
     """Share i of n of the walk: its expanded tuples, with their weights.
 
@@ -250,8 +242,9 @@ def _visits(q: int, s: int, g: int, i: int, n: int):
     (u without its pinned zero); the share takes every n-th of them from
     the i-th on, before the negation check and the expansion, so it does
     Python work only for its own tuples.  For each u <= -u it yields
-    (``_expand(u)``, weight); -u is u negated, x -> g-1-x, and re-sorted,
-    and the weight is 1 when u = -u and else 2 (see the module docstring).
+    (the expansion of u, weight); -u is u negated, x -> g-1-x, and
+    re-sorted, and the weight is 1 when u = -u and else 2 (see the module
+    docstring).  The expansion positions {s, q-s} are sorted once per share.
 
     Sorted index tuples of one length compare as their least entries first,
     and -u's least entry is g-1 minus u's greatest.  So u > -u whenever
@@ -264,7 +257,8 @@ def _visits(q: int, s: int, g: int, i: int, n: int):
     """
     top = g - 1
     zero = top // 2
-    free = q - len({s, q - s}) - 1
+    positions = sorted({s, q - s})
+    free = q - len(positions) - 1
     walk = [()]
     if free:
         walk = chain.from_iterable(
@@ -284,7 +278,9 @@ def _visits(q: int, s: int, g: int, i: int, n: int):
                 continue
             if u == negated:
                 weight = 1
-        yield _expand(u, q, s), weight
+        for p in positions:
+            u = u[:p] + u[p - 1 :]
+        yield u, weight
 
 
 def _holder_facts(job: EnumerationJob, elements) -> tuple:
@@ -321,11 +317,12 @@ def _process_share(job: EnumerationJob, tables: tuple, i: int, n: int) -> dict:
     ``_visits`` yields the share's expanded tuples as sorted grid indices,
     one per negation pair.  One that ``_fails_by_order`` on any table but
     table 0 is dropped (table 0 drops none of them), and the kernel decides
-    the (P_{q,s}) of the others on their table-0 ints.  A holder's key is
-    its indices without zero's; its canonical form is zero, then the
-    values at its key.  Returns {class key: [(key, weight), ...]}, in walk
-    order, where the class key is ``_rational_row_basis`` of the canonical
-    form's coordinate columns.  The share analyses no holder.
+    the (P_{q,s}) of the others on their table-0 ints: a tuple it returns
+    no witness for is a holder.  A holder's key is its indices without
+    zero's; its canonical form is zero, then the values at its key.
+    Returns {class key: [(key, weight), ...]}, in walk order, where the
+    class key is ``_rational_row_basis`` of the canonical form's coordinate
+    columns.  The share analyses no holder.
 
     This is the one check of each tuple's (P_{q,s}), and it skips
     ``has_property``'s budget guard: a check decides at most
@@ -342,7 +339,7 @@ def _process_share(job: EnumerationJob, tables: tuple, i: int, n: int) -> dict:
             if _fails_by_order(map(t.__getitem__, w), q, s):
                 break
         else:
-            if _decide_packed([table0[k] for k in w], q, s).holds:
+            if _decide_packed([table0[k] for k in w], q, s) is None:
                 j = bisect_left(w, zero)
                 key = w[:j] + w[j + 1 :]
                 span = _rational_row_basis(zip(grid[zero], *map(grid.__getitem__, key)))

@@ -15,8 +15,9 @@ Conventions:
 Rational questions (row spaces over Q, coordinates over a greedy basis) go
 through one elimination, ``_rational_row_basis``: the reduced row echelon
 form with each row scaled to coprime integers and a positive pivot.  It
-serves ``solve_rational_combination`` here, the rational basis and type-B
-certificates in ``structure`` and ``classify``, and ``exhaustive``'s class key.
+serves ``solve_rational_combination`` here, ``tuples.rank``, the rational
+basis and type-B certificates in ``structure`` and ``classify``, and
+``exhaustive``'s class key.
 """
 
 from __future__ import annotations

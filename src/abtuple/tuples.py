@@ -23,7 +23,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .lattice import Lattice, Vector, hnf_rows, vec_sub, zero_vector
+from .lattice import (
+    Lattice,
+    Vector,
+    _rational_row_basis,
+    hnf_rows,
+    vec_sub,
+    zero_vector,
+)
 
 
 class BudgetExceeded(Exception):
@@ -150,7 +157,9 @@ def span(t: GroupTuple) -> Lattice:
 
 
 def rank(t: GroupTuple) -> int:
-    return span(t).rank
+    """Rank of span(t): the rows of the primitive reduced row echelon form
+    of its elements, which is cheaper than the full HNF ``span`` builds."""
+    return len(_rational_row_basis(t.elements))
 
 
 def translate(t: GroupTuple, c: Vector) -> GroupTuple:
@@ -295,6 +304,8 @@ def has_property(t: GroupTuple, r: int, s: int) -> PropertyReport:
     is matched by no other selection of its window is the failure witness.
     Sums are formed on exactly packed integers (see ``_packed``) by
     ``_decide_packed``, the package's one kernel, after the budget guard.
+    The kernel returns the witness or None; this is the one place that
+    builds a ``PropertyReport`` from it.
 
     Raises BudgetExceeded before any work when ``property_work(q, r, s)``,
     the selections a full check decides, exceeds the budget
@@ -307,20 +318,29 @@ def has_property(t: GroupTuple, r: int, s: int) -> PropertyReport:
     _charge(work, f"(P_{{{r},{s}}}) check forms {work} subset sums")
 
     bound = max(abs(x) for e in t.elements for x in e)
-    return _decide_packed(_packed(t.elements, s, bound), r, s)
+    witness = _decide_packed(_packed(t.elements, s, bound), r, s)
+    return PropertyReport(
+        q=q, r=r, s=s, holds=witness is None, failure_witness=witness
+    )
 
 
-def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
+def _decide_packed(
+    packed: list[int], r: int, s: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The (P_{r,s}) kernel on exactly packed elements, without a budget.
 
-    ``packed`` holds one int per position, packed in any base that is exact
-    for s-sums (see ``_packed``): the report depends only on which s-sums are
-    equal, so every exact packing gives the same report.
+    Returns the failure witness, a (window, selection) pair of 0-based
+    position tuples, or None when the property holds; ``has_property``
+    wraps it in a ``PropertyReport``.  ``packed`` holds one int per
+    position, packed in any base that is exact for s-sums (see
+    ``_packed``): the result depends only on which s-sums are equal, so
+    every exact packing gives the same witness.
 
     Each window counts the sums of the selections that hold its first
     ``lead`` positions, without them.  Up to ``_SPLIT_ABOVE`` selections
     the sums are formed once, in ``combinations`` order, into the list the
-    count is built from, and the witness is read from that list; above it
+    count is built from, a plain dict holding 1 for a sum seen once and 2
+    for a repeated one, and the witness is read from that list; above it
     ``_window_counts`` counts them by value class, and only a window with
     a failing selection forms its sums, lazily, up to the first one.  With
     r != 2s, ``lead`` is 0 and a selection fails iff its sum occurs once.
@@ -340,34 +360,30 @@ def _decide_packed(packed: list[int], r: int, s: int) -> PropertyReport:
     every other one, so the first v-holding S that fails is the window's
     first failure.
     """
-    q = len(packed)
     lead = 1 if r == 2 * s else 0
     size = s - lead
     direct = comb(r - lead, size) <= _SPLIT_ABOVE
-    for window in combinations(range(q), r):
+    for window in combinations(range(len(packed)), r):
         vals = [packed[i] for i in window]
         if direct:
             sums = list(map(sum, combinations(vals[lead:], size)))
-            counts = Counter(sums)
+            counts = {}
+            for x in sums:
+                counts[x] = 2 if x in counts else 1
         else:
             counts = _window_counts(vals[lead:], size)
-        k = sum(vals) - 2 * vals[0]
-        lonely = {
-            x for x, c in counts.items() if c == 1 and not (lead and k - x in counts)
-        }
+        if lead:
+            k = sum(vals) - 2 * vals[0]
+            lonely = {x for x, c in counts.items() if c == 1 and k - x not in counts}
+        else:
+            lonely = {x for x, c in counts.items() if c == 1}
         if lonely:
             if not direct:
                 sums = map(sum, combinations(vals[lead:], size))
             for rest, x in zip(combinations(window[lead:], size), sums):
                 if x in lonely:
-                    return PropertyReport(
-                        q=q,
-                        r=r,
-                        s=s,
-                        holds=False,
-                        failure_witness=(window, window[:lead] + rest),
-                    )
-    return PropertyReport(q=q, r=r, s=s, holds=True, failure_witness=None)
+                    return window, window[:lead] + rest
+    return None
 
 
 # The measured direct/class-count crossover of ``_decide_packed``, in
@@ -383,9 +399,9 @@ def _window_counts(vals: list[int], k: int) -> Counter:
     above 1 says only that x occurs more than once.
 
     ``_decide_packed`` forms the sums of a window of up to
-    ``_SPLIT_ABOVE`` selections directly, at the cost of a k-tuple and
-    k - 1 additions each, and calls this only above it.  Here the sums are
-    counted by value class, not by selection:
+    ``_SPLIT_ABOVE`` selections directly, at the cost of a k-tuple, k - 1
+    additions and a dict update each, and calls this only above it.  Here
+    the sums are counted by value class, not by selection:
 
     - The multiset of k-sums depends only on the multiset of values.
     - Group equal values into classes (u_i, m_i).  A composition c, with
@@ -412,11 +428,16 @@ def _window_counts(vals: list[int], k: int) -> Counter:
     values repeat forms one sum per composition, not per selection.
 
     Crossover: the count alone on 113-bit ints, best of 9 runs, three
-    interleaved rounds on one 2-core host (Python 3.11), direct vs class
-    count, all values distinct: C(9,4) = 126, 44 vs 53 us; C(11,3) = 165,
-    55 vs 67 us; C(10,4) = 210, 68 vs 79 us; C(10,5) = 252, 92 vs 85 us;
-    C(11,5) = 462, 129 vs 82 us; C(15,7) = 6,435, 2.0 vs 0.70 ms.  The two
-    break even between 210 and 252 selections.
+    interleaved rounds on one 2-core host (Python 3.11), the direct sums
+    counted in a plain dict vs the class count, all values distinct:
+    C(9,4) = 126, 54 vs 62 us; C(11,3) = 165, 62 vs 75 us; C(10,4) = 210,
+    91 vs 91 us; C(12,3) = 220, 85 vs 101 us; C(13,3) = 286, 109 vs 116 us;
+    C(11,5) = 462, 217 vs 141 us; C(15,7) = 6,435, 3.7 vs 1.2 ms.  The two
+    break even at 210 selections for k = 4.  Every window with 221 to 285
+    selections has k = 2, where the direct count still wins (C(22,2) =
+    231, 75 vs 113 us; C(24,2) = 276, 67 vs 85 us), so the crossover stays
+    at 256.  Values drawn from three favour the class count from 165 on
+    (64 vs 62 us; 220: 88 vs 63 us).
     """
     classes = Counter(vals)
     singles = [u for u, m in classes.items() if m == 1]

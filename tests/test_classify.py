@@ -267,6 +267,34 @@ class TestVerifyClassification:
             assert classify(t, c.s).variant == VARIANT_RANK_BELOW
         assert not verify_classification(t, c)
 
+    @pytest.mark.parametrize(
+        "elements, cert",
+        [
+            # (a) q = 2 <= s and no zero element: rank 1 < s - 1 alone
+            # does not certify rank below.
+            ([(1,), (2,)], {"variant": "rank_below", "s": 5, "t": 1}),
+            # (b) The type-A pattern matches after translation, but the
+            # tuple holds no zero element.
+            (
+                [(1, 0), (1, 0), (2, 0), (2, 0), (1, 1), (1, 1)],
+                {
+                    "variant": "type_a",
+                    "s": 3,
+                    "scaling": [1, 0],
+                    "permutation": [1, 2, 3, 4, 5, 6],
+                    "basis": [[1, 0], [0, 1]],
+                },
+            ),
+        ],
+        ids=["rank_below_q_at_most_s", "type_a_without_zero"],
+    )
+    def test_outside_classify_domain_fails(self, elements, cert):
+        t = group_tuple(elements)
+        c = classification_from_json_obj(cert)
+        with pytest.raises(ValueError):
+            classify(t, c.s)
+        assert not verify_classification(t, c)
+
     def test_json_round_trip(self):
         for elements, s in ((TYPE_A_S3, 3), (TYPE_B_S3, 3)):
             t = group_tuple(elements)

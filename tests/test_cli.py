@@ -220,6 +220,40 @@ class TestVerify:
         assert "INVALID" in err
 
     @pytest.mark.parametrize(
+        "text, s, cert",
+        [
+            ("1\n2\n", 5, {"variant": "rank_below", "s": 5, "t": 1}),
+            (
+                "1 0\n1 0\n2 0\n2 0\n1 1\n1 1\n",
+                3,
+                {
+                    "variant": "type_a",
+                    "s": 3,
+                    "scaling": [1, 0],
+                    "permutation": [1, 2, 3, 4, 5, 6],
+                    "basis": [[1, 0], [0, 1]],
+                },
+            ),
+        ],
+        ids=["rank_below_q_at_most_s", "type_a_without_zero"],
+    )
+    def test_outside_classify_domain_fails(
+        self, capsys, tuple_file, tmp_path, text, s, cert
+    ):
+        # classify refuses both tuples (exit 2), so no certificate of them
+        # is valid.
+        tf = tuple_file(text)
+        assert run_cli(capsys, "classify", "--s", str(s), tf)[0] == 2
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(cert))
+        code, payload, err = run_cli(
+            capsys, "verify", "--s", str(s), tf, str(cert_file)
+        )
+        assert code == 1
+        assert payload == {"valid": False}
+        assert "INVALID" in err
+
+    @pytest.mark.parametrize(
         "cert, field",
         [
             ({"s": 2}, "variant"),

@@ -24,7 +24,6 @@ from abtuple.classify import VARIANT_UNCLASSIFIED, classify
 from abtuple.cli import main
 from abtuple.exhaustive import (
     EnumerationJob,
-    _expand,
     _fails_by_order,
     _holder_facts,
     _process_share,
@@ -65,6 +64,17 @@ def fails_by_lex_order(elements, q: int, s: int) -> bool:
     ``_fails_by_order``."""
     v = sorted(elements)
     return v[q - s - 1] != v[q - s] or v[s - 1] != v[s]
+
+
+def expand(u: tuple, q: int, s: int) -> tuple:
+    """The sorted q-multiset whose order statistics tie at (s-1, s) and
+    (q-s-1, q-s) that the sorted (q-c)-multiset ``u`` stands for: for p in
+    {s, q-s} in increasing order, insert at p a copy of the entry at p-1.
+    The reference for the expansion ``_visits`` applies inline to each
+    walked tuple; entries are anything ordered."""
+    for p in sorted({s, q - s}):
+        u = u[:p] + u[p - 1 :]
+    return u
 
 
 def reference_property_multisets(job):
@@ -432,7 +442,7 @@ class TestWalk:
         zero = (g - 1) // 2
         n = q - len({s, q - s})
         walked = [
-            without_zero(_expand(tuple(sorted((zero,) + key)), q, s), g)
+            without_zero(expand(tuple(sorted((zero,) + key)), q, s), g)
             for key in combinations_with_replacement(range(g), n - 1)
         ]
         assert walked == lex_survivor_keys(q, s, g)
@@ -483,7 +493,7 @@ class TestWalk:
         entries = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
         u = tuple(sorted(data.draw(entries)))
         negated = tuple(sorted(-x for x in u))
-        assert _expand(negated, q, s) == tuple(sorted(-x for x in _expand(u, q, s)))
+        assert expand(negated, q, s) == tuple(sorted(-x for x in expand(u, q, s)))
 
 
 @st.composite
@@ -559,7 +569,7 @@ def test_job_packing_matches_has_property(case):
     # included, must not change.
     t, r, s, bound = case
     packed = _packed(t.elements, s, bound)
-    assert _decide_packed(packed, r, s) == has_property(t, r, s)
+    assert _decide_packed(packed, r, s) == has_property(t, r, s).failure_witness
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +606,7 @@ def test_holder_pass_matches_public_functions(s, q, dim, bound):
         holders += 1
         tables = table_ints(t.elements, q, s, bound)
         assert not any(_fails_by_order(ints, q, s) for ints in tables)
-        assert _decide_packed(tables[0], q, s).holds
+        assert _decide_packed(tables[0], q, s) is None
         cls = classify(t, s)
         report = audit_claims(t, s)
         assert _audit_holder(t, s) == report

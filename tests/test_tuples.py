@@ -18,6 +18,7 @@ from abtuple.tuples import (
     GroupTuple,
     PropertyReport,
     TupleFormatError,
+    _decide_packed,
     _packed,
     _SPLIT_ABOVE,
     _window_counts,
@@ -213,6 +214,39 @@ def repeated_wide_cases(draw):
     return group_tuple(rows, dim=dim), r, s
 
 
+# (r, s) pairs whose windows sit next to the crossover: for r = 2s, the
+# widest window below it and the narrowest above it; likewise for r != 2s
+# at s = 3.
+EDGE_BELOW = [(10, 5), (12, 3)]
+EDGE_ABOVE = [(12, 6), (13, 3)]
+
+
+@st.composite
+def crossover_edge_cases(draw):
+    """(tuple, r, s) draws on both sides of the crossover.
+
+    r = 2s rows come from scrambled type-A/B instances at s; r != 2s rows
+    from a pool of 1..q distinct values in Z or Z^2, so windows range from
+    constant to all distinct.  q is r or r + 1.
+    """
+    r, s = draw(st.sampled_from(EDGE_BELOW + EDGE_ABOVE), label="shape")
+    q = draw(st.integers(r, r + 1), label="q")
+    if r == 2 * s:
+        return scrambled_instance(draw, s, q), r, s
+    dim = draw(st.integers(1, 2), label="dim")
+    pool = draw(
+        st.lists(
+            st.tuples(*[st.integers(-(10**6), 10**6)] * dim),
+            min_size=1,
+            max_size=q,
+            unique=True,
+        ),
+        label="pool",
+    )
+    rows = draw(st.lists(st.sampled_from(pool), min_size=q, max_size=q), label="rows")
+    return group_tuple(rows, dim=dim), r, s
+
+
 # One-window tuples in Z above the crossover, as (values, r, s, holds).
 # In each, every value the kernel counts repeats (the first is left out
 # when r = 2s), and one class has more copies than a selection takes.
@@ -286,6 +320,12 @@ class TestParsing:
 
 
 class TestAlgebra:
+    @given(small_tuples(max_dim=4, max_len=7))
+    @settings(max_examples=200, deadline=None)
+    def test_rank_is_the_span_rank(self, t):
+        # rank reads the primitive RREF; the HNF of the span is the oracle.
+        assert rank(t) == span(t).rank
+
     def test_rank_examples(self):
         assert rank(group_tuple(EXAMPLE_FULL_RANK)) == 3
         assert rank(group_tuple([(0, 0), (0, 0)])) == 0
@@ -459,6 +499,21 @@ class TestHasProperty:
         t, r, s = case
         assert has_property(t, r, s) == counted_property(t, r, s)
 
+    @given(crossover_edge_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_kernel_returns_the_witness_or_none(self, case):
+        # The kernel returns the report's witness, None when the property
+        # holds, on either side of the crossover and on both branches.
+        t, r, s = case
+        sel = comb(r - 1, s - 1) if r == 2 * s else comb(r, s)
+        assert (sel <= _SPLIT_ABOVE) is ((r, s) in EDGE_BELOW)
+        bound = max(abs(x) for e in t.elements for x in e)
+        witness = _decide_packed(_packed(t.elements, s, bound), r, s)
+        rep = has_property(t, r, s)
+        assert witness == rep.failure_witness
+        assert (witness is None) is rep.holds
+        assert rep == counted_property(t, r, s)
+
     def test_direct_window_forms_each_sum_once(self, monkeypatch):
         # A failing window below the crossover reads its witness from the
         # sums its count was built from.  Its last selection is the first
@@ -476,9 +531,9 @@ class TestHasProperty:
         monkeypatch.undo()
         assert rep.failure_witness == (tuple(range(7)), (4, 5, 6))
         assert rep == scan_property(t, 7, 3)
-        # One sum per selection, and the window's own sum.
-        assert sizes.count(3) == property_work(7, 7, 3) == 35
-        assert sizes == [3] * 35 + [7]
+        # One sum per selection; with lead 0 the window's own sum is not
+        # formed.
+        assert sizes == [3] * property_work(7, 7, 3) == [3] * 35
 
     def test_packing_base_carries_s(self):
         # With s=2 and B=1, (0,1)+(0,1) and (1,0)+(0,-1) pack to the same
