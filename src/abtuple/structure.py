@@ -23,8 +23,10 @@ the primitive element parallel to a given direction is unique up to sign.
 With every representative written in coordinates over the span's HNF basis,
 a rank-sized subset's |determinant| is 0 for a dependent subset, 1 for a basis
 of the span, and otherwise the index of the sublattice the representatives
-generate.  The subsets are scanned depth first in lexicographic order, and
-subsets with a common prefix share that prefix's fraction-free elimination.
+generate.  The subsets are scanned depth first in lexicographic order:
+subsets with a common prefix share that prefix's fraction-free elimination,
+and the last three members are chosen in closed form, each pair's cross
+product dotted with every later row.
 
 ``audit_claims`` checks, on a concrete property-(P_{q,s}) instance, the
 structural assertions that drive the classification: the exponent matrix is
@@ -336,33 +338,63 @@ class AdequateBasisDecision:
         return obj
 
 
-def _nonzero_minors(cands, size, prefix=(), prev=1):
-    """Yield (subset, |det|) for every independent choice of ``size`` more
-    rows from ``cands``, in lexicographic order.
+def _nonzero_minors(cands, size, out, prefix=(), prev=1):
+    """Scan every independent choice of ``size`` more rows from ``cands`` in
+    lexicographic order: append (subset, |det|) to ``out`` for each subset of
+    |det| >= 2, and return the first subset of |det| 1 as soon as it is met,
+    or None when there is none.
 
     ``cands`` holds (position, row) pairs whose rows have ``size`` entries:
     the coordinate rows still to choose from, reduced by fraction-free
     (Bareiss) elimination against the pivot rows of ``prefix``, whose last
     pivot is ``prev``.  Choosing row x with pivot x[c] = p updates every
     later row y to (p*y - y[c]*x) // prev without column c; the division is
-    exact by Sylvester's identity (each entry is a minor of the input).  With
-    two rows left to choose, the last step is done in scalars: for rows x
-    and y, (x0*y1 - x1*y0) // prev is +-det of the subset, whichever column
-    pivots.  A row reduced to zero is dependent on the prefix, and every
-    subset that extends the prefix by it is skipped.
+    exact by Sylvester's identity (each entry is a minor of the input).  The
+    same identity closes the scan with three rows left to choose: after k
+    pivots, the m-by-m determinant of reduced rows is prev**(m-1) times the
+    (k+m)-by-(k+m) minor of the input, so for m = 3 the determinant of
+    reduced rows x, y, z divided by prev**2 is +-det of the subset,
+    whichever columns pivoted.  Each pair's cross product x cross y is taken
+    once and dotted with every later z.  A dependent prefix skips all its
+    extensions: a row reduced to zero above the tail, a pair with a zero
+    cross product in it.  Spans of rank 1 and 2 are scanned in one or two
+    levels at the top, with prev = 1, and never reach the tail.
     """
-    if size == 1:  # only a rank-1 span starts here; deeper scans end at 2
+    if size == 1:
         for i, (v,) in cands:
-            if v:
-                yield prefix + (i,), abs(v)
-        return
+            v = abs(v)
+            if v > 1:
+                out.append(((i,), v))
+            elif v:
+                return (i,)
+        return None
     if size == 2:
         for a, (i, (x0, x1)) in enumerate(cands):
             for j, (y0, y1) in cands[a + 1 :]:
-                v = (x0 * y1 - x1 * y0) // prev
-                if v:
-                    yield prefix + (i, j), abs(v)
-        return
+                v = abs(x0 * y1 - x1 * y0)
+                if v > 1:
+                    out.append(((i, j), v))
+                elif v:
+                    return (i, j)
+        return None
+    if size == 3:
+        pp = prev * prev
+        for a, (i, (x0, x1, x2)) in enumerate(cands):
+            for b in range(a + 1, len(cands) - 1):
+                j, (y0, y1, y2) = cands[b]
+                c0 = x1 * y2 - x2 * y1
+                c1 = x2 * y0 - x0 * y2
+                c2 = x0 * y1 - x1 * y0
+                if not (c0 or c1 or c2):
+                    continue
+                ij = prefix + (i, j)
+                for k, (z0, z1, z2) in cands[b + 1 :]:
+                    v = abs(c0 * z0 + c1 * z1 + c2 * z2) // pp
+                    if v > 1:
+                        out.append((ij + (k,), v))
+                    elif v:
+                        return ij + (k,)
+        return None
     for a in range(len(cands) - size + 1):
         i, x = cands[a]
         c = next((k for k, v in enumerate(x) if v), None)
@@ -375,7 +407,10 @@ def _nonzero_minors(cands, size, prefix=(), prev=1):
             row = [(p * u - f * w) // prev for u, w in zip(y, x)]
             del row[c]
             rest.append((j, row))
-        yield from _nonzero_minors(rest, size - 1, prefix + (i,), p)
+        found = _nonzero_minors(rest, size - 1, out, prefix + (i,), p)
+        if found:
+            return found
+    return None
 
 
 def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
@@ -394,9 +429,10 @@ def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
     coordinate rows: 0 when the subset is dependent (skipped), 1 when the
     representatives generate the span (the witness), and otherwise the
     sublattice index they generate, recorded in the refutation (each entry
-    is >= 2).  The scan is depth first and lazy: subsets sharing a prefix
-    share its elimination (``_nonzero_minors``), a dependent prefix skips
-    all its extensions, and a witness stops the scan.
+    is >= 2).  The scan (``_nonzero_minors``) is depth first: subsets
+    sharing a prefix share its elimination, the last three members are
+    chosen in closed form, a dependent prefix skips all its extensions, and
+    the first witness ends the scan.
 
     Raises BudgetExceeded before the scan when the C(#nonzero, rank) subsets
     it may test exceed the budget (ABTUPLE_BUDGET, else 10**9).
@@ -414,23 +450,16 @@ def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
         g = gcd(*c)
         coords.append((i, [x // g for x in c]))
     refutation = []
-    for subset, idx in _nonzero_minors(coords, tr):
-        if idx == 1:
-            prims, mults = zip(
-                *(primitive_representative(lat, t.elements[i]) for i in subset)
-            )
-            return AdequateBasisDecision(
-                exists=True,
-                witness=AdequateBasisWitness(
-                    indices=subset,
-                    multipliers=mults,
-                    basis=prims,
-                ),
-                refutation=None,
-            )
-        refutation.append((subset, idx))
+    subset = _nonzero_minors(coords, tr, refutation)
+    if subset is None:
+        return AdequateBasisDecision(
+            exists=False, witness=None, refutation=tuple(refutation)
+        )
+    prims, mults = zip(*(primitive_representative(lat, t.elements[i]) for i in subset))
     return AdequateBasisDecision(
-        exists=False, witness=None, refutation=tuple(refutation)
+        exists=True,
+        witness=AdequateBasisWitness(indices=subset, multipliers=mults, basis=prims),
+        refutation=None,
     )
 
 

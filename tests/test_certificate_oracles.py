@@ -232,19 +232,16 @@ def oracle_adequate_basis_two_solve(t):
     reps = {i: primitive_representative(lat, t.elements[i]) for i in nonzero}
     coords = [(i, solve_coordinates(lat, p)) for i, (p, _) in reps.items()]
     refutation = []
-    for subset, idx in _nonzero_minors(coords, tr):
-        if idx == 1:
-            prims, mults = zip(*(reps[i] for i in subset))
-            return AdequateBasisDecision(
-                exists=True,
-                witness=AdequateBasisWitness(
-                    indices=subset, multipliers=mults, basis=prims
-                ),
-                refutation=None,
-            )
-        refutation.append((subset, idx))
+    subset = _nonzero_minors(coords, tr, refutation)
+    if subset is None:
+        return AdequateBasisDecision(
+            exists=False, witness=None, refutation=tuple(refutation)
+        )
+    prims, mults = zip(*(reps[i] for i in subset))
     return AdequateBasisDecision(
-        exists=False, witness=None, refutation=tuple(refutation)
+        exists=True,
+        witness=AdequateBasisWitness(indices=subset, multipliers=mults, basis=prims),
+        refutation=None,
     )
 
 
@@ -351,6 +348,42 @@ def prefix_scan_cases(draw):
     return dim, rows
 
 
+# Explicit tuples for the scan's closed-form tail, which dots each pair's
+# cross product with every later coordinate row and divides by the square of
+# the last prefix pivot.  Linear relations among the rows hold among their
+# coordinate rows too.
+TAIL_CASES = {
+    # Rank 3: the tail runs at the top, with pivot 1.  Rows 0 and 2 are
+    # parallel, so pair (0, 2) has a zero cross product.
+    "rank-3-at-the-top": [
+        (2, 1, 0), (0, 3, 1), (4, 2, 0), (1, 0, 2), (1, 1, 1), (3, 4, 3), (2, -1, 5),
+    ],
+    # Rank 5: the rows span Z^5 and are primitive, so they are their own
+    # coordinate rows.  The prefix (0, 1) pivots on 2 and then on
+    # 2*3 - 0*3 = 6, so its tail divides by 36.
+    "rank-5-pivots-2-and-6": [
+        (2, 3, 0, 0, 1), (0, 3, 1, 0, 0), (1, 0, 2, 1, 0), (0, 1, 0, 3, 1),
+        (1, 1, 1, 1, 2), (3, 0, 1, 2, 1), (2, 2, 0, 1, 3), (1, 2, 3, 0, 2),
+    ],
+    # The rows above with row 4 = row 0 + row 2, a zero cross product in
+    # pair (2, 4) of prefix (0, 1)'s tail, and row 5 = row 2 + row 3, a
+    # dependent triple (2, 3, 5) in it.  No subset has index 1.
+    "rank-5-dependent-pair-and-triple": [
+        (2, 3, 0, 0, 1), (0, 3, 1, 0, 0), (1, 0, 2, 1, 0), (0, 1, 0, 3, 1),
+        (3, 3, 2, 1, 1), (1, 1, 2, 4, 1), (1, 1, 1, 1, 2), (3, 0, 1, 2, 1),
+    ],
+    "rank-5-entries-near-10**12": [
+        (BIG - 1, 2, -BIG + 3, 5, 7),
+        (3, BIG + 1, 1, -BIG, 2),
+        (BIG, -3, BIG - 7, 1, 1),
+        (1, BIG - 5, 2, 3, BIG + 2),
+        (-BIG + 2, 1, 1, BIG, 3),
+        (5, -BIG, BIG + 1, 2, -1),
+        (BIG + 3, 7, -2, -BIG + 1, BIG),
+    ],
+}
+
+
 # ---------------------------------------------------------------------------
 # Tests
 
@@ -447,6 +480,11 @@ class TestAdequateBasisAgainstOracle:
         if rank(t) == 0:
             return
         assert adequate_basis_decide(t) == oracle_adequate_basis_two_solve(t)
+
+    @pytest.mark.parametrize("rows", TAIL_CASES.values(), ids=TAIL_CASES)
+    def test_tail_matches_determinant_oracle(self, rows):
+        t = group_tuple(rows)
+        assert adequate_basis_decide(t) == oracle_adequate_basis_dets(t)
 
     @pytest.mark.parametrize(
         "s, q", [(s, q) for s in range(2, 6) for q in range(s + 1, 2 * s + 1)]
