@@ -26,12 +26,9 @@ the tuple is not type B.  Type A and type B are mutually exclusive (A forces
 every value to have multiplicity 2, B forces multiplicity 1 on all nonzero
 values), so testing A first is a fixed cosmetic order, not a semantic choice.
 Rank s-1 already makes the chosen basis an integer basis of span(t) (see
-``classify``), so no lattice is compared there.  Certificates that come from
-outside, in ``verify_classification`` and ``rebase_type_b``, are checked
-against span(t) with one HNF of their basis, which shows both independence
-and generation; ``verify_classification`` first requires the tuple to lie
-in ``classify``'s domain, so it accepts no certificate ``classify`` could
-not have issued.
+``classify``), and a matched pattern makes a certificate's basis generate
+span(t) (see ``verify_classification``), so neither compares a lattice;
+``rebase_type_b`` compares one HNF with span(t).
 """
 
 from __future__ import annotations
@@ -357,10 +354,13 @@ def verify_classification(t: GroupTuple, c: Classification) -> bool:
     2s and the zero element occurs in t.  Rank-below certificates verify by
     re-deriving the rank; type A/B certificates verify by rebuilding the
     canonical pattern and comparing element-wise against the translated,
-    permuted tuple, plus checking that the recorded basis is an integer
-    basis of span(t): one HNF of the basis must have rank s-1 (the basis is
-    independent) and equal span(t).  Unclassified results certify nothing
-    and never verify.
+    permuted tuple, and by the basis being independent: one primitive row
+    echelon form of it has s-1 rows.  That makes it an integer basis of
+    span(t): the permutation is a bijection onto the pattern slots, so every
+    element of t - c (c the scaling) is 0, a basis member or a negated block
+    sum, every basis member among them; a zero slot puts c in t, and t holds
+    zero, so span(t) = span(t - c) = the integer span of the basis.
+    Unclassified results certify nothing and never verify.
     """
     if _outside_domain(t, c.s) is not None:
         return False
@@ -398,8 +398,7 @@ def verify_classification(t: GroupTuple, c: Classification) -> bool:
     tp = translate(t, c.scaling)
     if any(tp.elements[p] != value for p, value in zip(c.permutation, pattern)):
         return False
-    lat = hnf_rows(c.basis, t.dim)
-    return lat.rank == s - 1 and lat == span(t)
+    return len(_rational_row_basis(c.basis)) == s - 1
 
 
 def rebase_type_b(t: GroupTuple, c: Classification, chosen) -> Classification:

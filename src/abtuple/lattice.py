@@ -12,12 +12,16 @@ Conventions:
   * ``primitive_representative`` normalizes the primitive vector so its first
     nonzero coordinate is positive, so the cofactor ``d`` carries the sign.
 
-Rational questions (row spaces over Q, coordinates over a greedy basis) go
-through one elimination, ``_rational_row_basis``: the reduced row echelon
-form with each row scaled to coprime integers and a positive pivot.  It
-serves ``solve_rational_combination`` here, ``tuples.rank``, the rational
-basis and type-B certificates in ``structure`` and ``classify``, and
-``exhaustive``'s class key.
+One elimination per question.  ``hnf_rows`` answers only integer-lattice
+questions: the span basis ``adequate_basis_decide`` writes coordinates over,
+and whether ``rebase_type_b``'s chosen values are an integer basis of the
+span.  Rational questions (rank, independence, row spaces over Q,
+coordinates over a greedy basis) go through ``_rational_row_basis``: the
+reduced row echelon form with each row scaled to coprime integers and a
+positive pivot, as many rows as the rank.  It serves
+``solve_rational_combination`` here, ``tuples.rank``, the certificates and
+their checks in ``structure`` and ``classify``, and ``exhaustive``'s class
+key.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ a rank-sized subset's |determinant| is 0 for a dependent subset, 1 for a basis
 of the span, and otherwise the index of the sublattice the representatives
 generate.  The subsets are scanned depth first in lexicographic order:
 subsets with a common prefix share that prefix's fraction-free elimination,
-and the last three members are chosen in closed form, each pair's cross
-product dotted with every later row.
+and in spans of rank 3 or more the last three members are chosen in closed
+form, each pair's cross product dotted with every later row.
 
 ``audit_claims`` checks, on a concrete property-(P_{q,s}) instance, the
 structural assertions that drive the classification: the exponent matrix is
@@ -50,7 +50,6 @@ from .lattice import (
     Vector,
     _leading_index,
     _rational_row_basis,
-    hnf_rows,
     primitive_representative,
     solve_coordinates,
     zero_vector,
@@ -131,12 +130,9 @@ def q_basis_certificate(t: GroupTuple) -> QBasisCertificate:
     chosen = [_leading_index(r) for r in rows]
     mult = [r[i] for r, i in zip(rows, chosen)]
     exponents = tuple(zip(*rows))
-    big = lcm(*mult)
-    base = [[x * (big // m) for x in t.elements[i]] for i, m in zip(chosen, mult)]
-    for j, (e, row) in enumerate(zip(t.elements, exponents)):
-        for c in range(t.dim):
-            if big * e[c] != sum(n * b[c] for n, b in zip(row, base)):
-                raise RuntimeError(f"element {j} fails its integer recombination")
+    j = _failed_recombination(t, exponents, [t.elements[i] for i in chosen], mult)
+    if j is not None:
+        raise RuntimeError(f"element {j} fails its integer recombination")
     eta_num = []
     eta_den = []
     for i, m in zip(chosen, mult):
@@ -154,10 +150,23 @@ def q_basis_certificate(t: GroupTuple) -> QBasisCertificate:
     )
 
 
+def _failed_recombination(t, exponents, gens, dens) -> int | None:
+    """First position j failing L a_j == sum_tau l(j, tau) (L / d_tau) g_tau
+    in integers, L = lcm(d_tau), or None."""
+    big = lcm(*dens)
+    base = [[x * (big // d) for x in g] for g, d in zip(gens, dens)]
+    for j, (e, row) in enumerate(zip(t.elements, exponents)):
+        for c, x in enumerate(e):
+            if big * x != sum(n * b[c] for n, b in zip(row, base)):
+                return j
+    return None
+
+
 def verify_certificate(t: GroupTuple, cert: QBasisCertificate) -> bool:
     """Exact re-check of every certificate invariant, in integers.  Pure; no
-    search.  The recombination is checked with every eta scaled to the lcm of
-    the denominators."""
+    search.  The etas are independent when one primitive row echelon form of
+    their numerators has rank-many rows; the recombination is checked with
+    every eta scaled to the lcm of the denominators."""
     tr = cert.rank
     q = len(t)
     if not (
@@ -179,7 +188,7 @@ def verify_certificate(t: GroupTuple, cert: QBasisCertificate) -> bool:
             g = gcd(g, x)
         if g != 1:
             return False
-    if hnf_rows(cert.eta_num, t.dim).rank != tr:
+    if len(_rational_row_basis(cert.eta_num)) != tr:
         return False
     for tau, (i, l) in enumerate(zip(cert.indices, cert.multipliers)):
         den = cert.eta_den[tau]
@@ -188,16 +197,7 @@ def verify_certificate(t: GroupTuple, cert: QBasisCertificate) -> bool:
         expected = tuple(l if u == tau else 0 for u in range(tr))
         if cert.exponents[i] != expected:
             return False
-    big = lcm(*cert.eta_den)
-    scaled = [
-        [x * (big // den) for x in num]
-        for num, den in zip(cert.eta_num, cert.eta_den)
-    ]
-    for e, row in zip(t.elements, cert.exponents):
-        for c in range(t.dim):
-            if e[c] * big != sum(n * w[c] for n, w in zip(row, scaled)):
-                return False
-    return True
+    return _failed_recombination(t, cert.exponents, cert.eta_num, cert.eta_den) is None
 
 
 # ---------------------------------------------------------------------------
@@ -357,25 +357,16 @@ def _nonzero_minors(cands, size, out, prefix=(), prev=1):
     whichever columns pivoted.  Each pair's cross product x cross y is taken
     once and dotted with every later z.  A dependent prefix skips all its
     extensions: a row reduced to zero above the tail, a pair with a zero
-    cross product in it.  Spans of rank 1 and 2 are scanned in one or two
-    levels at the top, with prev = 1, and never reach the tail.
+    cross product in it.  Spans of rank 1 and 2 never reach the tail; at
+    the one-entry floor m = 1, so each entry is the minor itself.
     """
     if size == 1:
         for i, (v,) in cands:
             v = abs(v)
             if v > 1:
-                out.append(((i,), v))
+                out.append((prefix + (i,), v))
             elif v:
-                return (i,)
-        return None
-    if size == 2:
-        for a, (i, (x0, x1)) in enumerate(cands):
-            for j, (y0, y1) in cands[a + 1 :]:
-                v = abs(x0 * y1 - x1 * y0)
-                if v > 1:
-                    out.append(((i, j), v))
-                elif v:
-                    return (i, j)
+                return prefix + (i,)
         return None
     if size == 3:
         pp = prev * prev
@@ -532,6 +523,10 @@ def audit_claims(t: GroupTuple, s: int) -> AuditReport:
     claims refer to the normalized tuple; the report records the translation.
     The claims themselves are ``_audit_holder``'s, which ``run_enumeration``
     calls directly on tuples it has already checked.
+
+    Only ``multiplicity_pattern`` skips at rank != s-1; the other claims run
+    at every rank within their case.  Whether the zero-axis claims should
+    cover holders below rank s-1 is open.
     """
     q = len(t)
     if not (2 <= s < q <= 2 * s):

@@ -10,9 +10,10 @@ adequate-basis scan over all positions that probes each subset's rank with
 one that takes a separate ``det_bareiss`` of every rank-sized subset of the
 nonzero positions, and the shared-prefix scan that solved every nonzero
 element twice, once for its primitive representative and once for that
-representative's coordinates.  The library must agree with them on every
-result, ``None`` included, and on every verdict, tampered certificates
-included.
+representative's coordinates; ``oracle_minors`` checks the scan's own
+(subset, |det|) sequence with one ``det_bareiss`` per subset.  The library
+must agree with them on every result, ``None`` included, and on every
+verdict, tampered certificates included.
 """
 
 import dataclasses
@@ -223,6 +224,21 @@ def oracle_adequate_basis_dets(t):
     )
 
 
+def oracle_minors(cands, size):
+    """``_nonzero_minors`` by one ``det_bareiss`` per subset: (the first
+    subset of |det| 1 or None, the (subset, |det|) pairs of |det| >= 2
+    before it)."""
+    out = []
+    for chosen in combinations(cands, size):
+        idx = abs(det_bareiss([row for _, row in chosen]))
+        subset = tuple(i for i, _ in chosen)
+        if idx == 1:
+            return subset, out
+        if idx:
+            out.append((subset, idx))
+    return None, out
+
+
 def oracle_adequate_basis_two_solve(t):
     lat = span(t)
     tr = lat.rank
@@ -384,6 +400,27 @@ TAIL_CASES = {
 }
 
 
+# Explicit coordinate rows, keyed by position, for spans of rank 1 and 2.
+# A rank-2 scan takes one shared elimination step and reads each pair's
+# minor off the one-entry row left at the floor.
+LOW_RANK_CASES = {
+    "rank-1-witness-after-two-refutations": [
+        (2, (3,)), (5, (-2,)), (6, (1,)), (9, (4,)),
+    ],
+    "rank-1-all-refuted": [(0, (2,)), (3, (-3,)), (4, (4,))],
+    # (1, 2) is a dependent pair; (4, 7) is the witness, the last pair.
+    "rank-2-dependent-pair-late-witness": [
+        (1, (2, 0)), (2, (4, 0)), (4, (1, 3)), (7, (0, 1)),
+    ],
+    # The first row pivots at its second column, so the floor holds
+    # minus the minor.
+    "rank-2-all-refuted": [(0, (0, 2)), (2, (3, 1)), (3, (1, 1)), (5, (-1, 3))],
+    "rank-2-witness-after-pivot-in-second-column": [
+        (1, (0, 3)), (2, (2, -1)), (3, (1, 0)), (6, (5, 5)),
+    ],
+}
+
+
 # ---------------------------------------------------------------------------
 # Tests
 
@@ -448,6 +485,20 @@ class TestVerifyAgainstOracle:
             bad = dataclasses.replace(cert, exponents=tuple(map(tuple, exps)))
         assert verify_certificate(t, bad) == oracle_verify(t, bad)
 
+    def test_dependent_eta_rows(self):
+        # Two equal elements chosen as two indices: every other invariant
+        # holds, so only the independence check refuses the certificate.
+        t = group_tuple([(0, 0), (1, 0), (1, 0)])
+        cert = QBasisCertificate(
+            indices=(1, 2),
+            multipliers=(1, 1),
+            eta_num=((1, 0), (1, 0)),
+            eta_den=(1, 1),
+            exponents=((0, 0), (1, 0), (0, 1)),
+        )
+        assert not verify_certificate(t, cert)
+        assert not oracle_verify(t, cert)
+
 
 class TestAdequateBasisAgainstOracle:
     @given(adequate_cases())
@@ -485,6 +536,12 @@ class TestAdequateBasisAgainstOracle:
     def test_tail_matches_determinant_oracle(self, rows):
         t = group_tuple(rows)
         assert adequate_basis_decide(t) == oracle_adequate_basis_dets(t)
+
+    @pytest.mark.parametrize("cands", LOW_RANK_CASES.values(), ids=LOW_RANK_CASES)
+    def test_low_rank_scan_matches_determinant_oracle(self, cands):
+        out = []
+        found = _nonzero_minors(cands, len(cands[0][1]), out)
+        assert (found, out) == oracle_minors(cands, len(cands[0][1]))
 
     @pytest.mark.parametrize(
         "s, q", [(s, q) for s in range(2, 6) for q in range(s + 1, 2 * s + 1)]

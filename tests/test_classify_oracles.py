@@ -9,9 +9,12 @@ scans ``combinations(nonzero, s-1)`` in lexicographic order, probing each
 candidate basis with ``hnf_rows`` and solving every remaining value over it.  ``oracle_rebase`` solves each
 remaining value over the chosen basis the same way.  The library must return
 the same ``Classification`` and, on a refused rebase, the same ``ValueError``
-message.
+message.  ``oracle_verify_classification`` checks a matched certificate's
+basis with one HNF, which must have rank s-1 and equal span(t); the library
+tests independence alone, and must return the same verdict.
 """
 
+import dataclasses
 import random
 from itertools import combinations, permutations
 
@@ -20,14 +23,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtuple.classify import (
+    VARIANT_RANK_BELOW,
     VARIANT_TYPE_A,
     VARIANT_TYPE_B,
     VARIANT_UNCLASSIFIED,
     Classification,
     _assign_positions,
     canonical_pattern,
+    classification_from_json_obj,
     classify,
     rebase_type_b,
+    verify_classification,
 )
 from abtuple.generators import GeneratorSpec, generate
 from abtuple.lattice import hnf_rows, solve_rational_combination, zero_vector
@@ -43,6 +49,33 @@ from abtuple.tuples import (
 # s = 3, k = 2 with two one-member blocks: each value sits in a circuit with
 # its negative, so a third of the pairs of nonzero values are dependent.
 K2_S3 = ((0, 0), (0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))
+
+# Certificates whose pattern matches but whose basis is dependent; classify
+# calls both tuples rank_below.
+DEPENDENT_CERTIFICATES = {
+    "type_a": (
+        [(0,), (0,), (1,), (1,), (1,), (1,)],
+        {
+            "variant": "type_a",
+            "s": 3,
+            "scaling": [0],
+            "permutation": [1, 2, 3, 4, 5, 6],
+            "basis": [[1], [1]],
+        },
+    ),
+    "type_b": (
+        [(0,), (0,), (0,), (0,), (1,), (1,)],
+        {
+            "variant": "type_b",
+            "s": 3,
+            "scaling": [0],
+            "permutation": [1, 2, 3, 4, 5, 6],
+            "basis": [[1], [1]],
+            "k": 0,
+            "breakpoints": [],
+        },
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +245,44 @@ def oracle_rebase(t, c, chosen):
     )
 
 
+def oracle_verify_classification(t, c):
+    q = len(t)
+    s = c.s
+    if not (2 <= s < q <= 2 * s) or zero_vector(t.dim) not in t.elements:
+        return False
+    if c.variant == VARIANT_RANK_BELOW:
+        return rank(t) == c.rank and c.rank < s - 1
+    if c.variant not in (VARIANT_TYPE_A, VARIANT_TYPE_B) or q != 2 * s:
+        return False
+    if c.scaling is None or c.permutation is None or c.basis is None:
+        return False
+    if len(c.scaling) != t.dim or len(c.basis) != s - 1:
+        return False
+    if sorted(c.permutation) != list(range(q)):
+        return False
+    if c.variant == VARIANT_TYPE_A:
+        if s % 2 == 0:
+            return False
+        pattern = canonical_pattern(VARIANT_TYPE_A, s, c.basis)
+    else:
+        breaks = c.breakpoints
+        if c.k is None or breaks is None or len(breaks) != c.k:
+            return False
+        if breaks and not (
+            all(1 <= a <= s - 1 for a in breaks)
+            and all(a < b for a, b in zip(breaks, breaks[1:]))
+        ):
+            return False
+        pattern = canonical_pattern(
+            VARIANT_TYPE_B, s, c.basis, k=c.k, breakpoints=breaks
+        )
+    tp = translate(t, c.scaling)
+    if any(tp.elements[p] != value for p, value in zip(c.permutation, pattern)):
+        return False
+    lat = hnf_rows(c.basis, t.dim)
+    return lat.rank == s - 1 and lat == span(t)
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 
@@ -262,6 +333,37 @@ def near_miss(t, rng, recentre=True):
     return translate(out, rng.choice(out.elements)) if recentre else out
 
 
+def tampered(t, c, rng):
+    """(tuple, certificate) with one change: a basis entry moved by 1, two
+    permutation entries swapped, the scaling shifted by a basis member, or
+    the last basis member replaced by the sum of the others (zero when it
+    is alone) with the tuple rebuilt from the pattern at scaling 0, so that
+    the pattern matches a dependent basis."""
+    basis = [list(b) for b in c.basis]
+    move = rng.randrange(4)
+    if move == 0:
+        basis[rng.randrange(len(basis))][rng.randrange(t.dim)] += rng.choice((-1, 1))
+        return t, dataclasses.replace(c, basis=tuple(map(tuple, basis)))
+    if move == 1:
+        perm = list(c.permutation)
+        i, j = rng.sample(range(len(perm)), 2)
+        perm[i], perm[j] = perm[j], perm[i]
+        return t, dataclasses.replace(c, permutation=tuple(perm))
+    if move == 2:
+        b = rng.choice(c.basis)
+        scaling = tuple(x + rng.choice((-1, 1)) * y for x, y in zip(c.scaling, b))
+        return t, dataclasses.replace(c, scaling=scaling)
+    basis[-1] = [sum(col) for col in zip(*basis[:-1])] or [0] * t.dim
+    c = dataclasses.replace(c, scaling=(0,) * t.dim, basis=tuple(map(tuple, basis)))
+    pattern = canonical_pattern(
+        c.variant, c.s, c.basis, k=c.k or 0, breakpoints=c.breakpoints or ()
+    )
+    elements = [None] * len(t)
+    for p, value in zip(c.permutation, pattern):
+        elements[p] = value
+    return group_tuple(elements, dim=t.dim), c
+
+
 def assert_rebases_match(t, c):
     """Every ordered choice of s-1 nonzero positions rebases as the oracle
     does: the same certificate, or the same refusal."""
@@ -303,6 +405,27 @@ class TestClassifyAgainstOracle:
         assert c.variant == VARIANT_TYPE_B and c.k == 2
         assert c == oracle_classify(t, 3)
         assert_rebases_match(t, c)
+
+
+class TestVerifyClassificationAgainstOracle:
+    @given(generated_instances(), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_generated_and_tampered_verdicts_match(self, case, seed):
+        t, s = case
+        c = classify(t, s)
+        assert verify_classification(t, c) and oracle_verify_classification(t, c)
+        t, bad = tampered(t, c, random.Random(seed))
+        assert verify_classification(t, bad) == oracle_verify_classification(t, bad)
+
+    @pytest.mark.parametrize(
+        "elements, cert", DEPENDENT_CERTIFICATES.values(), ids=DEPENDENT_CERTIFICATES
+    )
+    def test_dependent_basis_verdicts_match(self, elements, cert):
+        t = group_tuple(elements)
+        c = classification_from_json_obj(cert)
+        assert classify(t, c.s).variant == VARIANT_RANK_BELOW
+        assert not verify_classification(t, c)
+        assert not oracle_verify_classification(t, c)
 
 
 class TestRebaseAgainstOracle:
