@@ -15,29 +15,9 @@ Examples:
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 
 from abtuple.exhaustive import EnumerationJob, run_enumeration, universe_size
 from abtuple.tuples import BudgetExceeded
-
-
-@dataclass(frozen=True)
-class SurveyConfig:
-    s_values: tuple[int, ...] = (2, 3)
-    q_values: tuple[int, ...] = ()  # empty: use s+1 .. 2s per s
-    dims: tuple[int, ...] = (1, 2)
-    bounds: tuple[int, ...] = (1, 2)
-    jobs: int = 1
-
-    def cells(self):
-        for s in self.s_values:
-            qs = self.q_values or tuple(range(s + 1, 2 * s + 1))
-            for q in qs:
-                for dim in self.dims:
-                    for bound in self.bounds:
-                        yield EnumerationJob(
-                            s=s, q=q, dim=dim, bound=bound, jobs=self.jobs
-                        )
 
 
 def fmt_hist(hist: dict) -> str:
@@ -56,14 +36,6 @@ def main(argv=None) -> int:
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args(argv)
 
-    cfg = SurveyConfig(
-        s_values=tuple(args.s),
-        q_values=tuple(args.q),
-        dims=tuple(args.dim),
-        bounds=tuple(args.bound),
-        jobs=args.jobs,
-    )
-
     header = (
         f"{'s':>2} {'q':>2} {'dim':>3} {'B':>2} {'universe':>9} "
         f"{'holders':>7} {'ranks':>14} {'variants':>28} {'clean':>5} {'sec':>6}"
@@ -71,7 +43,14 @@ def main(argv=None) -> int:
     print(header)
     print("-" * len(header))
     dirty = 0
-    for job in cfg.cells():
+    cells = (
+        EnumerationJob(s=s, q=q, dim=dim, bound=bound, jobs=args.jobs)
+        for s in args.s
+        for q in args.q or range(s + 1, 2 * s + 1)
+        for dim in args.dim
+        for bound in args.bound
+    )
+    for job in cells:
         size = universe_size(job)
         start = time.perf_counter()
         try:

@@ -46,6 +46,7 @@ from .lattice import (
 )
 from .tuples import (
     GroupTuple,
+    _is_int,
     has_property,
     rank,
     span,
@@ -98,10 +99,6 @@ class Classification:
 
 class CertificateFormatError(ValueError):
     """Raised for a classification certificate document of the wrong shape."""
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_ints(x) -> bool:
@@ -164,11 +161,41 @@ def classification_from_json_obj(obj: dict) -> Classification:
     return Classification(**kwargs)
 
 
+def _bad_shape(variant: str, s: int, size: int, k, breakpoints) -> str | None:
+    """Why no canonical pattern has this shape, or None when one does.
+
+    Type A needs an odd s; type B needs an integer k in 0..s-1 and k
+    breakpoints increasing strictly within 1..s-1; both need ``size``, the
+    number of basis members, to be s-1.  Type A reads no k or breakpoints.
+    """
+    if variant == VARIANT_TYPE_A:
+        if s % 2 == 0:
+            return "type A requires odd s"
+    elif variant == VARIANT_TYPE_B:
+        if not (_is_int(k) and 0 <= k <= s - 1):
+            return f"k must lie in 0..{s - 1}"
+        if breakpoints is None or len(breakpoints) != k:
+            return f"expected {k} breakpoints, got {len(breakpoints or ())}"
+        if not all(map(_is_int, breakpoints)) or not all(
+            a < b for a, b in zip((0, *breakpoints), (*breakpoints, s))
+        ):
+            return "breakpoints must increase strictly within 1..s-1"
+    else:
+        return f"no canonical pattern for variant {variant!r}"
+    if size != s - 1:
+        return f"expected {s - 1} basis members, got {size}"
+    return None
+
+
 def canonical_pattern(
     variant: str, s: int, basis, k: int = 0, breakpoints: tuple[int, ...] = ()
 ) -> list[Vector]:
-    """Materialize the canonical element sequence for a certificate."""
+    """Materialize the canonical element sequence for a certificate.
+    ValueError when no pattern has the shape (see ``_bad_shape``)."""
     basis = [tuple(b) for b in basis]
+    refusal = _bad_shape(variant, s, len(basis), k, breakpoints)
+    if refusal is not None:
+        raise ValueError(refusal)
     dim = len(basis[0]) if basis else 1
     zero = zero_vector(dim)
     if variant == VARIANT_TYPE_A:
@@ -176,19 +203,17 @@ def canonical_pattern(
         for b in basis:
             out.extend([b, b])
         return out
-    if variant == VARIANT_TYPE_B:
-        out = [zero] * (s + 1 - k)
-        out.extend(basis)
-        prev = 0
-        for a in breakpoints:
-            block = basis[prev:a]
-            total = zero
-            for b in block:
-                total = tuple(u + v for u, v in zip(total, b))
-            out.append(vec_neg(total))
-            prev = a
-        return out
-    raise ValueError(f"no canonical pattern for variant {variant!r}")
+    out = [zero] * (s + 1 - k)
+    out.extend(basis)
+    prev = 0
+    for a in breakpoints:
+        block = basis[prev:a]
+        total = zero
+        for b in block:
+            total = tuple(u + v for u, v in zip(total, b))
+        out.append(vec_neg(total))
+        prev = a
+    return out
 
 
 def _assign_positions(tp: GroupTuple, pattern) -> tuple[int, ...] | None:
@@ -259,7 +284,9 @@ def _block_certificate(tp: GroupTuple, s: int, values):
 
 
 def _outside_domain(t: GroupTuple, s: int) -> str | None:
-    """Why ``classify`` refuses (t, s), or None when it accepts them."""
+    """Why ``classify`` refuses (t, s), or None when it accepts them.  The
+    one statement of the domain: ``verify_classification``, the audit's
+    zero-axis claims and ``exhaustive``'s holder facts read it too."""
     q = len(t)
     if not (2 <= s < q <= 2 * s):
         return f"classify requires 2 <= s < q <= 2s, got s={s}, q={q}"
@@ -353,9 +380,10 @@ def verify_classification(t: GroupTuple, c: Classification) -> bool:
     A certificate verifies only inside ``classify``'s domain: 2 <= s < q <=
     2s and the zero element occurs in t.  Rank-below certificates verify by
     re-deriving the rank; type A/B certificates verify by rebuilding the
-    canonical pattern and comparing element-wise against the translated,
-    permuted tuple, and by the basis being independent: one primitive row
-    echelon form of it has s-1 rows.  That makes it an integer basis of
+    canonical pattern, which refuses a shape ``_bad_shape`` names (a type-A
+    certificate's k is not read), and comparing element-wise against the
+    translated, permuted tuple, and by the basis being independent: one
+    primitive row echelon form of it has s-1 rows.  That makes it an integer basis of
     span(t): the permutation is a bijection onto the pattern slots, so every
     element of t - c (c the scaling) is 0, a basis member or a negated block
     sum, every basis member among them; a zero slot puts c in t, and t holds
@@ -367,34 +395,19 @@ def verify_classification(t: GroupTuple, c: Classification) -> bool:
     q = len(t)
     if c.variant == VARIANT_RANK_BELOW:
         return rank(t) == c.rank and c.rank < c.s - 1
-    if c.variant == VARIANT_UNCLASSIFIED:
-        return False
-    if c.variant not in (VARIANT_TYPE_A, VARIANT_TYPE_B):
-        return False
     s = c.s
-    if q != 2 * s:
+    if c.variant == VARIANT_UNCLASSIFIED or q != 2 * s:
         return False
     if c.scaling is None or c.permutation is None or c.basis is None:
         return False
-    if len(c.scaling) != t.dim or len(c.basis) != s - 1:
+    if len(c.scaling) != t.dim or sorted(c.permutation) != list(range(q)):
         return False
-    if sorted(c.permutation) != list(range(q)):
+    try:
+        pattern = canonical_pattern(
+            c.variant, s, c.basis, k=c.k, breakpoints=c.breakpoints
+        )
+    except ValueError:
         return False
-    if c.variant == VARIANT_TYPE_A:
-        if s % 2 == 0:
-            return False
-        pattern = canonical_pattern(VARIANT_TYPE_A, s, c.basis)
-    else:
-        k = c.k
-        breaks = c.breakpoints
-        if k is None or breaks is None or len(breaks) != k:
-            return False
-        if k and not (
-            all(1 <= a <= s - 1 for a in breaks)
-            and all(a < b for a, b in zip(breaks, breaks[1:]))
-        ):
-            return False
-        pattern = canonical_pattern(VARIANT_TYPE_B, s, c.basis, k=k, breakpoints=breaks)
     tp = translate(t, c.scaling)
     if any(tp.elements[p] != value for p, value in zip(c.permutation, pattern)):
         return False

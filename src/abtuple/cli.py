@@ -19,6 +19,8 @@ import json
 import sys
 
 from .classify import (
+    VARIANT_RANK_BELOW,
+    VARIANT_TYPE_B,
     VARIANT_UNCLASSIFIED,
     CertificateFormatError,
     classification_from_json_obj,
@@ -87,10 +89,10 @@ def _cmd_classify(args) -> int:
             )
         else:
             summary = "unclassified (property fails, nothing to match)"
-    elif cls.variant == "rank_below":
+    elif cls.variant == VARIANT_RANK_BELOW:
         summary = f"rank {cls.rank} < s-1: no shape claim applies"
     else:
-        extra = f", k={cls.k}" if cls.variant == "type_b" else ""
+        extra = f", k={cls.k}" if cls.variant == VARIANT_TYPE_B else ""
         summary = f"{cls.variant} (s={cls.s}{extra})"
     _emit(cls.to_json_obj(), summary)
     return 1 if cls.variant == VARIANT_UNCLASSIFIED else 0

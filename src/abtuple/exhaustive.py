@@ -126,7 +126,7 @@ from itertools import chain, combinations_with_replacement, islice, product
 from math import comb
 from operator import itemgetter
 
-from .classify import VARIANT_UNCLASSIFIED, classify
+from .classify import VARIANT_UNCLASSIFIED, _outside_domain, classify
 from .structure import _audit_holder
 from .tuples import (
     GroupTuple,
@@ -299,7 +299,7 @@ def _holder_facts(job: EnumerationJob, elements) -> tuple:
     """
     t = GroupTuple(dim=job.dim, elements=elements)
     missing = equal_pair(t) is None
-    if not 2 <= job.s < job.q <= 2 * job.s:
+    if _outside_domain(t, job.s) is not None:
         return rank(t), VARIANT_OUT_OF_RANGE, None, missing, None
     cls = classify(t, job.s)
     audit = None

@@ -13,9 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .classify import VARIANT_TYPE_A, VARIANT_TYPE_B, canonical_pattern
+from .classify import VARIANT_TYPE_A, VARIANT_TYPE_B, _bad_shape, canonical_pattern
 from .lattice import Vector
 from .tuples import GroupTuple
+
+_VARIANTS = {"a": VARIANT_TYPE_A, "b": VARIANT_TYPE_B}
 
 
 def random_unimodular(dim: int, rng: random.Random, bound: int) -> list[Vector]:
@@ -69,7 +71,7 @@ class GeneratorSpec:
 
 
 def _validate(spec: GeneratorSpec) -> None:
-    if spec.kind not in ("a", "b"):
+    if spec.kind not in _VARIANTS:
         raise ValueError(f"kind must be 'a' or 'b', got {spec.kind!r}")
     if spec.s < 2:
         raise ValueError("s must be at least 2")
@@ -82,22 +84,13 @@ def _validate(spec: GeneratorSpec) -> None:
         raise ValueError("seed must be >= 0")
     if spec.permutation_seed is not None and spec.permutation_seed < 0:
         raise ValueError("permutation_seed must be >= 0")
-    if spec.kind == "a":
-        if spec.s % 2 == 0:
-            raise ValueError("type A requires odd s")
-        if spec.k or spec.breakpoints:
-            raise ValueError("type A takes no k/breakpoints")
-    else:
-        if not (0 <= spec.k <= spec.s - 1):
-            raise ValueError(f"k must lie in 0..{spec.s - 1}")
-        b = spec.breakpoints
-        if len(b) != spec.k:
-            raise ValueError(f"expected {spec.k} breakpoints, got {len(b)}")
-        if b and not (
-            all(1 <= a <= spec.s - 1 for a in b)
-            and all(x < y for x, y in zip(b, b[1:]))
-        ):
-            raise ValueError("breakpoints must increase strictly within 1..s-1")
+    refusal = _bad_shape(
+        _VARIANTS[spec.kind], spec.s, spec.s - 1, spec.k, spec.breakpoints
+    )
+    if refusal is not None:
+        raise ValueError(refusal)
+    if spec.kind == "a" and (spec.k or spec.breakpoints):
+        raise ValueError("type A takes no k/breakpoints")
     if spec.translation is not None and len(spec.translation) != spec.dim:
         raise ValueError("translation dimension mismatch")
 
@@ -108,12 +101,9 @@ def generate(spec: GeneratorSpec) -> GroupTuple:
     rng = random.Random(spec.seed)
     transform = random_unimodular(spec.dim, rng, spec.unimodular_bound)
     basis = transform[: spec.s - 1]
-    if spec.kind == "a":
-        pattern = canonical_pattern(VARIANT_TYPE_A, spec.s, basis)
-    else:
-        pattern = canonical_pattern(
-            VARIANT_TYPE_B, spec.s, basis, k=spec.k, breakpoints=spec.breakpoints
-        )
+    pattern = canonical_pattern(
+        _VARIANTS[spec.kind], spec.s, basis, k=spec.k, breakpoints=spec.breakpoints
+    )
     order = list(range(len(pattern)))
     if spec.permutation_seed is not None:
         random.Random(spec.permutation_seed).shuffle(order)

@@ -21,7 +21,11 @@ reduced row echelon form with each row scaled to coprime integers and a
 positive pivot, as many rows as the rank.  It serves
 ``solve_rational_combination`` here, ``tuples.rank``, the certificates and
 their checks in ``structure`` and ``classify``, and ``exhaustive``'s class
-key.
+key.  Beside it sits the one integer re-check of its answers,
+``_failed_recombination``: every element must equal its recombination from
+generators over a common denominator, in integers.  It serves three
+callers: ``solve_rational_combination``, and ``structure``'s
+``q_basis_certificate`` and ``verify_certificate``.
 """
 
 from __future__ import annotations
@@ -182,6 +186,20 @@ def _rational_row_basis(rows) -> tuple[Vector, ...]:
     return tuple(tuple(basis[p]) for p in sorted(basis))
 
 
+def _failed_recombination(elements, exponents, gens, dens) -> int | None:
+    """First position j failing L a_j == sum_tau l(j, tau) (L / d_tau) g_tau
+    in integers, L = lcm(d_tau), or None.  ``elements`` are the a_j,
+    ``exponents`` their coefficient rows l(j, .), and the rational
+    generators are g_tau / d_tau, ``gens`` over ``dens``."""
+    big = lcm(*dens)
+    base = [[x * (big // d) for x in g] for g, d in zip(gens, dens)]
+    for j, (e, row) in enumerate(zip(elements, exponents)):
+        for c, x in enumerate(e):
+            if big * x != sum(n * b[c] for n, b in zip(row, base)):
+                return j
+    return None
+
+
 def full_lattice(dim: int) -> Lattice:
     """Z^dim with its standard basis."""
     rows = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
@@ -308,11 +326,13 @@ def solve_rational_combination(rows, target: Vector) -> tuple[Fraction, ...] | N
     pivots = [_leading_index(r) for r in reduced]
     if pivots and pivots[-1] == k:
         return None
-    big = lcm(*(r[c] for r, c in zip(reduced, pivots)))
-    scaled = [(r[k] * (big // r[c]), rows[c]) for r, c in zip(reduced, pivots)]
-    for i, y in enumerate(target):
-        if big * y != sum(n * row[i] for n, row in scaled):
-            raise RuntimeError("target fails its integer recombination")
+    if _failed_recombination(
+        [target],
+        [[r[k] for r in reduced]],
+        [rows[c] for c in pivots],
+        [r[c] for r, c in zip(reduced, pivots)],
+    ) is not None:
+        raise RuntimeError("target fails its integer recombination")
     x = [Fraction(0)] * k
     for r, c in zip(reduced, pivots):
         x[c] = Fraction(r[k], r[c])

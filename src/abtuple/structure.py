@@ -42,12 +42,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import TYPE_CHECKING
 
-from .classify import classify
+from .classify import VARIANT_TYPE_A, _outside_domain, classify
 from .lattice import (
     Vector,
+    _failed_recombination,
     _leading_index,
     _rational_row_basis,
     primitive_representative,
@@ -130,7 +131,8 @@ def q_basis_certificate(t: GroupTuple) -> QBasisCertificate:
     chosen = [_leading_index(r) for r in rows]
     mult = [r[i] for r, i in zip(rows, chosen)]
     exponents = tuple(zip(*rows))
-    j = _failed_recombination(t, exponents, [t.elements[i] for i in chosen], mult)
+    gens = [t.elements[i] for i in chosen]
+    j = _failed_recombination(t.elements, exponents, gens, mult)
     if j is not None:
         raise RuntimeError(f"element {j} fails its integer recombination")
     eta_num = []
@@ -150,23 +152,14 @@ def q_basis_certificate(t: GroupTuple) -> QBasisCertificate:
     )
 
 
-def _failed_recombination(t, exponents, gens, dens) -> int | None:
-    """First position j failing L a_j == sum_tau l(j, tau) (L / d_tau) g_tau
-    in integers, L = lcm(d_tau), or None."""
-    big = lcm(*dens)
-    base = [[x * (big // d) for x in g] for g, d in zip(gens, dens)]
-    for j, (e, row) in enumerate(zip(t.elements, exponents)):
-        for c, x in enumerate(e):
-            if big * x != sum(n * b[c] for n, b in zip(row, base)):
-                return j
-    return None
-
-
 def verify_certificate(t: GroupTuple, cert: QBasisCertificate) -> bool:
     """Exact re-check of every certificate invariant, in integers.  Pure; no
     search.  The etas are independent when one primitive row echelon form of
-    their numerators has rank-many rows; the recombination is checked with
-    every eta scaled to the lcm of the denominators."""
+    their numerators has rank-many rows.  Position i_tau's exponent row must
+    be l_tau times the unit row tau, and one integer recombination, every
+    eta scaled to the lcm of the denominators, checks every element; at
+    i_tau it reads den_tau * a_{i_tau} == l_tau * eta_num_tau, so it also
+    ties each chosen element to its eta."""
     tr = cert.rank
     q = len(t)
     if not (
@@ -191,13 +184,12 @@ def verify_certificate(t: GroupTuple, cert: QBasisCertificate) -> bool:
     if len(_rational_row_basis(cert.eta_num)) != tr:
         return False
     for tau, (i, l) in enumerate(zip(cert.indices, cert.multipliers)):
-        den = cert.eta_den[tau]
-        if any(x * den != l * y for x, y in zip(t.elements[i], cert.eta_num[tau])):
+        if cert.exponents[i] != tuple(l if u == tau else 0 for u in range(tr)):
             return False
-        expected = tuple(l if u == tau else 0 for u in range(tr))
-        if cert.exponents[i] != expected:
-            return False
-    return _failed_recombination(t, cert.exponents, cert.eta_num, cert.eta_den) is None
+    return (
+        _failed_recombination(t.elements, cert.exponents, cert.eta_num, cert.eta_den)
+        is None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +497,23 @@ class AuditReport:
         }
 
 
+_CLAIM_NAMES = (
+    "multiplicity_sums_avoid_s",
+    "multiplicity_pattern",
+    "zero_axis_property",
+    "zero_axis_rank_drop",
+    "zero_axis_not_type_a",
+)
+
+
+def _verdict(name: str, ok: bool, witness: dict) -> AuditClaim:
+    return AuditClaim(name=name, status="pass" if ok else "fail", witness=witness)
+
+
+def _skip(name: str, reason: str, witness: dict | None = None) -> AuditClaim:
+    return AuditClaim(name=name, status="skip", witness=witness, reason=reason)
+
+
 def _one_based(indices) -> list[int]:
     return [i + 1 for i in indices]
 
@@ -550,7 +559,9 @@ def _audit_holder(t: GroupTuple, s: int) -> AuditReport:
     has (P_{q,s}); the tuple's own property is not re-checked.  The
     property checks of the zero-axis subtuples, and ``classify``'s check of
     a subtuple it leaves Unclassified, read the budget (ABTUPLE_BUDGET,
-    else 10**9).
+    else 10**9).  Every claim is built by ``_verdict`` or ``_skip``, and
+    the claims come in ``_CLAIM_NAMES`` order, the zero-axis ones once per
+    negative axis.
     """
     q = len(t)
     zero = zero_vector(t.dim)
@@ -563,141 +574,89 @@ def _audit_holder(t: GroupTuple, s: int) -> AuditReport:
         translation = t.elements[pair[0]]
         nt = translate(t, translation)
 
+    def report(case, claims):
+        return AuditReport(
+            s=s, q=q, case=case, translation=translation, claims=tuple(claims)
+        )
+
+    sums_name, pattern_name, property_name, rank_name, type_a_name = _CLAIM_NAMES
     # An all-zero tuple has no certificate: one class of size q, no axes.
     cert = q_basis_certificate(nt) if any(map(any, nt.elements)) else None
     tr = cert.rank if cert else 0
-    claims: list[AuditClaim] = []
     neg_axes = [
         tau for tau in range(tr) if any(row[tau] < 0 for row in cert.exponents)
     ]
-    case = "beta" if neg_axes else "alpha"
 
-    if case == "alpha":
+    if not neg_axes:
         mults = m_partition(nt, cert).multiplicities if cert else (q,)
-        bad_subset = None
-        for size in range(1, len(mults) + 1):
-            for subset in combinations(range(len(mults)), size):
-                if sum(mults[u] for u in subset) == s:
-                    bad_subset = subset
-                    break
-            if bad_subset:
-                break
+        bad_subset = next(
+            (
+                subset
+                for size in range(1, len(mults) + 1)
+                for subset in combinations(range(len(mults)), size)
+                if sum(mults[u] for u in subset) == s
+            ),
+            None,
+        )
         witness: dict = {"multiplicities": list(mults)}
         if bad_subset is not None:
             witness["subset_axes"] = list(bad_subset)
-        claims.append(
-            AuditClaim(
-                name="multiplicity_sums_avoid_s",
-                status="fail" if bad_subset is not None else "pass",
-                witness=witness,
-            )
-        )
+        claims = [_verdict(sums_name, bad_subset is None, witness)]
         if tr == s - 1:
             pattern_a = mults[0] == s + 1 and all(m == 1 for m in mults[1:])
             pattern_b = s % 2 == 1 and all(m == 2 for m in mults)
-            claims.append(
-                AuditClaim(
-                    name="multiplicity_pattern",
-                    status="pass" if (pattern_a or pattern_b) else "fail",
-                    witness={
-                        "multiplicities": list(mults),
-                        "pattern": "a" if pattern_a else "b" if pattern_b else None,
-                    },
-                )
-            )
+            pattern = "a" if pattern_a else "b" if pattern_b else None
+            witness = {"multiplicities": list(mults), "pattern": pattern}
+            claims.append(_verdict(pattern_name, pattern is not None, witness))
         else:
-            claims.append(
-                AuditClaim(
-                    name="multiplicity_pattern",
-                    status="skip",
-                    reason=f"rank {tr} != s-1 = {s - 1}",
-                )
-            )
-        for name in ("zero_axis_property", "zero_axis_rank_drop", "zero_axis_not_type_a"):
-            claims.append(
-                AuditClaim(name=name, status="skip", reason="no negative exponents")
-            )
-    else:
-        for name in ("multiplicity_sums_avoid_s", "multiplicity_pattern"):
-            claims.append(
-                AuditClaim(
-                    name=name, status="skip", reason="negative exponents present"
-                )
-            )
-        for tau in neg_axes:
-            sp = sign_partition(nt, cert, tau + 1)
-            n0 = len(sp.zero)
-            s_inner = s - sp.n_tilde
-            sub = GroupTuple(
-                dim=nt.dim, elements=tuple(nt.elements[i] for i in sp.zero)
-            )
-            base_witness = {
-                "axis": tau + 1,
-                "zero_positions": _one_based(sp.zero),
-                "counts": {"plus": len(sp.plus), "zero": n0, "minus": len(sp.minus)},
-            }
+            claims.append(_skip(pattern_name, f"rank {tr} != s-1 = {s - 1}"))
+        for name in _CLAIM_NAMES[2:]:
+            claims.append(_skip(name, "no negative exponents"))
+        return report("alpha", claims)
 
-            if 1 <= s_inner < n0:
-                inner = has_property(sub, n0, s_inner)
-                w = dict(base_witness, r=n0, s=s_inner)
-                if not inner.holds:
-                    window, sel = inner.failure_witness
-                    w["failure_witness"] = {
-                        "window": _one_based(sp.zero[i] for i in window),
-                        "selection": _one_based(sp.zero[i] for i in sel),
-                    }
-                claims.append(
-                    AuditClaim(
-                        name="zero_axis_property",
-                        status="pass" if inner.holds else "fail",
-                        witness=w,
-                    )
-                )
-            else:
-                claims.append(
-                    AuditClaim(
-                        name="zero_axis_property",
-                        status="skip",
-                        witness=base_witness,
-                        reason=f"selection size {s_inner} out of range for "
-                        f"{n0} zero positions",
-                    )
-                )
+    claims = [_skip(name, "negative exponents present") for name in _CLAIM_NAMES[:2]]
+    for tau in neg_axes:
+        sp = sign_partition(nt, cert, tau + 1)
+        n0 = len(sp.zero)
+        s_inner = s - sp.n_tilde
+        sub = GroupTuple(dim=nt.dim, elements=tuple(nt.elements[i] for i in sp.zero))
+        base = {
+            "axis": tau + 1,
+            "zero_positions": _one_based(sp.zero),
+            "counts": {"plus": len(sp.plus), "zero": n0, "minus": len(sp.minus)},
+        }
 
-            # classify builds the subtuple's span anyway, so read its rank.
-            inner_cls = (
-                classify(sub, s_inner) if 2 <= s_inner < n0 <= 2 * s_inner else None
+        if 1 <= s_inner < n0:
+            inner = has_property(sub, n0, s_inner)
+            witness = dict(base, r=n0, s=s_inner)
+            if not inner.holds:
+                window, sel = inner.failure_witness
+                witness["failure_witness"] = {
+                    "window": _one_based(sp.zero[i] for i in window),
+                    "selection": _one_based(sp.zero[i] for i in sel),
+                }
+            claims.append(_verdict(property_name, inner.holds, witness))
+        else:
+            reason = f"selection size {s_inner} out of range for {n0} zero positions"
+            claims.append(_skip(property_name, reason, base))
+
+        # sub holds zero, whose exponents vanish, so only the sizes can put
+        # it outside classify's domain.  classify builds the subtuple's span
+        # anyway, so read its rank.
+        inner_cls = None if _outside_domain(sub, s_inner) else classify(sub, s_inner)
+        sub_rank = rank(sub) if inner_cls is None else inner_cls.rank
+        witness = dict(base, rank=sub_rank, expected=tr - 1)
+        claims.append(_verdict(rank_name, sub_rank == tr - 1, witness))
+
+        if inner_cls is None:
+            reason = (
+                f"subtuple of {n0} with selection size {s_inner} "
+                "outside classifier range"
             )
-            sub_rank = rank(sub) if inner_cls is None else inner_cls.rank
-            claims.append(
-                AuditClaim(
-                    name="zero_axis_rank_drop",
-                    status="pass" if sub_rank == cert.rank - 1 else "fail",
-                    witness=dict(
-                        base_witness, rank=sub_rank, expected=cert.rank - 1
-                    ),
-                )
-            )
+            claims.append(_skip(type_a_name, reason, base))
+        else:
+            variant = inner_cls.variant
+            witness = dict(base, variant=variant)
+            claims.append(_verdict(type_a_name, variant != VARIANT_TYPE_A, witness))
 
-            if inner_cls is not None:
-                claims.append(
-                    AuditClaim(
-                        name="zero_axis_not_type_a",
-                        status="fail" if inner_cls.variant == "type_a" else "pass",
-                        witness=dict(base_witness, variant=inner_cls.variant),
-                    )
-                )
-            else:
-                claims.append(
-                    AuditClaim(
-                        name="zero_axis_not_type_a",
-                        status="skip",
-                        witness=base_witness,
-                        reason=f"subtuple of {n0} with selection size {s_inner} "
-                        "outside classifier range",
-                    )
-                )
-
-    return AuditReport(
-        s=s, q=q, case=case, translation=translation, claims=tuple(claims)
-    )
+    return report("beta", claims)

@@ -100,6 +100,11 @@ def parse_text(text: str) -> GroupTuple:
     return group_tuple(rows)
 
 
+def _is_int(x) -> bool:
+    """True for an int that is not a bool: JSON's integers, not its booleans."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_json_obj(obj) -> GroupTuple:
     """JSON form: {"dim": n, "elements": [[...], ...]}, or the bare elements
     array, whose dimension is that of its first row."""
@@ -111,7 +116,7 @@ def parse_json_obj(obj) -> GroupTuple:
             elements = obj["elements"]
         except KeyError as exc:
             raise TupleFormatError(f"bad tuple JSON: {exc}") from None
-        if not isinstance(dim, int) or isinstance(dim, bool):
+        if not _is_int(dim):
             raise TupleFormatError("'dim' must be an integer")
     else:
         raise TupleFormatError("tuple JSON must be an object or an array")
@@ -119,9 +124,7 @@ def parse_json_obj(obj) -> GroupTuple:
         raise TupleFormatError("'elements' must be a list of integer lists")
     rows = []
     for e in elements:
-        if not isinstance(e, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in e
-        ):
+        if not isinstance(e, list) or not all(map(_is_int, e)):
             raise TupleFormatError("'elements' must be a list of integer lists")
         rows.append(tuple(e))
     return group_tuple(rows, dim=dim)

@@ -46,6 +46,42 @@ class TestCanonicalPattern:
         with pytest.raises(ValueError):
             canonical_pattern("nope", 3, [(1,)])
 
+    @pytest.mark.parametrize(
+        "variant, s, basis, shape, spec",
+        [
+            # k = 2 with one breakpoint would build 5 elements for q = 6.
+            (
+                VARIANT_TYPE_B, 3, [(1, 0), (0, 1)], dict(k=2, breakpoints=(1,)),
+                GeneratorSpec(kind="b", s=3, dim=2, k=2, breakpoints=(1,)),
+            ),
+            # Two basis members at s = 4 would build 7 elements for q = 8;
+            # generate always draws s-1 of them.
+            (VARIANT_TYPE_B, 4, [(1,), (2,)], dict(k=0), None),
+            (VARIANT_TYPE_A, 4, [(1,), (2,)], {}, GeneratorSpec(kind="a", s=4, dim=3)),
+            (
+                VARIANT_TYPE_B, 3, [(1, 0), (0, 1)], dict(k=1, breakpoints=(3,)),
+                GeneratorSpec(kind="b", s=3, dim=2, k=1, breakpoints=(3,)),
+            ),
+        ],
+        ids=[
+            "too_few_breakpoints",
+            "too_few_basis_members",
+            "type_a_even_s",
+            "breakpoint_out_of_range",
+        ],
+    )
+    def test_invalid_shape_refused_as_generate_refuses(
+        self, variant, s, basis, shape, spec
+    ):
+        with pytest.raises(ValueError) as refused:
+            canonical_pattern(variant, s, basis, **shape)
+        if spec is None:
+            assert str(refused.value) == f"expected {s - 1} basis members, got 2"
+        else:
+            with pytest.raises(ValueError) as generated:
+                generate(spec)
+            assert str(refused.value) == str(generated.value)
+
 
 class TestConverse:
     def test_every_pattern_up_to_s9_has_the_property(self):

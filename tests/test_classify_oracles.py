@@ -338,9 +338,20 @@ def tampered(t, c, rng):
     permutation entries swapped, the scaling shifted by a basis member, or
     the last basis member replaced by the sum of the others (zero when it
     is alone) with the tuple rebuilt from the pattern at scaling 0, so that
-    the pattern matches a dependent basis."""
+    the pattern matches a dependent basis.  A type-B certificate may
+    instead change its shape: one breakpoint moved by 1, k moved by 1 with
+    the breakpoints kept, or the variant relabelled type A with k and the
+    breakpoints kept (also when there is no breakpoint to move)."""
     basis = [list(b) for b in c.basis]
-    move = rng.randrange(4)
+    move = rng.randrange(7 if c.variant == VARIANT_TYPE_B else 4)
+    if move == 4 and c.breakpoints:
+        breaks = list(c.breakpoints)
+        breaks[rng.randrange(len(breaks))] += rng.choice((-1, 1))
+        return t, dataclasses.replace(c, breakpoints=tuple(breaks))
+    if move == 5:
+        return t, dataclasses.replace(c, k=c.k + rng.choice((-1, 1)))
+    if move >= 4:
+        return t, dataclasses.replace(c, variant=VARIANT_TYPE_A)
     if move == 0:
         basis[rng.randrange(len(basis))][rng.randrange(t.dim)] += rng.choice((-1, 1))
         return t, dataclasses.replace(c, basis=tuple(map(tuple, basis)))

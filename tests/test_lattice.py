@@ -301,6 +301,19 @@ class TestRationalSolve:
         with pytest.raises(RuntimeError):
             solve_rational_combination([(2, 0), (0, 3)], (1, 1))
 
+    def test_wrong_elimination_in_last_coordinate_raises(self, monkeypatch):
+        # The first pivot row is (0, 3), so a wrong coefficient for it moves
+        # only the last coordinate of the recombination: (1, 2), not (1, 1).
+        real = lattice._rational_row_basis
+
+        def perturbed(rows):
+            first, *rest = real(rows)
+            return (first[:-1] + (first[-1] + 1,), *rest)
+
+        monkeypatch.setattr(lattice, "_rational_row_basis", perturbed)
+        with pytest.raises(RuntimeError):
+            solve_rational_combination([(0, 3), (2, 0)], (1, 1))
+
 
 class TestLatticeValue:
     def test_equality_is_span_equality(self):

@@ -96,6 +96,20 @@ class TestQBasisCertificate:
         with pytest.raises(RuntimeError):
             q_basis_certificate(group_tuple([(0, 0), (2, 0), (0, 3), (1, 1)]))
 
+    def test_wrong_elimination_in_last_coordinate_raises(self, monkeypatch):
+        # The first pivot is (0, 3), so a wrong exponent on its axis moves
+        # only the last coordinate of the recombination; the re-check must
+        # read every coordinate.
+        real = structure._rational_row_basis
+
+        def perturbed(rows):
+            first, *rest = real(rows)
+            return (first[:-1] + (first[-1] + 1,), *rest)
+
+        monkeypatch.setattr(structure, "_rational_row_basis", perturbed)
+        with pytest.raises(RuntimeError):
+            q_basis_certificate(group_tuple([(0, 0), (0, 3), (2, 0), (1, 1)]))
+
     def test_verify_rejects_tampering(self):
         t = group_tuple([(0, 0), (2, 0), (0, 3), (1, 1)])
         cert = q_basis_certificate(t)
