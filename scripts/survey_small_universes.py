@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         try:
             rep = run_enumeration(job)
-        except BudgetExceeded as exc:
+        except (BudgetExceeded, ValueError) as exc:
             print(
                 f"{job.s:>2} {job.q:>2} {job.dim:>3} {job.bound:>2} "
                 f"{size:>9} skipped: {exc}"

@@ -135,7 +135,9 @@ def _field(obj: dict, key: str, default=_REQUIRED):
 
 def classification_from_json_obj(obj: dict) -> Classification:
     """Parse a certificate document.  A non-object document or a missing or
-    mistyped field raises CertificateFormatError (a ValueError) naming it."""
+    mistyped field raises CertificateFormatError (a ValueError) naming it.
+    Every pattern variant reads k and breakpoints; type B requires them, and
+    they stay None where another variant omits them."""
     if not isinstance(obj, dict):
         raise CertificateFormatError("certificate must be a JSON object")
     variant = _field(obj, "variant")
@@ -147,30 +149,33 @@ def classification_from_json_obj(obj: dict) -> Classification:
             rank=_field(obj, "t", 0),
             property_holds=_field(obj, "property_holds", None),
         )
+    optional = _REQUIRED if variant == VARIANT_TYPE_B else None
     kwargs = dict(
-        variant=variant,
-        s=s,
-        rank=s - 1,
         scaling=tuple(_field(obj, "scaling")),
         permutation=tuple(p - 1 for p in _field(obj, "permutation")),
         basis=tuple(map(tuple, _field(obj, "basis"))),
+        k=_field(obj, "k", optional),
+        breakpoints=_field(obj, "breakpoints", optional),
     )
-    if variant == VARIANT_TYPE_B:
-        kwargs["k"] = _field(obj, "k")
-        kwargs["breakpoints"] = tuple(_field(obj, "breakpoints"))
-    return Classification(**kwargs)
+    if kwargs["breakpoints"] is not None:
+        kwargs["breakpoints"] = tuple(kwargs["breakpoints"])
+    return Classification(variant=variant, s=s, rank=s - 1, **kwargs)
 
 
 def _bad_shape(variant: str, s: int, size: int, k, breakpoints) -> str | None:
     """Why no canonical pattern has this shape, or None when one does.
 
-    Type A needs an odd s; type B needs an integer k in 0..s-1 and k
-    breakpoints increasing strictly within 1..s-1; both need ``size``, the
-    number of basis members, to be s-1.  Type A reads no k or breakpoints.
+    Type A needs an odd s and no k or breakpoints (k None or 0, breakpoints
+    None or empty); type B needs an integer k in 0..s-1 and k breakpoints
+    increasing strictly within 1..s-1; both need ``size``, the number of
+    basis members, to be s-1.  ``generate``, ``canonical_pattern`` and
+    ``verify_classification`` all read this one rule.
     """
     if variant == VARIANT_TYPE_A:
         if s % 2 == 0:
             return "type A requires odd s"
+        if k or breakpoints:
+            return "type A takes no k/breakpoints"
     elif variant == VARIANT_TYPE_B:
         if not (_is_int(k) and 0 <= k <= s - 1):
             return f"k must lie in 0..{s - 1}"
@@ -231,8 +236,30 @@ def _assign_positions(tp: GroupTuple, pattern) -> tuple[int, ...] | None:
     return tuple(perm)
 
 
-def _block_certificate(tp: GroupTuple, s: int, values):
-    """Type-B certificate pieces over the first s-1 independent ``values``.
+def _certificate(
+    tp: GroupTuple, scaling, variant: str, s: int, basis, k, breakpoints
+) -> Classification:
+    """The type-A/B certificate of ``tp`` (t translated by ``scaling``) over
+    ``basis``: the canonical pattern of the shape, matched slot by slot by
+    ``_assign_positions``.  ValueError when no pattern has the shape or the
+    pattern does not rearrange the tuple."""
+    perm = _assign_positions(tp, canonical_pattern(variant, s, basis, k, breakpoints))
+    if perm is None:
+        raise ValueError("pattern does not rearrange the tuple")
+    return Classification(
+        variant=variant,
+        s=s,
+        rank=s - 1,
+        scaling=scaling,
+        permutation=perm,
+        basis=basis,
+        k=k,
+        breakpoints=breakpoints,
+    )
+
+
+def _block_certificate(s: int, values):
+    """Type-B block shape over the first s-1 independent ``values``.
 
     One primitive RREF (``_rational_row_basis``) of the matrix whose columns
     are ``values`` picks the basis: its first s-1 pivot columns, i.e. the
@@ -242,18 +269,16 @@ def _block_certificate(tp: GroupTuple, s: int, values):
     of the -1 coordinates must be nonempty and disjoint.  The basis is
     reordered so each support becomes a consecutive block, in the order of
     the remaining values; basis members outside every block go last, keeping
-    their relative order.  Returns (permutation, basis, k, breakpoints) with
-    k the number of remaining values; ValueError names the first failed
-    condition.
+    their relative order.  Returns (basis, k, breakpoints) with k the number
+    of remaining values; ValueError names the first failed condition.
 
     No lattice is compared here.  When the values have rank s-1, the basis
     is independent, and every remaining value that passes reads 0 or -1 over
     it, an integer combination; so the basis is an integer basis of the span
     of the values.  ``classify`` passes values of rank s-1 that span
     span(t); ``rebase_type_b`` compares its chosen values with span(t)
-    itself.  ``_assign_positions`` matches the whole pattern, negated block
-    sums included, against the tuple's own values before anything is
-    returned.
+    itself.  ``_certificate`` then matches the whole pattern, negated block
+    sums included, against the tuple's own values.
     """
     reduced = _rational_row_basis(zip(*values))
     pivots = [_leading_index(row) for row in reduced]
@@ -272,15 +297,7 @@ def _block_certificate(tp: GroupTuple, s: int, values):
         order.extend(sup)
         breakpoints.append(len(order))
     order.extend(i for i in range(s - 1) if i not in order)
-    basis = tuple(basis[i] for i in order)
-    k = len(breakpoints)
-    pattern = canonical_pattern(
-        VARIANT_TYPE_B, s, basis, k=k, breakpoints=tuple(breakpoints)
-    )
-    perm = _assign_positions(tp, pattern)
-    if perm is None:
-        raise ValueError("pattern does not rearrange the tuple")
-    return perm, basis, k, tuple(breakpoints)
+    return tuple(basis[i] for i in order), len(breakpoints), tuple(breakpoints)
 
 
 def _outside_domain(t: GroupTuple, s: int) -> str | None:
@@ -335,36 +352,17 @@ def classify(t: GroupTuple, s: int) -> Classification:
         if s % 2 and all(n == 2 for _, n in mults):
             c = t.elements[0]
             basis = tuple(vec_sub(v, c) for v, _ in mults[1:])
-            pattern = canonical_pattern(VARIANT_TYPE_A, s, basis)
-            return Classification(
-                variant=VARIANT_TYPE_A,
-                s=s,
-                rank=tr,
-                scaling=c,
-                permutation=_assign_positions(translate(t, c), pattern),
-                basis=basis,
-            )
+            tp = translate(t, c)
+            return _certificate(tp, c, VARIANT_TYPE_A, s, basis, None, None)
         repeated = [(v, n) for v, n in mults if n > 1]
         if len(repeated) == 1 and repeated[0][1] <= s + 1:
             c = repeated[0][0]
             tp = translate(t, c)
             try:
-                perm, basis, k, breaks = _block_certificate(
-                    tp, s, sorted(v for v in tp.elements if any(v))
-                )
+                shape = _block_certificate(s, sorted(v for v in tp.elements if any(v)))
+                return _certificate(tp, c, VARIANT_TYPE_B, s, *shape)
             except ValueError:
                 pass
-            else:
-                return Classification(
-                    variant=VARIANT_TYPE_B,
-                    s=s,
-                    rank=tr,
-                    scaling=c,
-                    permutation=perm,
-                    basis=basis,
-                    k=k,
-                    breakpoints=breaks,
-                )
     prop = has_property(t, q, s)
     return Classification(
         variant=VARIANT_UNCLASSIFIED,
@@ -381,13 +379,14 @@ def verify_classification(t: GroupTuple, c: Classification) -> bool:
     2s and the zero element occurs in t.  Rank-below certificates verify by
     re-deriving the rank; type A/B certificates verify by rebuilding the
     canonical pattern, which refuses a shape ``_bad_shape`` names (a type-A
-    certificate's k is not read), and comparing element-wise against the
-    translated, permuted tuple, and by the basis being independent: one
-    primitive row echelon form of it has s-1 rows.  That makes it an integer basis of
-    span(t): the permutation is a bijection onto the pattern slots, so every
-    element of t - c (c the scaling) is 0, a basis member or a negated block
-    sum, every basis member among them; a zero slot puts c in t, and t holds
-    zero, so span(t) = span(t - c) = the integer span of the basis.
+    certificate with a nonzero k or any breakpoints among them), and
+    comparing element-wise against the translated, permuted tuple, and by
+    the basis being independent: one primitive row echelon form of it has
+    s-1 rows.  That makes it an integer basis of span(t): the permutation
+    is a bijection onto the pattern slots, so every element of t - c (c the
+    scaling) is 0, a basis member or a negated block sum, every basis member
+    among them; a zero slot puts c in t, and t holds zero, so span(t) =
+    span(t - c) = the integer span of the basis.
     Unclassified results certify nothing and never verify.
     """
     if _outside_domain(t, c.s) is not None:
@@ -451,14 +450,5 @@ def rebase_type_b(t: GroupTuple, c: Classification, chosen) -> Classification:
     rest = sorted(
         v for i, v in enumerate(tp.elements) if i not in chosen and v != zero
     )
-    perm, basis, k, breakpoints = _block_certificate(tp, s, vals + rest)
-    return Classification(
-        variant=VARIANT_TYPE_B,
-        s=s,
-        rank=c.rank,
-        scaling=c.scaling,
-        permutation=perm,
-        basis=basis,
-        k=k,
-        breakpoints=breakpoints,
-    )
+    shape = _block_certificate(s, vals + rest)
+    return _certificate(tp, c.scaling, VARIANT_TYPE_B, s, *shape)

@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Every subcommand writes a JSON document to stdout and a one-line human
-summary to stderr.  Tuple files are either the line format (one element per
-line, whitespace-separated integer coordinates, ``#`` comments), a JSON
-object ``{"dim": d, "elements": [[..], ..]}`` or the bare JSON array of
-elements; pass ``-`` to read stdin.
+Every subcommand returns a JSON document, a one-line human summary and an
+exit code; ``main`` alone writes them: the document to stdout (and to the
+``--out`` file where a command takes one), the summary to stderr.  Errors
+take the same path as one ``{"error": ...}`` document.  Tuple files are
+either the line format (one element per line, whitespace-separated integer
+coordinates, ``#`` comments), a JSON object ``{"dim": d, "elements": [[..],
+..]}`` or the bare JSON array of elements; pass ``-`` to read stdin.
 
 Exit codes: 0 success / affirmative, 1 negative result (property fails,
 certificate invalid, tuple unclassified, audit failure, enumeration found a
@@ -15,6 +17,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -28,11 +31,10 @@ from .classify import (
     verify_classification,
 )
 from .exhaustive import EnumerationJob, run_enumeration
-from .generators import GeneratorSpec, generate, spec_to_json_obj
+from .generators import GeneratorSpec, generate
 from .structure import adequate_basis_decide, audit_claims, q_basis_certificate
 from .tuples import (
     BudgetExceeded,
-    TupleFormatError,
     has_property,
     parse_tuple,
     rank,
@@ -51,19 +53,14 @@ def _read_tuple(path: str):
     return parse_tuple(_read_text(path))
 
 
-def _emit(obj, summary: str) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
-    print(summary, file=sys.stderr)
-
-
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> tuple[dict, str, int]:
     t = _read_tuple(args.file)
     r = rank(t)
-    _emit({"dim": t.dim, "q": len(t), "rank": r}, f"rank {r} (q={len(t)}, dim={t.dim})")
-    return 0
+    summary = f"rank {r} (q={len(t)}, dim={t.dim})"
+    return {"dim": t.dim, "q": len(t), "rank": r}, summary, 0
 
 
-def _cmd_property(args) -> int:
+def _cmd_property(args) -> tuple[dict, str, int]:
     t = _read_tuple(args.file)
     report = has_property(t, args.r, args.s)
     if report.holds:
@@ -74,11 +71,10 @@ def _cmd_property(args) -> int:
             f"(P_{{{args.r},{args.s}}}) fails: window {[p + 1 for p in w]}, "
             f"selection {[p + 1 for p in i]} has no distinct equal-sum selection"
         )
-    _emit(report.to_json_obj(), summary)
-    return 0 if report.holds else 1
+    return report.to_json_obj(), summary, 0 if report.holds else 1
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, str, int]:
     t = _read_tuple(args.file)
     cls = classify(t, args.s)
     if cls.variant == VARIANT_UNCLASSIFIED:
@@ -94,11 +90,10 @@ def _cmd_classify(args) -> int:
     else:
         extra = f", k={cls.k}" if cls.variant == VARIANT_TYPE_B else ""
         summary = f"{cls.variant} (s={cls.s}{extra})"
-    _emit(cls.to_json_obj(), summary)
-    return 1 if cls.variant == VARIANT_UNCLASSIFIED else 0
+    return cls.to_json_obj(), summary, 1 if cls.variant == VARIANT_UNCLASSIFIED else 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, str, int]:
     t = _read_tuple(args.file)
     try:
         obj = json.loads(_read_text(args.cert_file))
@@ -106,21 +101,18 @@ def _cmd_verify(args) -> int:
         raise CertificateFormatError(f"certificate JSON: {exc}") from None
     cls = classification_from_json_obj(obj)
     ok = cls.s == args.s and verify_classification(t, cls)
-    _emit({"valid": ok}, "certificate valid" if ok else "certificate INVALID")
-    return 0 if ok else 1
+    summary = "certificate valid" if ok else "certificate INVALID"
+    return {"valid": ok}, summary, 0 if ok else 1
 
 
-def _cmd_qbasis(args) -> int:
+def _cmd_qbasis(args) -> tuple[dict, str, int]:
     t = _read_tuple(args.file)
     cert = q_basis_certificate(t)
-    _emit(
-        cert.to_json_obj(),
-        f"rank {cert.rank} certificate, indices {[i + 1 for i in cert.indices]}",
-    )
-    return 0
+    idx = [i + 1 for i in cert.indices]
+    return cert.to_json_obj(), f"rank {cert.rank} certificate, indices {idx}", 0
 
 
-def _cmd_adequate_basis(args) -> int:
+def _cmd_adequate_basis(args) -> tuple[dict, str, int]:
     t = _read_tuple(args.file)
     decision = adequate_basis_decide(t)
     if decision.exists:
@@ -128,11 +120,10 @@ def _cmd_adequate_basis(args) -> int:
         summary = f"adequate basis exists: indices {idx}"
     else:
         summary = f"no adequate basis ({len(decision.refutation)} subsets refuted)"
-    _emit(decision.to_json_obj(), summary)
-    return 0 if decision.exists else 1
+    return decision.to_json_obj(), summary, 0 if decision.exists else 1
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> tuple[dict, str, int]:
     t = _read_tuple(args.file)
     report = audit_claims(t, args.s)
     if report.all_pass:
@@ -140,8 +131,7 @@ def _cmd_audit(args) -> int:
     else:
         names = ", ".join(c.name for c in report.failures)
         summary = f"FAILED claims: {names}"
-    _emit(report.to_json_obj(), summary)
-    return 0 if report.all_pass else 1
+    return report.to_json_obj(), summary, 0 if report.all_pass else 1
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -151,7 +141,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> tuple[dict, str, int]:
     dim = args.dim if args.dim is not None else args.s - 1
     translation = (
         _parse_int_list(args.translation) if args.translation is not None else None
@@ -168,14 +158,14 @@ def _cmd_generate(args) -> int:
         permutation_seed=args.permutation_seed,
     )
     t = generate(spec)
-    _emit(
-        {"spec": spec_to_json_obj(spec), "tuple": to_json_obj(t)},
+    return (
+        {"spec": dataclasses.asdict(spec), "tuple": to_json_obj(t)},
         f"generated type {spec.kind} tuple: q={len(t)}, dim={t.dim}",
+        0,
     )
-    return 0
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[dict, str, int]:
     job = EnumerationJob(
         s=args.s,
         q=args.q,
@@ -184,18 +174,12 @@ def _cmd_enumerate(args) -> int:
         jobs=args.jobs,
     )
     report = run_enumeration(job)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
     verdict = "ok" if report["ok"] else "COUNTEREXAMPLE CANDIDATES FOUND"
-    print(
+    summary = (
         f"{report['tuples']} tuples, {report['with_property']} with property, "
-        f"{verdict}",
-        file=sys.stderr,
+        f"{verdict}"
     )
-    return 0 if report["ok"] else 1
+    return report, summary, 0 if report["ok"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,18 +250,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except BudgetExceeded as exc:
-        print(json.dumps({"error": str(exc)}, indent=2, sort_keys=True))
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except (TupleFormatError, ValueError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}, indent=2, sort_keys=True))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        doc, summary, code = args.func(args)
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        if getattr(args, "out", None) is not None:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+    except (BudgetExceeded, ValueError, OSError) as exc:
+        code = 3 if isinstance(exc, BudgetExceeded) else 2
+        text = json.dumps({"error": str(exc)}, indent=2, sort_keys=True)
+        summary = f"{'budget exceeded' if code == 3 else 'error'}: {exc}"
+    print(text)
+    print(summary, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -51,12 +51,13 @@ def random_unimodular(dim: int, rng: random.Random, bound: int) -> list[Vector]:
 class GeneratorSpec:
     """Recipe for one canonical-form instance.
 
-    kind "a" needs odd s; kind "b" needs k breakpoints strictly increasing in
-    {1..s-1}.  dim >= s-1.  The basis is the image of the first s-1 standard
-    basis rows under a seeded unimodular transform whose transvection
-    coefficients are bounded by unimodular_bound (0 = identity; a negative
-    bound is refused).  seed and permutation_seed must be >= 0.  translation
-    is added to every element after the permutation.
+    kind "a" needs odd s and no k or breakpoints; kind "b" needs k
+    breakpoints strictly increasing in {1..s-1}.  dim >= s-1.  The basis is
+    the image of the first s-1 standard basis rows under a seeded unimodular
+    transform whose transvection coefficients are bounded by
+    unimodular_bound (0 = identity; a negative bound is refused).  seed and
+    permutation_seed must be >= 0.  translation is added to every element
+    after the permutation.
     """
 
     kind: str
@@ -89,8 +90,6 @@ def _validate(spec: GeneratorSpec) -> None:
     )
     if refusal is not None:
         raise ValueError(refusal)
-    if spec.kind == "a" and (spec.k or spec.breakpoints):
-        raise ValueError("type A takes no k/breakpoints")
     if spec.translation is not None and len(spec.translation) != spec.dim:
         raise ValueError("translation dimension mismatch")
 
@@ -113,18 +112,3 @@ def generate(spec: GeneratorSpec) -> GroupTuple:
             tuple(u + v for u, v in zip(e, spec.translation)) for e in elements
         ]
     return GroupTuple(dim=spec.dim, elements=tuple(elements))
-
-
-def spec_to_json_obj(spec: GeneratorSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "s": spec.s,
-        "dim": spec.dim,
-        "k": spec.k,
-        "breakpoints": list(spec.breakpoints),
-        "seed": spec.seed,
-        "unimodular_bound": spec.unimodular_bound,
-        "translation": None if spec.translation is None else list(spec.translation),
-        "permutation_seed": spec.permutation_seed,
-    }
-

@@ -287,9 +287,7 @@ def primitive_representative(lat: Lattice, v: Vector) -> tuple[Vector, int]:
     coords = solve_coordinates(lat, v)
     if coords is None:
         raise ValueError("vector does not lie in the lattice")
-    g = 0
-    for c in coords:
-        g = gcd(g, c)
+    g = gcd(*coords)
     prim_coords = [c // g for c in coords]
     p = [0] * lat.dim
     for c, row in zip(prim_coords, lat.basis):

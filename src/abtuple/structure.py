@@ -138,9 +138,7 @@ def q_basis_certificate(t: GroupTuple) -> QBasisCertificate:
     eta_num = []
     eta_den = []
     for i, m in zip(chosen, mult):
-        g = m
-        for x in t.elements[i]:
-            g = gcd(g, x)
+        g = gcd(m, *t.elements[i])
         eta_num.append(tuple(x // g for x in t.elements[i]))
         eta_den.append(m // g)
     return QBasisCertificate(
@@ -175,12 +173,8 @@ def verify_certificate(t: GroupTuple, cert: QBasisCertificate) -> bool:
         return False
     if any(l <= 0 for l in cert.multipliers) or any(d <= 0 for d in cert.eta_den):
         return False
-    for num, den in zip(cert.eta_num, cert.eta_den):
-        g = den
-        for x in num:
-            g = gcd(g, x)
-        if g != 1:
-            return False
+    if any(gcd(den, *num) != 1 for num, den in zip(cert.eta_num, cert.eta_den)):
+        return False
     if len(_rational_row_basis(cert.eta_num)) != tr:
         return False
     for tau, (i, l) in enumerate(zip(cert.indices, cert.multipliers)):

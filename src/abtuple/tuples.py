@@ -205,14 +205,7 @@ def equal_pair(t: GroupTuple) -> tuple[int, int] | None:
 
 def value_multiplicities(t: GroupTuple) -> list[tuple[Vector, int]]:
     """(value, count) pairs in first-occurrence order."""
-    order: list[Vector] = []
-    counts: dict[Vector, int] = {}
-    for e in t.elements:
-        if e not in counts:
-            order.append(e)
-            counts[e] = 0
-        counts[e] += 1
-    return [(v, counts[v]) for v in order]
+    return list(Counter(t.elements).items())
 
 
 # ---------------------------------------------------------------------------

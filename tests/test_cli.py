@@ -32,6 +32,14 @@ GENERIC_Q12 = """\
 9 -1 -1 3 6
 """
 DEEP_JSON = "[" * 100000 + "]" * 100000
+TYPE_A_S3_TEXT = "0 0\n0 0\n1 0\n1 0\n0 1\n0 1\n"
+TYPE_A_S3_CERT = {
+    "variant": "type_a",
+    "s": 3,
+    "scaling": [0, 0],
+    "permutation": [1, 2, 3, 4, 5, 6],
+    "basis": [[1, 0], [0, 1]],
+}
 
 
 @pytest.fixture()
@@ -271,6 +279,8 @@ class TestVerify:
                 "permutation",
             ),
             ([1, 2], "object"),
+            (dict(TYPE_A_S3_CERT, k="1"), "'k'"),
+            (dict(TYPE_A_S3_CERT, breakpoints=1), "'breakpoints'"),
         ],
     )
     def test_malformed_certificate_exit_two(
@@ -282,6 +292,28 @@ class TestVerify:
         code, payload, _ = run_cli(capsys, "verify", "--s", "2", tf, str(cert_file))
         assert code == 2
         assert field in payload["error"]
+
+    @pytest.mark.parametrize(
+        "extra, code",
+        [
+            ({}, 0),
+            ({"k": 0, "breakpoints": []}, 0),
+            ({"k": 7, "breakpoints": [9, 9]}, 1),
+            ({"k": 1}, 1),
+            ({"breakpoints": [1]}, 1),
+        ],
+        ids=["none", "k0_empty", "k7_two_breakpoints", "k1", "one_breakpoint"],
+    )
+    def test_type_a_takes_no_k_or_breakpoints(
+        self, capsys, tuple_file, tmp_path, extra, code
+    ):
+        # generate refuses these fields for type A; verify refuses them by
+        # the same shape rule.
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(dict(TYPE_A_S3_CERT, **extra)))
+        tf = tuple_file(TYPE_A_S3_TEXT)
+        got, payload, _ = run_cli(capsys, "verify", "--s", "3", tf, str(cert_file))
+        assert (got, payload) == (code, {"valid": code == 0})
 
     def test_deeply_nested_certificate_exit_two(self, capsys, tuple_file):
         tf = tuple_file("0\n0\n2\n-2\n")
@@ -407,6 +439,24 @@ class TestGenerate:
         assert "unimodular_bound" in payload["error"]
 
     @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ("--kind b --s 4 --k 5", "k must lie in 0..3"),
+            ("--kind b --s 1", "s must be at least 2"),
+            ("--kind a --s 3 --k 1", "type A takes no k/breakpoints"),
+            ("--kind a --s 3 --breaks 1", "type A takes no k/breakpoints"),
+            ("--kind a --s 4 --k 1", "type A requires odd s"),
+        ],
+        ids=[
+            "k_out_of_range", "s_below_two", "type_a_k", "type_a_breaks", "odd_s_first"
+        ],
+    )
+    def test_refused_spec_names_its_rule(self, capsys, argv, error):
+        code, payload, err = run_cli(capsys, "generate", *argv.split())
+        assert (code, payload) == (2, {"error": error})
+        assert err == f"error: {error}\n"
+
+    @pytest.mark.parametrize(
         "flag, name", [("--seed", "seed"), ("--permutation-seed", "permutation_seed")]
     )
     def test_negative_seed_exit_two(self, capsys, flag, name):
@@ -432,6 +482,21 @@ class TestEnumerate:
         assert payload["with_property"] == 1
         assert json.loads(out.read_text()) == payload
         assert "1 with property" in err
+
+    def test_out_file_holds_the_stdout_text(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["enumerate", "--s", "3", "--q", "6", "--dim", "1", "--bound", "1"]
+        code = main(argv + ["--out", str(out)])
+        assert code == 0
+        assert out.read_text() == capsys.readouterr().out
+
+    def test_unwritable_out_exit_two_with_one_error_document(self, capsys, tmp_path):
+        argv = ["enumerate", "--s", "2", "--q", "3", "--dim", "1", "--bound", "1"]
+        code = main(argv + ["--out", str(tmp_path / "missing" / "report.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert list(json.loads(captured.out)) == ["error"]
+        assert captured.err.startswith("error: ")
 
     def test_budget_exit_three(self, capsys, monkeypatch):
         # The cell is billed 3: its one lex survivor times C(3, 2).
@@ -461,8 +526,9 @@ class TestErrorPaths:
             '{"dim": 1.9, "elements": [[1]]}',
             '{"dim": "1", "elements": [[1]]}',
             '{"dim": true, "elements": [[1]]}',
+            '{"dim": 1, "elements": 5}',
         ],
-        ids=["deep", "inf", "float", "string", "bool"],
+        ids=["deep", "inf", "float", "string", "bool", "elements_not_list"],
     )
     def test_unparsable_json_tuple_exit_two(self, capsys, tuple_file, text):
         code, payload, err = run_cli(capsys, "rank", tuple_file(text, name="t.json"))

@@ -370,6 +370,41 @@ class TestAuditClaims:
         assert failure.witness["axis"] == 1
         assert failure.witness["variant"] == "type_a"
 
+    @pytest.mark.parametrize(
+        "elements, s, name, witness",
+        [
+            (
+                ((0,), (0,), (-2,)),
+                2,
+                "multiplicity_sums_avoid_s",
+                {"multiplicities": [2, 1], "subset_axes": [0]},
+            ),
+            (
+                ((0, 0), (0, 0), (-1, -1), (-1, 0), (-1, 1)),
+                3,
+                "zero_axis_property",
+                {
+                    "axis": 1,
+                    "zero_positions": [1, 2, 4],
+                    "counts": {"plus": 1, "zero": 3, "minus": 1},
+                    "r": 3,
+                    "s": 2,
+                    "failure_witness": {"window": [1, 2, 4], "selection": [1, 2]},
+                },
+            ),
+        ],
+        ids=["subset_axes", "zero_axis_failure_witness"],
+    )
+    def test_failed_claim_witness_format(self, elements, s, name, witness):
+        # Neither tuple has (P_{q,s}), so audit_claims refuses both; calling
+        # _audit_holder directly pins how a failed claim quotes its witness,
+        # and says nothing about the claims on property holders.
+        t = group_tuple(elements)
+        assert not has_property(t, len(t), s).holds
+        claim = next(c for c in structure._audit_holder(t, s).claims if c.name == name)
+        assert claim.status == "fail"
+        assert claim.witness == witness
+
     def test_normalization_translates_to_double_zero(self):
         rep = audit_claims(group_tuple([(0,), (1,), (1,), (2,)]), 2)
         assert rep.translation == (1,)
