@@ -24,6 +24,16 @@ def fmt_hist(hist: dict) -> str:
     return ",".join(f"{k}:{v}" for k, v in sorted(hist.items())) or "-"
 
 
+def fmt_universe(job: EnumerationJob) -> str:
+    """The universe size, or "-" when q is below 1 or dim or bound is
+    negative, where ``universe_size`` is undefined.  ``run_enumeration``
+    validates each cell either way: a window below s+1 is refused although
+    its universe, which s plays no part in, has a size."""
+    if job.q < 1 or min(job.dim, job.bound) < 0:
+        return "-"
+    return str(universe_size(job))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--s", type=int, nargs="+", default=[2, 3])
@@ -51,7 +61,7 @@ def main(argv=None) -> int:
         for bound in args.bound
     )
     for job in cells:
-        size = universe_size(job)
+        size = fmt_universe(job)
         start = time.perf_counter()
         try:
             rep = run_enumeration(job)

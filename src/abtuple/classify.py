@@ -58,6 +58,7 @@ VARIANT_RANK_BELOW = "rank_below"
 VARIANT_TYPE_A = "type_a"
 VARIANT_TYPE_B = "type_b"
 VARIANT_UNCLASSIFIED = "unclassified"
+_VARIANTS = (VARIANT_RANK_BELOW, VARIANT_TYPE_A, VARIANT_TYPE_B, VARIANT_UNCLASSIFIED)
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def _is_ints(x) -> bool:
 
 
 _FIELD_TYPES = {
-    "variant": (lambda x: isinstance(x, str), "a string"),
+    "variant": (_VARIANTS.__contains__, "one of " + ", ".join(map(repr, _VARIANTS))),
     "s": (_is_int, "an integer"),
     "t": (_is_int, "an integer"),
     "k": (_is_int, "an integer"),
@@ -134,8 +135,9 @@ def _field(obj: dict, key: str, default=_REQUIRED):
 
 
 def classification_from_json_obj(obj: dict) -> Classification:
-    """Parse a certificate document.  A non-object document or a missing or
-    mistyped field raises CertificateFormatError (a ValueError) naming it.
+    """Parse a certificate document.  A non-object document, or a missing
+    or mistyped field, an unknown variant among them, raises
+    CertificateFormatError (a ValueError) naming it.
     Every pattern variant reads k and breakpoints; type B requires them, and
     they stay None where another variant omits them."""
     if not isinstance(obj, dict):
@@ -343,8 +345,13 @@ def classify(t: GroupTuple, s: int) -> Classification:
     refusal = _outside_domain(t, s)
     if refusal is not None:
         raise ValueError(refusal)
+    return _classify(t, s, rank(t))
+
+
+def _classify(t: GroupTuple, s: int, tr: int) -> Classification:
+    """``classify`` on a tuple of its domain whose rank ``tr`` the caller
+    already has: ``exhaustive`` reads it off a holder's class key."""
     q = len(t)
-    tr = rank(t)
     if tr < s - 1:
         return Classification(variant=VARIANT_RANK_BELOW, s=s, rank=tr)
     if tr == s - 1 and q == 2 * s:

@@ -27,8 +27,9 @@ one per negation pair; every tuple of the universe is still counted, by
   g values, in canonical order.
 - Negation.  x -> -x maps the universe onto itself, and on grid indices
   it is i -> g-1-i.  It reverses lex order and every packed table's order
-  (packing is linear), and swaps the two tie pairs, so expand(-u) =
-  -expand(u), and each table's order filter drops t iff it drops -t.
+  (each table packs a linear map of the value), and swaps the two tie
+  pairs, so expand(-u) = -expand(u), and each table's order filter drops t
+  iff it drops -t.
   (P_{q,s}) holds for t iff it holds for -t: negation maps equal sums to
   equal sums.  So ``_visits`` yields u only when u <= -u, and a holder
   stands for itself and -t: it is counted twice unless u = -u (Burnside's
@@ -47,19 +48,24 @@ one per negation pair; every tuple of the universe is still counted, by
   own facts equal t's.  Quoted lists are sorted by key at the merge, so
   they come out in canonical order.
 
-Each job packs every grid value once into d tables of ints indexed like
-the grid (see ``_tables``): table k packs it with its coordinates rotated
-by k, so each coordinate is the most significant digit of one table, and
-table 0 is in grid order.  An expanded tuple already ties in grid order;
-one whose order statistics in any other table refute (P_{q,s}) (see
-``_fails_by_order``) is dropped without forming a sum.  The survivors are
-tested for (P_{q,s}) by the kernel, ``tuples._decide_packed``, on their
-table-0 ints; it returns a failure witness or None, and only the tuples it
-returns None for, the holders, are looked up as vectors.  They are then
-ranked, classified, checked for an equal pair, and audited.  The report
-aggregates counts and quotes verbatim every tuple that is Unclassified,
-fails an audit claim, or lacks an equal pair — those are counterexample
-candidates for the classification lemma and force ok=false.
+Each job packs every grid value once into 2d tables of ints indexed like
+the grid, one in dim 1 (see ``_tables``): table 2k packs it with its
+coordinates rotated by k, so each coordinate is the most significant digit
+of one table, table 2k + 1 packs the same rotation with its second
+coordinate negated, and table 0 is in grid order.  Each table's order is
+the integer order of a linear map, so it is compatible with addition.  An
+expanded tuple already ties in grid order; one whose order statistics in
+any other table refute (P_{q,s}) (see ``_fails_by_order``) is dropped
+without forming a sum.  The survivors are tested for (P_{q,s}) by the
+kernel, ``tuples._decide_packed``, on their table-0 ints; it returns a
+failure witness or None, and only the tuples it returns None for, the
+holders, are looked up as vectors.  They are then ranked, classified,
+checked for an equal pair, and audited, once per class (below); the rank,
+and the audit's rational-basis certificate when the audit needs no
+translation, are read off the class key (see ``_holder_facts``).  The
+report aggregates counts and quotes verbatim every tuple that is
+Unclassified, fails an audit claim, or lacks an equal pair — those are
+counterexample candidates for the classification lemma and force ok=false.
 
 Holders whose coordinates span the same rational row space are analysed
 once.  Read a tuple of q elements of Z^d as the d x q matrix M whose rows
@@ -126,7 +132,7 @@ from itertools import chain, combinations_with_replacement, islice, product
 from math import comb
 from operator import itemgetter
 
-from .classify import VARIANT_UNCLASSIFIED, _outside_domain, classify
+from .classify import VARIANT_UNCLASSIFIED, _classify, _outside_domain
 from .structure import _audit_holder
 from .tuples import (
     GroupTuple,
@@ -135,7 +141,6 @@ from .tuples import (
     _packed,
     equal_pair,
     property_work,
-    rank,
 )
 from .lattice import _rational_row_basis
 
@@ -193,18 +198,30 @@ def nominal_bill(job: EnumerationJob) -> int:
 def _tables(job: EnumerationJob) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """The job's grid and packed tables, built once per ``run_enumeration`` call.
 
-    Table k packs every grid value with its coordinates rotated by k,
-    ``e[k:] + e[:k]``, through ``_packed`` in base 2sB + 1, for k = 0..d-1,
-    into a list indexed like the grid.  Every coordinate of the job lies in
-    [-B, B], so every table is exact for the s-sums of every tuple of the
-    job.  Table 0, unrotated, orders values lexicographically as the grid
-    does, so it is strictly increasing.  The kernel reads table 0.
+    Each table packs every grid value, after one signed permutation of its
+    coordinates, through ``_packed`` in base 2sB + 1, into a list indexed
+    like the grid.  For k = 0..d-1 the coordinates are rotated by k,
+    ``e[k:] + e[:k]``; in dim d >= 2 each rotation is packed twice, as it
+    is and with its second coordinate negated, so there are 2d tables, and
+    one in dim 1.  A signed permutation of coordinates is a linear map
+    that keeps every coordinate of the job in [-B, B], so every table is
+    exact for the s-sums of every tuple of the job, and negation reverses
+    every table's order.  Table 0, unrotated and unsigned, orders values
+    lexicographically as the grid does, so it is strictly increasing.  The
+    kernel reads table 0.
+
+    When the walk has no free slot (q - |{s, q-s}| = 1) it reads zero
+    alone, so the grid is [0, 0]^d, the zero vector only.
     """
-    grid = value_grid(job.dim, job.bound)
-    return grid, [
-        _packed([e[k:] + e[:k] for e in grid], job.s, job.bound)
-        for k in range(job.dim)
-    ]
+    free = job.q - len({job.s, job.q - job.s}) > 1
+    grid = value_grid(job.dim, job.bound if free else 0)
+    orders = []
+    for k in range(job.dim):
+        rotated = [e[k:] + e[:k] for e in grid]
+        orders.append(rotated)
+        if job.dim > 1:
+            orders.append([(e[0], -e[1], *e[2:]) for e in rotated])
+    return grid, [_packed(order, job.s, job.bound) for order in orders]
 
 
 def _fails_by_order(ints, q: int, s: int) -> bool:
@@ -283,9 +300,14 @@ def _visits(q: int, s: int, g: int, i: int, n: int):
         yield u, weight
 
 
-def _holder_facts(job: EnumerationJob, elements) -> tuple:
+def _holder_facts(job: EnumerationJob, elements, key) -> tuple:
     """What the report reads off one holder.
 
+    ``key`` is the holder's class key, the primitive RREF of its coordinate
+    columns (``lattice._rational_row_basis``), which ``_process_share``
+    already computed: its row count is the holder's rank, which
+    ``classify`` is handed, and when the holder holds zero twice the audit
+    needs no translation and reads its rational-basis certificate off it.
     Returns (rank, variant, property_holds, equal pair missing, audit),
     where ``audit`` is None when the audit passes or is skipped, and else its
     case and failed claim names.  Every holder whose coordinate columns
@@ -299,15 +321,16 @@ def _holder_facts(job: EnumerationJob, elements) -> tuple:
     """
     t = GroupTuple(dim=job.dim, elements=elements)
     missing = equal_pair(t) is None
+    tr = len(key)
     if _outside_domain(t, job.s) is not None:
-        return rank(t), VARIANT_OUT_OF_RANGE, None, missing, None
-    cls = classify(t, job.s)
+        return tr, VARIANT_OUT_OF_RANGE, None, missing, None
+    cls = _classify(t, job.s, tr)
     audit = None
     if not missing:
-        report = _audit_holder(t, job.s)
+        report = _audit_holder(t, job.s, key)
         if not report.all_pass:
             audit = report.case, tuple(c.name for c in report.failures)
-    return cls.rank, cls.variant, cls.property_holds, missing, audit
+    return tr, cls.variant, cls.property_holds, missing, audit
 
 
 def _process_share(job: EnumerationJob, tables: tuple, i: int, n: int) -> dict:
@@ -330,12 +353,12 @@ def _process_share(job: EnumerationJob, tables: tuple, i: int, n: int) -> dict:
     (the walk visits at least one tuple), and ``run_enumeration`` refuses
     the job up front when that bill exceeds the budget.
     """
-    grid, (table0, *rotated) = tables
+    grid, (table0, *others) = tables
     q, s = job.q, job.s
     zero = (len(grid) - 1) // 2
     classes = {}
     for w, weight in _visits(q, s, len(grid), i, n):
-        for t in rotated:
+        for t in others:
             if _fails_by_order(map(t.__getitem__, w), q, s):
                 break
         else:
@@ -401,8 +424,8 @@ def run_enumeration(job: EnumerationJob) -> dict:
 
     with_property, ranks, variants = 0, {}, {}
     quoted = {"equal_pair_missing": [], "unclassified": [], "audit_failures": []}
-    for members in classes.values():
-        facts = _holder_facts(job, canonical(min(members)[0]))
+    for span, members in classes.items():
+        facts = _holder_facts(job, canonical(min(members)[0]), span)
         tr, variant, property_holds, missing, audit = facts
         weight = sum(w for _, w in members)
         with_property += weight

@@ -21,11 +21,12 @@ reduced row echelon form with each row scaled to coprime integers and a
 positive pivot, as many rows as the rank.  It serves
 ``solve_rational_combination`` here, ``tuples.rank``, the certificates and
 their checks in ``structure`` and ``classify``, and ``exhaustive``'s class
-key.  Beside it sits the one integer re-check of its answers,
-``_failed_recombination``: every element must equal its recombination from
-generators over a common denominator, in integers.  It serves three
-callers: ``solve_rational_combination``, and ``structure``'s
-``q_basis_certificate`` and ``verify_certificate``.
+key, which also gives the class its rank and, where the audit needs no
+translation, its rational basis certificate.  Beside it sits the one
+integer re-check of its answers, ``_failed_recombination``: every element
+must equal its recombination from generators over a common denominator,
+in integers.  It serves three callers: ``solve_rational_combination``, and
+``structure``'s ``q_basis_certificate`` and ``verify_certificate``.
 """
 
 from __future__ import annotations

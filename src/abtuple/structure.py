@@ -125,7 +125,13 @@ def q_basis_certificate(t: GroupTuple) -> QBasisCertificate:
     L a_j == sum_tau r_tau[j] (L / p_tau) a_{i_tau} with L = lcm(p_tau); a
     failure raises RuntimeError.  Raises ValueError on a rank-0 tuple.
     """
-    rows = _rational_row_basis(zip(*t.elements))
+    return _certificate_from_rows(t, _rational_row_basis(zip(*t.elements)))
+
+
+def _certificate_from_rows(t: GroupTuple, rows) -> QBasisCertificate:
+    """``q_basis_certificate`` from ``rows``, the primitive RREF of t's
+    coordinate columns, which the caller already has.  The integer
+    recombination re-check runs all the same."""
     if not rows:
         raise ValueError("rank-0 tuple admits no basis certificate")
     chosen = [_leading_index(r) for r in rows]
@@ -546,11 +552,14 @@ def audit_claims(t: GroupTuple, s: int) -> AuditReport:
     return _audit_holder(t, s)
 
 
-def _audit_holder(t: GroupTuple, s: int) -> AuditReport:
+def _audit_holder(t: GroupTuple, s: int, rows=None) -> AuditReport:
     """``audit_claims`` without its precondition checks.
 
     The caller guarantees 2 <= s < q <= 2s, that zero occurs in t and that t
-    has (P_{q,s}); the tuple's own property is not re-checked.  The
+    has (P_{q,s}); the tuple's own property is not re-checked.  ``rows``,
+    when given, is the primitive RREF of t's coordinate columns
+    (``lattice._rational_row_basis``); the certificate is read off it when
+    t needs no translation, and otherwise off the translated tuple's.  The
     property checks of the zero-axis subtuples, and ``classify``'s check of
     a subtuple it leaves Unclassified, read the budget (ABTUPLE_BUDGET,
     else 10**9).  Every claim is built by ``_verdict`` or ``_skip``, and
@@ -567,6 +576,9 @@ def _audit_holder(t: GroupTuple, s: int) -> AuditReport:
             raise RuntimeError("property instance without an equal pair")
         translation = t.elements[pair[0]]
         nt = translate(t, translation)
+        rows = None
+    if rows is None:
+        rows = _rational_row_basis(zip(*nt.elements))
 
     def report(case, claims):
         return AuditReport(
@@ -575,7 +587,7 @@ def _audit_holder(t: GroupTuple, s: int) -> AuditReport:
 
     sums_name, pattern_name, property_name, rank_name, type_a_name = _CLAIM_NAMES
     # An all-zero tuple has no certificate: one class of size q, no axes.
-    cert = q_basis_certificate(nt) if any(map(any, nt.elements)) else None
+    cert = _certificate_from_rows(nt, rows) if rows else None
     tr = cert.rank if cert else 0
     neg_axes = [
         tau for tau in range(tr) if any(row[tau] < 0 for row in cert.exponents)

@@ -281,6 +281,7 @@ class TestVerify:
             ([1, 2], "object"),
             (dict(TYPE_A_S3_CERT, k="1"), "'k'"),
             (dict(TYPE_A_S3_CERT, breakpoints=1), "'breakpoints'"),
+            (dict(TYPE_A_S3_CERT, variant="type_c"), "'variant'"),
         ],
     )
     def test_malformed_certificate_exit_two(

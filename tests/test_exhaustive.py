@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abtuple import exhaustive, structure
-from abtuple.classify import VARIANT_UNCLASSIFIED, classify
+from abtuple.classify import VARIANT_UNCLASSIFIED, _classify, classify
 from abtuple.cli import main
 from abtuple.exhaustive import (
     EnumerationJob,
@@ -243,8 +243,9 @@ class TestEnumeration:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_tables_built_once_per_job(self, monkeypatch, in_process_pool, jobs):
         # s=2 q=4 dim=5 bound=1 has 29,646 lex survivors.  The grid and its
-        # five tables are built once per call, in process and for a pool,
-        # not once per share.
+        # ten tables, five rotations each packed as they are and with their
+        # second coordinate negated, are built once per call, in process
+        # and for a pool, not once per share.
         calls = Counter()
         for name in ("value_grid", "_packed"):
 
@@ -257,7 +258,24 @@ class TestEnumeration:
         rep = run_enumeration(EnumerationJob(s=2, q=4, dim=5, bound=1, jobs=jobs))
         assert rep["tuples"] == 2421090
         assert in_process_pool == ([2] if jobs == 2 else [])
-        assert calls == {"value_grid": 1, "_packed": 5}
+        assert calls == {"value_grid": 1, "_packed": 10}
+
+    @pytest.mark.parametrize("s, q", [(1, 2), (1, 3), (2, 3)])
+    def test_walk_without_a_free_slot_packs_zero_alone(self, s, q):
+        # q - |{s, q-s}| = 1: the walk visits the all-zero tuple only, so
+        # the grid and each of the 22 tables hold the zero vector alone.
+        grid, tables = _tables(EnumerationJob(s=s, q=q, dim=11, bound=1))
+        assert grid == [(0,) * 11]
+        assert tables == [[0]] * 22
+
+    def test_walk_without_a_free_slot_reports_as_before(self):
+        # 3^12 grid values, which a full grid would pack 24 times; the
+        # report counts every tuple of the universe all the same.
+        job = EnumerationJob(s=2, q=3, dim=12, bound=1)
+        rep = run_enumeration(job)
+        assert rep["tuples"] == universe_size(job)
+        assert rep["with_property"] == 1
+        assert report_digest(rep) == "b47ca1ebb84336d7"
 
 
 def report_digest(report) -> str:
@@ -303,17 +321,32 @@ def repetitive_windows(draw):
 
 
 @functools.cache
-def grid_packing(s, q, dim, bound):
-    """Each grid value of the job and its ints in the job's tables, table 0
-    first, as ``_tables`` builds them."""
-    grid, tables = _tables(EnumerationJob(s=s, q=q, dim=dim, bound=bound))
+def grid_packing(s, dim, bound):
+    """Each grid value of [-bound, bound]^dim and its ints in the tables of
+    a job with this s, table 0 first, as ``_tables`` builds them.  The
+    tables do not depend on q, so the job takes q = 2s + 2, whose walk has
+    a free slot and so reads the whole grid."""
+    grid, tables = _tables(EnumerationJob(s=s, q=2 * s + 2, dim=dim, bound=bound))
     return dict(zip(grid, zip(*tables)))
+
+
+def signed_orders(e):
+    """The signed coordinate permutations of ``e`` that the tables pack, in
+    table order: each rotation by k = 0..dim-1, and in dim >= 2 after each
+    rotation that rotation with its second coordinate negated."""
+    orders = []
+    for k in range(len(e)):
+        rotated = e[k:] + e[:k]
+        orders.append(rotated)
+        if len(e) > 1:
+            orders.append((rotated[0], -rotated[1]) + rotated[2:])
+    return orders
 
 
 def table_ints(elements, q, s, bound=2):
     """The elements' ints in each table of a job on [-bound, bound]^dim,
     one tuple of q ints per table, table 0 first."""
-    packing = grid_packing(s, q, len(elements[0]), bound)
+    packing = grid_packing(s, len(elements[0]), bound)
     return list(zip(*(packing[e] for e in elements)))
 
 
@@ -330,14 +363,17 @@ class TestOrderFilter:
         elements, q, s = case
         holds = has_property(group_tuple(elements), q, s).holds
         vector_sums = {tuple(map(sum, zip(*sel))) for sel in combinations(elements, s)}
-        for k, ints in enumerate(table_ints(elements, q, s)):
+        tables = table_ints(elements, q, s)
+        dim = len(elements[0])
+        assert len(tables) == (2 * dim if dim > 1 else 1)
+        for ints, ordered in zip(tables, zip(*map(signed_orders, elements))):
             # Each table is exact for s-sums ...
             assert len(set(map(sum, combinations(ints, s)))) == len(vector_sums)
-            # ... and orders single values as lex order does their rotated
-            # coordinates, so it is the vector-level filter under that order.
-            rotated = [e[k:] + e[:k] for e in elements]
+            # ... and orders single values as lex order does their signed,
+            # rotated coordinates, so it is the vector-level filter under
+            # that order.
             fails = _fails_by_order(ints, q, s)
-            assert fails == fails_by_lex_order(rotated, q, s)
+            assert fails == fails_by_lex_order(ordered, q, s)
             if fails:
                 assert not holds
 
@@ -345,15 +381,16 @@ class TestOrderFilter:
     def test_every_table_is_exact_for_s_sums(self, s, dim, bound):
         # The s-sums of grid values fill [-sB, sB]^dim, so a table packed in
         # a base below 2sB + 1 maps two of them to one int.
-        packing = grid_packing(s, 2 * s, dim, bound)
+        packing = grid_packing(s, dim, bound)
         vector_sums = set()
-        table_sums = [set() for _ in range(dim)]
+        table_sums = [set() for _ in range(2 * dim)]
         for sel in combinations_with_replacement(packing, s):
             vector_sums.add(tuple(map(sum, zip(*sel))))
             for sums, x in zip(table_sums, map(sum, zip(*map(packing.get, sel)))):
                 sums.add(x)
         assert len(vector_sums) == (2 * s * bound + 1) ** dim
-        assert [len(sums) for sums in table_sums] == [len(vector_sums)] * dim
+        assert len(next(iter(packing.values()))) == 2 * dim
+        assert [len(sums) for sums in table_sums] == [len(vector_sums)] * (2 * dim)
 
     def test_each_tie_condition(self):
         # s=2, q=5, sorted: the top test compares v[2], v[3]; the bottom
@@ -362,11 +399,19 @@ class TestOrderFilter:
         assert _fails_by_order((0, 0, 1, 1, 1), 5, 2)  # bottom
         assert not _fails_by_order((0, 1, 1, 1, 2), 5, 2)
         assert not _fails_by_order((2, 1, 0, 1, 1), 5, 2)
-        # Table 0 leads with the first coordinate and table 1 with the
-        # second, so only table 1 sees the middle pair tie.
-        ints0, ints1 = table_ints(((0, 0), (1, 1), (1, 1), (-1, 2)), 4, 2)
-        assert _fails_by_order(ints0, 4, 2)
-        assert not _fails_by_order(ints1, 4, 2)
+        # Tables 0 and 1 lead with the first coordinate and tables 2 and 3
+        # with the second, so only tables 2 and 3 see the middle pair tie.
+        tables = table_ints(((0, 0), (1, 1), (1, 1), (-1, 2)), 4, 2)
+        assert [_fails_by_order(ints, 4, 2) for ints in tables] == [
+            True, True, False, False
+        ]
+        # The pair ties in both rotations, and only the second coordinate
+        # negated, table 1, sorts (0, 1) below the two zeros and refutes
+        # (P_{4,2}): the 2-sum (-1, 0) has no partner.
+        tables = table_ints(((-1, -1), (0, 0), (0, 0), (0, 1)), 4, 2)
+        assert [_fails_by_order(ints, 4, 2) for ints in tables] == [
+            False, True, False, False
+        ]
 
     def test_keeps_every_holder_of_a_cell(self):
         job = EnumerationJob(s=2, q=4, dim=2, bound=1)
@@ -382,8 +427,28 @@ class TestOrderFilter:
             holders += holds
             kept += not any(fails)
             kept0 += not fails[0]
-        # The second table prunes tuples the first keeps.
-        assert holders < kept < kept0 < len(grid) ** job.q
+        # The other three tables prune tuples the first keeps, here every
+        # one that does not hold.
+        assert (holders, kept, kept0) == (393, 393, 1305)
+        assert kept0 < len(grid) ** job.q
+
+    @pytest.mark.parametrize(
+        "s, q, dim, bound, calls",
+        [(3, 6, 2, 2, 2021), (4, 8, 2, 1, 585), (4, 8, 3, 1, 26962)],
+    )
+    def test_kernel_calls_pinned(self, monkeypatch, s, q, dim, bound, calls):
+        # The visits no table drops, each decided once by the kernel.  With
+        # the d rotations alone as tables, 4,101, 947 and 80,251 reach it.
+        decided = Counter()
+
+        def counting(ints, r, s_inner):
+            decided[r, s_inner] += 1
+            return _decide_packed(ints, r, s_inner)
+
+        monkeypatch.setattr(exhaustive, "_decide_packed", counting)
+        job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
+        _process_share(job, _tables(job), 0, 1)
+        assert decided == {(q, s): calls}
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +654,13 @@ HOLDER_CELLS = [
 ]
 
 
+def holder_facts(job, elements):
+    """``_holder_facts`` of one holder, handed its class key as the slow
+    oracle ``class_key`` computes it."""
+    key = class_key(GroupTuple(dim=job.dim, elements=elements))
+    return _holder_facts(job, elements, key)
+
+
 def cell_holders(job):
     """Every tuple of the universe that holds (P_{q,s}) and contains zero,
     found through has_property, not through the enumeration's fast path."""
@@ -614,7 +686,7 @@ def test_holder_pass_matches_public_functions(s, q, dim, bound):
         if not report.all_pass:
             audit = report.case, tuple(c.name for c in report.failures)
         missing = equal_pair(t) is None
-        assert _holder_facts(job, t.elements) == (
+        assert holder_facts(job, t.elements) == (
             rank(t), cls.variant, cls.property_holds, missing, audit
         )
     assert holders > 0
@@ -634,8 +706,8 @@ def test_enumeration_checks_property_of_subtuples_only(monkeypatch, s, q, dim, b
         calls.append((len(t), r))
         return real_check(t, r, s_inner)
 
-    def recording(t, s_outer):
-        reports.append(real_audit(t, s_outer))
+    def recording(t, s_outer, *private):
+        reports.append(real_audit(t, s_outer, *private))
         return reports[-1]
 
     monkeypatch.setattr(structure, "has_property", counting)
@@ -842,10 +914,13 @@ def test_memo_matches_per_holder_oracle(s, q, dim, bound):
         assert run_enumeration(replace(job, jobs=jobs)) == expected
 
 
-@pytest.mark.parametrize("s, q, dim, bound", [(3, 6, 1, 3), (2, 4, 4, 1)])
+@pytest.mark.parametrize(
+    "s, q, dim, bound", [(3, 6, 1, 3), (2, 4, 2, 2), (2, 4, 3, 1), (2, 4, 4, 1)]
+)
 def test_rotations_match_oracle(monkeypatch, in_process_pool, s, q, dim, bound):
-    # The d = 1 and d = 4 ends of the family: one table, and four.  In
-    # process, then through a pool, which hands each worker the tables.
+    # The d = 1 and d = 4 ends of the family and two cells between: one
+    # table, then four, six and eight.  In process, then through a pool,
+    # which hands each worker the tables.
     job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
     expected = oracle_enumeration(job)
     assert run_enumeration(job) == expected
@@ -875,7 +950,7 @@ def assert_same_class(cell, elements, image):
     assert class_key(t_image) == class_key(t)
     assert _rational_row_basis(zip(*image)) == _rational_row_basis(zip(*elements))
     job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
-    assert _holder_facts(job, image) == _holder_facts(job, elements)
+    assert holder_facts(job, image) == holder_facts(job, elements)
 
 
 @given(st.data())
@@ -931,7 +1006,7 @@ def test_canonical_negation_has_the_same_facts(s, q, dim, bound):
     job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
     for elements in holders_of((s, q, dim, bound)):
         negation = canonical_negation(elements)
-        assert _holder_facts(job, negation) == _holder_facts(job, elements)
+        assert holder_facts(job, negation) == holder_facts(job, elements)
 
 
 @pytest.mark.parametrize("patched", ["classify", "_audit_holder"])
@@ -950,19 +1025,28 @@ def test_every_member_of_a_failing_class_is_quoted(monkeypatch, patched):
     # negation, and both are quoted.
     assert {canonical_negation(e) for e in members} == set(members)
     assert any(canonical_negation(e) != e for e in members)
-    real = {"classify": classify, "_audit_holder": _audit_holder}[patched]
 
-    def failing(t, s):
-        result = real(t, s)
-        if multiset_kind(t) != kind:
-            return result
-        if patched == "classify":
-            return replace(result, variant=VARIANT_UNCLASSIFIED, property_holds=True)
-        claims = (replace(result.claims[0], status="fail"),) + result.claims[1:]
-        return replace(result, claims=claims)
+    def failing(real):
+        # exhaustive calls _classify with the rank it read off the class
+        # key, and _audit_holder with the key; the oracle calls classify
+        # and _audit_holder without them.
+        def double(t, s, *private):
+            result = real(t, s, *private)
+            if multiset_kind(t) != kind:
+                return result
+            if patched == "classify":
+                return replace(result, variant=VARIANT_UNCLASSIFIED, property_holds=True)
+            claims = (replace(result.claims[0], status="fail"),) + result.claims[1:]
+            return replace(result, claims=claims)
 
-    monkeypatch.setattr(exhaustive, patched, failing)
-    monkeypatch.setattr(sys.modules[__name__], patched, failing)
+        return double
+
+    if patched == "classify":
+        monkeypatch.setattr(exhaustive, "_classify", failing(_classify))
+        monkeypatch.setattr(sys.modules[__name__], "classify", failing(classify))
+    else:
+        monkeypatch.setattr(exhaustive, "_audit_holder", failing(_audit_holder))
+        monkeypatch.setattr(sys.modules[__name__], "_audit_holder", failing(_audit_holder))
     rep = run_enumeration(job)
     quoted = rep["unclassified" if patched == "classify" else "audit_failures"]
     # In key order, which is the grid order cell_holders walks in.
@@ -984,9 +1068,10 @@ def test_each_run_analyses_each_class_once(
     analysed = []
     real = exhaustive._holder_facts
 
-    def counting(job, elements):
-        analysed[-1].append(class_key(GroupTuple(dim=job.dim, elements=elements)))
-        return real(job, elements)
+    def counting(job, elements, key):
+        assert key == class_key(GroupTuple(dim=job.dim, elements=elements))
+        analysed[-1].append(key)
+        return real(job, elements, key)
 
     monkeypatch.setattr(exhaustive, "_holder_facts", counting)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -1007,9 +1092,10 @@ def test_each_share_analyses_each_of_its_classes_once(monkeypatch, in_process_po
     analysed = []
     real = exhaustive._holder_facts
 
-    def counting(job, elements):
-        analysed.append(class_key(GroupTuple(dim=job.dim, elements=elements)))
-        return real(job, elements)
+    def counting(job, elements, key):
+        assert key == class_key(GroupTuple(dim=job.dim, elements=elements))
+        analysed.append(key)
+        return real(job, elements, key)
 
     monkeypatch.setattr(exhaustive, "_holder_facts", counting)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -1036,8 +1122,8 @@ def test_report_does_not_depend_on_the_share_split(monkeypatch, in_process_pool)
         least.setdefault(class_key(t), t.elements)
     real = exhaustive._audit_holder
 
-    def failing(t, s):
-        result = real(t, s)
+    def failing(t, s, *private):
+        result = real(t, s, *private)
         if least[class_key(t)] == t.elements:
             return result
         claims = (replace(result.claims[0], status="fail"),) + result.claims[1:]

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -23,6 +25,24 @@ def test_survey_skips_a_window_below_s_plus_one(capsys):
     code, rows = survey_rows(capsys, *"--s 3 --q 3 --dim 1 --bound 1".split())
     assert code == 0
     assert rows == [" 3  3   1  1         6 skipped: q must be at least s+1"]
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        ("--s 3 --q 0 --dim 1 --bound 1", "q must be at least s+1"),
+        ("--s 3 --q 4 --dim -1 --bound 1", "dim must be >= 1"),
+        ("--s 3 --q 4 --dim 1 --bound -2", "bound must be >= 1"),
+    ],
+    ids=["q0", "dim_negative", "bound_negative"],
+)
+def test_survey_skips_a_cell_without_a_universe(capsys, argv, reason):
+    # q < 1, dim < 0 and bound < 0 leave the universe undefined, so the row
+    # shows "-" for its size, and the cell is refused as any invalid cell is.
+    code, rows = survey_rows(capsys, *argv.split())
+    assert code == 0
+    [row] = rows
+    assert row.split() == argv.split()[1::2] + ["-", "skipped:", *reason.split()]
 
 
 def test_survey_skipped_cell_leaves_the_next_cell_and_exit_status(capsys):
