@@ -16,11 +16,11 @@ Unclassified result is first-class and, when the tuple also satisfies
 (P_{q,s}), marks a counterexample candidate for the classification lemma.
 
 Since both patterns contain a zero entry, the translation constant must occur
-among the tuple's values, and ``classify`` reads both shapes off rank(t) and
-one table of value multiplicities, which translation does not change.  Type
-A is every value occurring twice; because t contains zero, t - c spans
-span(t) for every value c of t, so type A is read at t[0].  In type B zero
-has multiplicity s+1-k >= 2 and every nonzero value multiplicity 1, so the
+among the tuple's values, and ``classify`` reads both shapes off one table
+of value multiplicities, which translation does not change.  Type A is
+every value occurring twice; because t contains zero, t - c spans span(t)
+for every value c of t, so type A is read at t[0].  In type B zero has
+multiplicity s+1-k >= 2 and every nonzero value multiplicity 1, so the
 constant is the one value that occurs more than once; with none, or several,
 the tuple is not type B.  Type A and type B are mutually exclusive (A forces
 every value to have multiplicity 2, B forces multiplicity 1 on all nonzero
@@ -47,7 +47,7 @@ from .lattice import (
 from .tuples import (
     GroupTuple,
     _is_int,
-    has_property,
+    _property_holds,
     rank,
     span,
     translate,
@@ -260,19 +260,20 @@ def _certificate(
     )
 
 
-def _block_certificate(s: int, values):
+def _block_certificate(s: int, values, reduced):
     """Type-B block shape over the first s-1 independent ``values``.
 
-    One primitive RREF (``_rational_row_basis``) of the matrix whose columns
-    are ``values`` picks the basis: its first s-1 pivot columns, i.e. the
-    greedy independent values in the given order.  Row tau, with pivot p_tau,
-    holds p_tau times coordinate tau over the basis, so every other value
-    must read 0 or -p_tau in each row (coordinates 0 or -1), and the supports
-    of the -1 coordinates must be nonempty and disjoint.  The basis is
-    reordered so each support becomes a consecutive block, in the order of
-    the remaining values; basis members outside every block go last, keeping
-    their relative order.  Returns (basis, k, breakpoints) with k the number
-    of remaining values; ValueError names the first failed condition.
+    ``reduced``, the primitive RREF of the matrix whose columns are
+    ``values``, picks the basis: its first s-1 pivot columns, i.e. the
+    greedy independent values in the given order.  Row tau, with pivot
+    p_tau, holds p_tau times coordinate tau over the basis, so every other
+    value must read 0 or -p_tau in each row (coordinates 0 or -1), and the
+    supports of the -1 coordinates must be nonempty and disjoint.  The basis
+    is reordered so each support becomes a consecutive block, in the order
+    of the remaining values; basis members outside every block go last,
+    keeping their relative order.  Returns (basis, k, breakpoints) with k
+    the number of remaining values; ValueError names the first failed
+    condition.
 
     No lattice is compared here.  When the values have rank s-1, the basis
     is independent, and every remaining value that passes reads 0 or -1 over
@@ -282,7 +283,6 @@ def _block_certificate(s: int, values):
     itself.  ``_certificate`` then matches the whole pattern, negated block
     sums included, against the tuple's own values.
     """
-    reduced = _rational_row_basis(zip(*values))
     pivots = [_leading_index(row) for row in reduced]
     chosen = pivots[: s - 1]
     basis = [values[j] for j in chosen]
@@ -318,16 +318,18 @@ def classify(t: GroupTuple, s: int) -> Classification:
     """Decide rank-below / type A / type B / Unclassified for the tuple.
 
     Preconditions (ValueError): 2 <= s < q <= 2s and the zero element occurs
-    in t.  Both shapes are read off rank(t) and one value-multiplicity
-    table, for q = 2s and rank s-1 only:
+    in t.  Shapes, for q = 2s only, are read off one multiplicity table and
+    give rank(t) from their own elimination; else ``rank`` runs:
 
     - type A when s is odd and all s values occur twice: translated by t[0],
-      the basis is the nonzero values in first-occurrence order;
+      the basis is the nonzero values in first-occurrence order, and the
+      rows of its primitive RREF count the rank;
     - type B when exactly one value c repeats, at most s+1 times: translated
-      by c, ``_block_certificate`` picks the basis from the sorted nonzero
-      values, or refuses and the tuple is Unclassified.  Each block together
-      with its negated sum is a zero-sum circuit and the basis members
-      outside every block are coloops, so on a type-B tuple any s-1
+      by c, the rows of the primitive RREF of the sorted nonzero values
+      count the rank, and at rank s-1 ``_block_certificate`` picks the basis
+      off that RREF, or refuses and the tuple is Unclassified.  Each block
+      together with its negated sum is a zero-sum circuit and the basis
+      members outside every block are coloops, so on a type-B tuple any s-1
       independent nonzero values form an integer basis over which every
       other nonzero value is a negated block sum.  The greedy basis of the
       sorted nonzero values is therefore the lexicographically first subset
@@ -339,43 +341,50 @@ def classify(t: GroupTuple, s: int) -> Classification:
     rank s-1 are a basis of it.  In type B the basis is independent and
     every remaining value reads 0 or -1 over it, so it generates span(t).
 
-    The property check of an Unclassified result reads the budget
-    (ABTUPLE_BUDGET, else 10**9).
+    The property check of an Unclassified result (``tuples._property_holds``)
+    bills as ``has_property(t, q, s)`` does, reading the budget
+    (ABTUPLE_BUDGET, else 10**9), before order statistics and the kernel.
     """
     refusal = _outside_domain(t, s)
     if refusal is not None:
         raise ValueError(refusal)
-    return _classify(t, s, rank(t))
+    return _classify(t, s)
 
 
-def _classify(t: GroupTuple, s: int, tr: int) -> Classification:
-    """``classify`` on a tuple of its domain whose rank ``tr`` the caller
-    already has: ``exhaustive`` reads it off a holder's class key."""
+def _classify(t: GroupTuple, s: int, tr: int | None = None) -> Classification:
+    """``classify`` on a tuple of its domain; ``tr`` is its rank when the
+    caller has it, as ``exhaustive`` does off a holder's class key."""
     q = len(t)
-    if tr < s - 1:
-        return Classification(variant=VARIANT_RANK_BELOW, s=s, rank=tr)
-    if tr == s - 1 and q == 2 * s:
+    if q == 2 * s and tr in (None, s - 1):
         mults = value_multiplicities(t)
+        repeated = [(v, n) for v, n in mults if n > 1]
         if s % 2 and all(n == 2 for _, n in mults):
             c = t.elements[0]
             basis = tuple(vec_sub(v, c) for v, _ in mults[1:])
-            tp = translate(t, c)
-            return _certificate(tp, c, VARIANT_TYPE_A, s, basis, None, None)
-        repeated = [(v, n) for v, n in mults if n > 1]
-        if len(repeated) == 1 and repeated[0][1] <= s + 1:
+            tr = len(_rational_row_basis(basis)) if tr is None else tr
+            if tr == s - 1:
+                tp = translate(t, c)
+                return _certificate(tp, c, VARIANT_TYPE_A, s, basis, None, None)
+        elif len(repeated) == 1 and repeated[0][1] <= s + 1:
             c = repeated[0][0]
             tp = translate(t, c)
-            try:
-                shape = _block_certificate(s, sorted(v for v in tp.elements if any(v)))
-                return _certificate(tp, c, VARIANT_TYPE_B, s, *shape)
-            except ValueError:
-                pass
-    prop = has_property(t, q, s)
+            values = sorted(v for v in tp.elements if any(v))
+            reduced = _rational_row_basis(zip(*values))
+            tr = len(reduced)
+            if tr == s - 1:
+                try:
+                    shape = _block_certificate(s, values, reduced)
+                    return _certificate(tp, c, VARIANT_TYPE_B, s, *shape)
+                except ValueError:
+                    pass
+    tr = rank(t) if tr is None else tr
+    if tr < s - 1:
+        return Classification(variant=VARIANT_RANK_BELOW, s=s, rank=tr)
     return Classification(
         variant=VARIANT_UNCLASSIFIED,
         s=s,
         rank=tr,
-        property_holds=prop.holds,
+        property_holds=_property_holds(t, s),
     )
 
 
@@ -457,5 +466,5 @@ def rebase_type_b(t: GroupTuple, c: Classification, chosen) -> Classification:
     rest = sorted(
         v for i, v in enumerate(tp.elements) if i not in chosen and v != zero
     )
-    shape = _block_certificate(s, vals + rest)
+    shape = _block_certificate(s, vals + rest, _rational_row_basis(zip(*vals, *rest)))
     return _certificate(tp, c.scaling, VARIANT_TYPE_B, s, *shape)

@@ -13,8 +13,8 @@ one per negation pair; every tuple of the universe is still counted, by
 ``universe_size``.
 
 - Expansion.  Lex order on Z^d is total and compatible with addition, so
-  ``_fails_by_order``'s argument holds for it: a holder, sorted, ties at
-  positions (s-1, s) and (q-s-1, q-s).  Let c = |{s, q-s}|.  A sorted
+  the argument of ``tuples._fails_by_order`` holds for it: a holder, sorted,
+  ties at positions (s-1, s) and (q-s-1, q-s).  Let c = |{s, q-s}|.  A sorted
   q-multiset ties there iff it is the expansion of a sorted
   (q-c)-multiset u: for p in {s, q-s} in increasing order, insert at p a
   copy of the entry at p - 1 (``_visits`` does).  Expansion is a
@@ -55,11 +55,11 @@ of one table, table 2k + 1 packs the same rotation with its second
 coordinate negated, and table 0 is in grid order.  Each table's order is
 the integer order of a linear map, so it is compatible with addition.  An
 expanded tuple already ties in grid order; one whose order statistics in
-any other table refute (P_{q,s}) (see ``_fails_by_order``) is dropped
-without forming a sum.  The survivors are tested for (P_{q,s}) by the
-kernel, ``tuples._decide_packed``, on their table-0 ints; it returns a
-failure witness or None, and only the tuples it returns None for, the
-holders, are looked up as vectors.  They are then ranked, classified,
+any other table refute (P_{q,s}) (see ``tuples._fails_by_order``) is no
+holder, and is dropped without forming a sum.  The survivors are tested for
+(P_{q,s}) by the kernel, ``tuples._decide_packed``, on their table-0 ints;
+it returns a failure witness or None, and only the tuples it returns None
+for, the holders, are looked up as vectors.  They are then ranked, classified,
 checked for an equal pair, and audited, once per class (below); the rank,
 and the audit's rational-basis certificate when the audit needs no
 translation, are read off the class key (see ``_holder_facts``).  The
@@ -138,6 +138,7 @@ from .tuples import (
     GroupTuple,
     _charge,
     _decide_packed,
+    _fails_by_order,
     _packed,
     equal_pair,
     property_work,
@@ -222,33 +223,6 @@ def _tables(job: EnumerationJob) -> tuple[list[tuple[int, ...]], list[list[int]]
         if job.dim > 1:
             orders.append([(e[0], -e[1], *e[2:]) for e in rotated])
     return grid, [_packed(order, job.s, job.bound) for order in orders]
-
-
-def _fails_by_order(ints, q: int, s: int) -> bool:
-    """True when the order statistics of one table refute (P_{q,s}).
-
-    ``ints`` are a tuple's q elements, packed by one table of ``_tables``.
-    Z is totally ordered and its order is compatible with addition.  Sort
-    the ints as v_0 <= ... <= v_{q-1} and suppose v_{q-s-1} != v_{q-s}, so
-    v_{q-s-1} < v_{q-s}.  Take any s-selection other than the top one
-    {q-s, ..., q-1}, with sorted positions i_0 < ... < i_{s-1}.  Then
-    i_j <= q-s+j, so v_{i_j} <= v_{q-s+j} for every j, and i_0 < q-s
-    because the selection is not the top one, so v_{i_0} <= v_{q-s-1} <
-    v_{q-s}.  Adding these inequalities, one of them strict, gives an int
-    sum strictly below the top selection's.  The table packs s-sums exactly
-    (see ``_tables``), so equal vector sums would have equal int sums: the
-    two vector sums differ too.  So the top selection
-    has no distinct equal-sum partner in the window of all q positions, and
-    (P_{q,s}) fails.  Mirrored, the bottom selection {0, ..., s-1} has none
-    when v_{s-1} != v_s.
-
-    The argument holds for every table as it stands; no order on vectors
-    is needed.  The predicate rejects only non-holders, and a report lists
-    no non-holder, so pruning leaves every report unchanged.  On table 0,
-    which orders values as the grid does, it keeps all that ``_visits`` yields.
-    """
-    v = sorted(ints)
-    return v[q - s - 1] != v[q - s] or v[s - 1] != v[s]
 
 
 def _visits(q: int, s: int, g: int, i: int, n: int):

@@ -19,13 +19,14 @@ span.  Rational questions (rank, independence, row spaces over Q,
 coordinates over a greedy basis) go through ``_rational_row_basis``: the
 reduced row echelon form with each row scaled to coprime integers and a
 positive pivot, as many rows as the rank.  It serves
-``solve_rational_combination`` here, ``tuples.rank``, the certificates and
-their checks in ``structure`` and ``classify``, and ``exhaustive``'s class
-key, which also gives the class its rank and, where the audit needs no
-translation, its rational basis certificate.  Beside it sits the one
-integer re-check of its answers, ``_failed_recombination``: every element
-must equal its recombination from generators over a common denominator,
-in integers.  It serves three callers: ``solve_rational_combination``, and
+``solve_rational_combination`` here, ``tuples.rank``, ``classify``'s
+shapes, which read t's rank off it, the certificates and their checks, and
+``exhaustive``'s class key, which also gives the class its rank and, where
+the audit needs no translation, its rational basis certificate.  Beside it
+sits the one integer re-check of its answers, ``_failed_recombination``:
+every element must equal its recombination from generators over a common
+denominator, in integers, each coordinate one ``sum(map(mul, ...))`` with a
+scaled generator column.  It serves ``solve_rational_combination``, and
 ``structure``'s ``q_basis_certificate`` and ``verify_certificate``.
 """
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -194,9 +196,10 @@ def _failed_recombination(elements, exponents, gens, dens) -> int | None:
     generators are g_tau / d_tau, ``gens`` over ``dens``."""
     big = lcm(*dens)
     base = [[x * (big // d) for x in g] for g, d in zip(gens, dens)]
+    cols = [[b[c] for b in base] for c in range(len(elements[0]))]
     for j, (e, row) in enumerate(zip(elements, exponents)):
-        for c, x in enumerate(e):
-            if big * x != sum(n * b[c] for n, b in zip(row, base)):
+        for x, col in zip(e, cols):
+            if big * x != sum(map(mul, row, col)):
                 return j
     return None
 
@@ -289,17 +292,18 @@ def primitive_representative(lat: Lattice, v: Vector) -> tuple[Vector, int]:
     if coords is None:
         raise ValueError("vector does not lie in the lattice")
     g = gcd(*coords)
-    prim_coords = [c // g for c in coords]
+    return _primitive_from_coordinates(lat, [c // g for c in coords], g)
+
+
+def _primitive_from_coordinates(lat: Lattice, prim, g: int) -> tuple[Vector, int]:
+    """``primitive_representative`` of the vector whose coordinates over
+    ``lat``'s basis, already solved, are ``prim`` times their gcd ``g``."""
     p = [0] * lat.dim
-    for c, row in zip(prim_coords, lat.basis):
-        if c:
-            p = [u + c * x for u, x in zip(p, row)]
-    d = g
-    lead = next(x for x in p if x)
-    if lead < 0:
-        p = [-x for x in p]
-        d = -d
-    return tuple(p), d
+    for c, row in zip(prim, lat.basis):
+        p = [u + c * x for u, x in zip(p, row)]
+    if next(x for x in p if x) < 0:
+        return tuple(-x for x in p), -g
+    return tuple(p), g
 
 
 def solve_rational_combination(rows, target: Vector) -> tuple[Fraction, ...] | None:

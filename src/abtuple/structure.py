@@ -50,8 +50,8 @@ from .lattice import (
     Vector,
     _failed_recombination,
     _leading_index,
+    _primitive_from_coordinates,
     _rational_row_basis,
-    primitive_representative,
     solve_coordinates,
     zero_vector,
 )
@@ -406,16 +406,16 @@ def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
     nonzero positions (a zero element is in no independent subset) in
     lexicographic order.  Each nonzero element is solved once over the HNF
     basis of the span, and its coordinates divided by their gcd are those
-    of its representative up to sign, which no |det| sees; only a witness's
-    members are solved again, by ``primitive_representative``, for their
-    signed multipliers.  A subset's index is |det| of its representatives'
-    coordinate rows: 0 when the subset is dependent (skipped), 1 when the
-    representatives generate the span (the witness), and otherwise the
-    sublattice index they generate, recorded in the refutation (each entry
-    is >= 2).  The scan (``_nonzero_minors``) is depth first: subsets
-    sharing a prefix share its elimination, the last three members are
-    chosen in closed form, a dependent prefix skips all its extensions, and
-    the first witness ends the scan.
+    of its representative up to sign, which no |det| sees; a witness's
+    representatives and signed multipliers are rebuilt from them and their
+    gcd, not solved again.  A subset's index is |det| of its
+    representatives' coordinate rows: 0 when the subset is dependent
+    (skipped), 1 when the representatives generate the span (the witness),
+    and otherwise the sublattice index they generate, recorded in the
+    refutation (each entry is >= 2).  The scan (``_nonzero_minors``) is
+    depth first: subsets sharing a prefix share its elimination, the last
+    three members are chosen in closed form, a dependent prefix skips all
+    its extensions, and the first witness ends the scan.
 
     Raises BudgetExceeded before the scan when the C(#nonzero, rank) subsets
     it may test exceed the budget (ABTUPLE_BUDGET, else 10**9).
@@ -427,18 +427,18 @@ def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
     nonzero = [i for i, e in enumerate(t.elements) if any(e)]
     work = comb(len(nonzero), tr)
     _charge(work, f"adequate-basis scan tests {work} subsets")
-    coords = []
+    solved = {}
     for i in nonzero:
         c = solve_coordinates(lat, t.elements[i])
         g = gcd(*c)
-        coords.append((i, [x // g for x in c]))
+        solved[i] = [x // g for x in c], g
     refutation = []
-    subset = _nonzero_minors(coords, tr, refutation)
+    subset = _nonzero_minors([(i, p) for i, (p, _) in solved.items()], tr, refutation)
     if subset is None:
         return AdequateBasisDecision(
             exists=False, witness=None, refutation=tuple(refutation)
         )
-    prims, mults = zip(*(primitive_representative(lat, t.elements[i]) for i in subset))
+    prims, mults = zip(*(_primitive_from_coordinates(lat, *solved[i]) for i in subset))
     return AdequateBasisDecision(
         exists=True,
         witness=AdequateBasisWitness(indices=subset, multipliers=mults, basis=prims),
@@ -647,8 +647,8 @@ def _audit_holder(t: GroupTuple, s: int, rows=None) -> AuditReport:
             claims.append(_skip(property_name, reason, base))
 
         # sub holds zero, whose exponents vanish, so only the sizes can put
-        # it outside classify's domain.  classify builds the subtuple's span
-        # anyway, so read its rank.
+        # it outside classify's domain.  classify reads the subtuple's rank
+        # anyway, so read it off the result.
         inner_cls = None if _outside_domain(sub, s_inner) else classify(sub, s_inner)
         sub_rank = rank(sub) if inner_cls is None else inner_cls.rank
         witness = dict(base, rank=sub_rank, expected=tr - 1)

@@ -11,7 +11,8 @@ Property (P_{r,s}) holds when inside every r-subset of positions, every
 s-subset of those positions admits a *different* s-subset of the same window
 with an equal element sum.  Positions are what get compared, not values: a
 tuple with repeated values can satisfy the property through positions that
-carry equal elements.
+carry equal elements.  ``has_property`` decides it with a witness, and
+``_property_holds`` the verdict alone, trying ``_fails_by_order`` first.
 """
 
 from __future__ import annotations
@@ -307,17 +308,49 @@ def has_property(t: GroupTuple, r: int, s: int) -> PropertyReport:
     the selections a full check decides, exceeds the budget
     (ABTUPLE_BUDGET, else 10**9).
     """
+    witness = _decide_packed(_charged_packing(t, r, s), r, s)
+    return PropertyReport(
+        q=len(t), r=r, s=s, holds=witness is None, failure_witness=witness
+    )
+
+
+def _charged_packing(t: GroupTuple, r: int, s: int) -> list[int]:
+    """``has_property``'s checks and bill, then t packed by ``_packed``."""
     q = len(t)
     if not (1 <= s < r <= q):
         raise ValueError(f"need 1 <= s < r <= q, got q={q} r={r} s={s}")
     work = property_work(q, r, s)
     _charge(work, f"(P_{{{r},{s}}}) check forms {work} subset sums")
+    return _packed(t.elements, s, max(abs(x) for e in t.elements for x in e))
 
-    bound = max(abs(x) for e in t.elements for x in e)
-    witness = _decide_packed(_packed(t.elements, s, bound), r, s)
-    return PropertyReport(
-        q=q, r=r, s=s, holds=witness is None, failure_witness=witness
-    )
+
+def _property_holds(t: GroupTuple, s: int) -> bool:
+    """``has_property(t, len(t), s).holds``, billed the same; the kernel
+    runs only when ``_fails_by_order`` cannot refute the packed tuple."""
+    q = len(t)
+    packed = _charged_packing(t, q, s)
+    return not _fails_by_order(packed, q, s) and _decide_packed(packed, q, s) is None
+
+
+def _fails_by_order(ints, q: int, s: int) -> bool:
+    """True when the order statistics of ``ints`` refute (P_{q,s}).
+
+    ``ints`` are a tuple's q elements, each packed into one int by a map
+    exact for s-sums: ``_packed``, after a signed permutation of the
+    coordinates in ``exhaustive._tables``.  The order of Z is total and
+    compatible with addition.  Sort the ints as v_0 <= ... <= v_{q-1} and
+    suppose v_{q-s-1} < v_{q-s}.  Any s-selection but the top one
+    {q-s, ..., q-1}, at sorted positions i_0 < ... < i_{s-1}, has i_j <=
+    q-s+j, so v_{i_j} <= v_{q-s+j}, and i_0 < q-s, so v_{i_0} <= v_{q-s-1}
+    < v_{q-s}.  Adding these, one of them strict, gives an int sum strictly
+    below the top selection's, and the packing is exact, so the vector sums
+    differ too.  So the top selection has no distinct equal-sum partner in
+    the window of all q positions, and (P_{q,s}) fails.  Mirrored, the
+    bottom selection {0, ..., s-1} has none when v_{s-1} != v_s.  No order
+    on vectors is needed, and the predicate rejects only non-holders.
+    """
+    v = sorted(ints)
+    return v[q - s - 1] != v[q - s] or v[s - 1] != v[s]
 
 
 def _decide_packed(

@@ -11,12 +11,17 @@ one that takes a separate ``det_bareiss`` of every rank-sized subset of the
 nonzero positions, and the shared-prefix scan that solved every nonzero
 element twice, once for its primitive representative and once for that
 representative's coordinates; ``oracle_minors`` checks the scan's own
-(subset, |det|) sequence with one ``det_bareiss`` per subset.  The library
-must agree with them on every result, ``None`` included, and on every
-verdict, tampered certificates included.
+(subset, |det|) sequence with one ``det_bareiss`` per subset;
+``oracle_failed_recombination`` is the integer recombination re-check that
+summed a generator expression per coordinate.  The library must agree with
+them on every result, ``None`` included, and on every verdict, tampered
+certificates included.  An adequate witness's members must also be what
+``primitive_representative`` returns for them, though the scan no longer
+calls it.
 """
 
 import dataclasses
+import importlib
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -26,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtuple.lattice import (
+    _failed_recombination,
     det_bareiss,
     hnf_rows,
     is_zero,
@@ -167,6 +173,16 @@ def oracle_verify(t, cert):
             ):
                 return False
     return True
+
+
+def oracle_failed_recombination(elements, exponents, gens, dens):
+    big = lcm(*dens)
+    base = [[x * (big // d) for x in g] for g, d in zip(gens, dens)]
+    for j, (e, row) in enumerate(zip(elements, exponents)):
+        for c, x in enumerate(e):
+            if big * x != sum(n * b[c] for n, b in zip(row, base)):
+                return j
+    return None
 
 
 def oracle_adequate_basis(t):
@@ -575,3 +591,85 @@ class TestAdequateBasisAgainstOracle:
         for dim in (1, 3):
             t = group_tuple([(0,) * dim] * q)
             assert audit_claims(t, s).to_json_obj() == expected
+
+
+class TestRecombinationAgainstOracle:
+    @given(vector_lists(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_first_failing_position_matches(self, case, data):
+        # The re-check in q_basis_certificate's form (the chosen elements
+        # over their multipliers) or verify_certificate's (the etas over
+        # their denominators), with up to three entries perturbed.
+        dim, rows = case
+        t = group_tuple(rows, dim=dim)
+        if rank(t) == 0:
+            return
+        cert = q_basis_certificate(t)
+        if data.draw(st.booleans(), label="eta form"):
+            gens, dens = cert.eta_num, cert.eta_den
+        else:
+            gens, dens = [t.elements[i] for i in cert.indices], cert.multipliers
+        exps = [list(r) for r in cert.exponents]
+        gens = [list(g) for g in gens]
+        dens = list(dens)
+        tr = cert.rank
+        for _ in range(data.draw(st.integers(0, 3), label="perturbations")):
+            field = data.draw(st.sampled_from(("exponent", "generator", "denominator")))
+            tau = data.draw(st.integers(0, tr - 1), label="tau")
+            if field == "exponent":
+                j = data.draw(st.integers(0, len(t) - 1), label="position")
+                exps[j][tau] += data.draw(st.sampled_from((-1, 1, BIG)), label="delta")
+            elif field == "generator":
+                c = data.draw(st.integers(0, dim - 1), label="coordinate")
+                gens[tau][c] += data.draw(st.sampled_from((-1, 1, BIG)), label="delta")
+            else:
+                dens[tau] = data.draw(
+                    st.sampled_from((dens[tau] + 1, 2 * dens[tau], BIG)), label="den"
+                )
+        args = (t.elements, exps, gens, dens)
+        assert _failed_recombination(*args) == oracle_failed_recombination(*args)
+
+    @pytest.mark.parametrize(
+        "rows", [[(0, 0), (0, 0)], [(0, 0), (0, 3), (1, 0)]], ids=["zero", "nonzero"]
+    )
+    def test_no_generators(self, rows):
+        # With no generator every recombination is zero: the first nonzero
+        # element fails.
+        args = (rows, [()] * len(rows), [], [])
+        assert _failed_recombination(*args) == oracle_failed_recombination(*args)
+
+
+class TestAdequateWitnessAgainstPrimitiveRepresentative:
+    @given(st.one_of(adequate_cases(), prefix_scan_cases()))
+    @settings(max_examples=300, deadline=None)
+    def test_members_match(self, case):
+        dim, rows = case
+        t = group_tuple(rows, dim=dim)
+        if rank(t) == 0:
+            return
+        dec = adequate_basis_decide(t)
+        if not dec.exists:
+            return
+        lat = span(t)
+        w = dec.witness
+        for i, d, b in zip(w.indices, w.multipliers, w.basis):
+            assert (b, d) == primitive_representative(lat, t.elements[i])
+
+    def test_one_solve_per_nonzero_element(self, monkeypatch):
+        # (1,0), (2,0) are dependent, (1,0), (1,2) index 2, and (1,0), (0,1)
+        # the witness: its members are not solved again.
+        lattice = importlib.import_module("abtuple.lattice")
+        structure = importlib.import_module("abtuple.structure")
+        real = lattice.solve_coordinates
+        calls = []
+
+        def recording(lat, v):
+            calls.append(v)
+            return real(lat, v)
+
+        monkeypatch.setattr(lattice, "solve_coordinates", recording)
+        monkeypatch.setattr(structure, "solve_coordinates", recording)
+        t = group_tuple([(0, 0), (1, 0), (2, 0), (1, 2), (0, 1)])
+        dec = adequate_basis_decide(t)
+        assert dec.exists and dec.witness.indices == (1, 4)
+        assert calls == [e for e in t.elements if any(e)]

@@ -20,8 +20,30 @@ from abtuple.classify import (
     verify_classification,
 )
 from abtuple.generators import GeneratorSpec, generate
-from abtuple.tuples import group_tuple, has_property, translate
+from abtuple.tuples import (
+    BudgetExceeded,
+    _fails_by_order,
+    _packed,
+    group_tuple,
+    has_property,
+    translate,
+)
 
+# perfbench's generic certify item 0: q = 12 in Z^5, zero first, bound 9.
+GENERIC_Q12 = (
+    (0, 0, 0, 0, 0),
+    (4, -9, -4, -9, 2),
+    (-2, 7, -9, -8, -2),
+    (6, 4, 2, 3, 0),
+    (-6, -1, -8, -4, 2),
+    (3, -9, 0, -4, 8),
+    (-2, -2, 4, -3, -8),
+    (3, -7, -6, 6, -1),
+    (-6, 3, -1, -4, -2),
+    (7, 8, -6, 1, 1),
+    (-6, -6, -7, -6, -2),
+    (9, -1, -1, 3, 6),
+)
 TYPE_A_S3 = ((0, 0), (0, 0), (1, 0), (1, 0), (0, 1), (0, 1))
 TYPE_B_S3 = ((0, 0), (0, 0), (0, 0), (1, 0), (0, 1), (-1, -1))
 
@@ -193,6 +215,22 @@ class TestClassify:
         assert c.variant == VARIANT_UNCLASSIFIED
         assert c.rank == 2
         assert c.property_holds is False
+
+    def test_unclassified_bill_unchanged(self, monkeypatch):
+        # The verdict bills C(12, 6) = 924 sums, as has_property(t, 12, 6)
+        # does, and refuses before the order statistics that would refute
+        # the tuple without a sum.
+        t = group_tuple(GENERIC_Q12)
+        assert _fails_by_order(_packed(t.elements, 6, 9), 12, 6)
+        monkeypatch.setenv("ABTUPLE_BUDGET", "923")
+        with pytest.raises(BudgetExceeded) as refusal:
+            classify(t, 6)
+        assert str(refusal.value) == (
+            "(P_{12,6}) check forms 924 subset sums, budget is 923"
+        )
+        monkeypatch.setenv("ABTUPLE_BUDGET", "924")
+        c = classify(t, 6)
+        assert c.variant == VARIANT_UNCLASSIFIED and c.property_holds is False
 
     def test_preconditions(self):
         t = group_tuple([(0,), (0,), (1,), (-1,)])

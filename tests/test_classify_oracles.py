@@ -12,11 +12,18 @@ the same ``Classification`` and, on a refused rebase, the same ``ValueError``
 message.  ``oracle_verify_classification`` checks a matched certificate's
 basis with one HNF, which must have rank s-1 and equal span(t); the library
 tests independence alone, and must return the same verdict.
+
+``classify`` reads t's rank off the elimination its shape needs, and
+decides an Unclassified tuple's property by ``tuples._property_holds``,
+which tries order statistics before the kernel; ``has_property(t, q,
+s).holds`` is its slow form.  Recording doubles pin the work each saves.
 """
 
 import dataclasses
+import importlib
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +36,7 @@ from abtuple.classify import (
     VARIANT_UNCLASSIFIED,
     Classification,
     _assign_positions,
+    _classify,
     canonical_pattern,
     classification_from_json_obj,
     classify,
@@ -36,8 +44,17 @@ from abtuple.classify import (
     verify_classification,
 )
 from abtuple.generators import GeneratorSpec, generate
-from abtuple.lattice import hnf_rows, solve_rational_combination, zero_vector
+from abtuple.lattice import (
+    _rational_row_basis,
+    hnf_rows,
+    solve_rational_combination,
+    zero_vector,
+)
 from abtuple.tuples import (
+    BudgetExceeded,
+    _charged_packing,
+    _fails_by_order,
+    _property_holds,
     group_tuple,
     has_property,
     rank,
@@ -46,9 +63,76 @@ from abtuple.tuples import (
     value_multiplicities,
 )
 
+TYPE_A_S3 = ((0, 0), (0, 0), (1, 0), (1, 0), (0, 1), (0, 1))
+
 # s = 3, k = 2 with two one-member blocks: each value sits in a circuit with
 # its negative, so a third of the pairs of nonzero values are dependent.
 K2_S3 = ((0, 0), (0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))
+
+BIG = 10**12
+
+# perfbench's generic certify item 0, the g12.txt of CI: q = 12 in Z^5, zero
+# first, Unclassified at s = 6 with rank 5, and refuted by order statistics.
+G12 = (
+    (0, 0, 0, 0, 0),
+    (4, -9, -4, -9, 2),
+    (-2, 7, -9, -8, -2),
+    (6, 4, 2, 3, 0),
+    (-6, -1, -8, -4, 2),
+    (3, -9, 0, -4, 8),
+    (-2, -2, 4, -3, -8),
+    (3, -7, -6, 6, -1),
+    (-6, 3, -1, -4, -2),
+    (7, 8, -6, 1, 1),
+    (-6, -6, -7, -6, -2),
+    (9, -1, -1, 3, 6),
+)
+
+# Tuples on the branches ``classify`` reordered to read the rank off a
+# shape's own elimination: (elements, s, variant, whether the kernel runs).
+# None marks a tuple that never reaches the property check.
+REORDERED_BRANCHES = {
+    # Every value twice, s odd, but b_2 = 2 b_1: rank 1 < s-1.
+    "type_a_dependent_basis": (
+        [(0,), (0,), (1,), (1,), (2,), (2,)],
+        3,
+        VARIANT_RANK_BELOW,
+        None,
+    ),
+    # One repeated value (zero, twice), values of rank 1 < s-1.
+    "type_b_rank_below": (
+        [(0,), (0,), (1,), (2,), (3,), (4,)],
+        3,
+        VARIANT_RANK_BELOW,
+        None,
+    ),
+    # One repeated value, values of rank 3 > s-1.
+    "type_b_rank_above": (
+        [(0, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+        3,
+        VARIANT_UNCLASSIFIED,
+        False,
+    ),
+    # Rank s-1, but (1, 1) reads (1, 1) over the greedy basis (0, 1), (1, 0).
+    "type_b_blocks_fail": (
+        [(0, 0), (0, 0), (1, 0), (0, 1), (1, 1), (2, 3)],
+        3,
+        VARIANT_UNCLASSIFIED,
+        False,
+    ),
+    "order_statistics_refute": (list(G12), 6, VARIANT_UNCLASSIFIED, False),
+    # The order statistics tie at both pairs, so the kernel refutes it.
+    "kernel_refutes": (
+        [(0, 0), (1, 0), (-2, 1), (1, 0), (0, 0), (0, 0)],
+        3,
+        VARIANT_UNCLASSIFIED,
+        True,
+    ),
+}
+
+# The modules, not the names the package exports from them.
+classify_module = importlib.import_module("abtuple.classify")
+tuples_module = importlib.import_module("abtuple.tuples")
 
 # Certificates whose pattern matches but whose basis is dependent; classify
 # calls both tuples rank_below.
@@ -315,6 +399,36 @@ def generated_instances(draw, kinds=("a", "b"), max_s=6):
     return translate(t, draw(st.sampled_from(t.elements), label="centre")), s
 
 
+@st.composite
+def near_misses(draw, kinds=("a", "b")):
+    """A generated instance moved by ``near_miss``, re-centred."""
+    t, s = draw(generated_instances(kinds=kinds))
+    return near_miss(t, random.Random(draw(st.integers(0, 10**6), label="seed"))), s
+
+
+@st.composite
+def verdict_cases(draw):
+    """(tuple, s) with 2 <= s < q <= 2s: generated type-A/B holders and
+    their near misses, either scaled by -1 or 10**12, random tuples over a
+    few values (so repeats are common) with coordinates up to 2 or 10**12
+    in absolute value, and all-zero tuples."""
+    kind = draw(st.sampled_from(("holder", "near miss", "random", "zero")), label="kind")
+    if kind in ("holder", "near miss"):
+        t, s = draw(generated_instances() if kind == "holder" else near_misses())
+        m = draw(st.sampled_from((1, -1, BIG)), label="scale")
+        return group_tuple([[m * x for x in e] for e in t.elements], dim=t.dim), s
+    s = draw(st.integers(2, 6), label="s")
+    q = draw(st.integers(s + 1, 2 * s), label="q")
+    dim = draw(st.integers(1, 4), label="dim")
+    if kind == "zero":
+        return group_tuple([(0,) * dim] * q), s
+    bound = draw(st.sampled_from((2, BIG)), label="bound")
+    coord = st.integers(-bound, bound)
+    pool = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=q), label="pool")
+    values = st.sampled_from(pool + [(0,) * dim])
+    return group_tuple(draw(st.lists(values, min_size=q, max_size=q)), dim=dim), s
+
+
 def near_miss(t, rng, recentre=True):
     """One coordinate bumped, one element doubled, negated, or replaced by a
     copy of another, then (by default) re-centred on one of the values."""
@@ -456,3 +570,163 @@ class TestRebaseAgainstOracle:
         t, s = case
         c = classify(t, s)
         assert_rebases_match(near_miss(t, random.Random(seed), recentre=False), c)
+
+
+class TestPropertyVerdictAgainstHasProperty:
+    @given(verdict_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_verdict_matches(self, case):
+        t, s = case
+        assert _property_holds(t, s) == has_property(t, len(t), s).holds
+
+    @pytest.mark.parametrize("s, q", [(2, 3), (3, 6), (6, 12)])
+    def test_same_bill_and_refusals(self, monkeypatch, s, q):
+        t = group_tuple(G12[:q])
+        bill = comb(q, s)
+        monkeypatch.setenv("ABTUPLE_BUDGET", str(bill - 1))
+        refusals = []
+        for check in (lambda: has_property(t, q, s), lambda: _property_holds(t, s)):
+            with pytest.raises(BudgetExceeded) as got:
+                check()
+            refusals.append(str(got.value))
+        assert refusals[0] == refusals[1]
+        message = f"(P_{{{q},{s}}}) check forms {bill} subset sums"
+        assert refusals[0] == f"{message}, budget is {bill - 1}"
+        monkeypatch.setenv("ABTUPLE_BUDGET", str(bill))
+        assert _property_holds(t, s) == has_property(t, q, s).holds
+
+    @pytest.mark.parametrize("s", [0, 12])
+    def test_same_value_errors(self, s):
+        t = group_tuple(G12)
+        with pytest.raises(ValueError) as expected:
+            has_property(t, len(t), s)
+        with pytest.raises(ValueError) as got:
+            _property_holds(t, s)
+        assert str(got.value) == str(expected.value)
+
+
+def recording(monkeypatch, modules, name):
+    """Replace ``name`` in each module by one double that records its calls;
+    returns the list of recorded argument tuples."""
+    real = getattr(modules[0], name)
+    calls = []
+
+    def double(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, double)
+    return calls
+
+
+def generated_holder(kind, s):
+    spec = GeneratorSpec(
+        kind=kind,
+        s=s,
+        dim=s,
+        k=2 if kind == "b" else 0,
+        breakpoints=(1, 3) if kind == "b" else (),
+        seed=7,
+        unimodular_bound=10,
+        permutation_seed=8,
+    )
+    t = generate(spec)
+    return translate(t, t.elements[3])
+
+
+class TestReorderedBranches:
+    @pytest.mark.parametrize(
+        "elements, s, variant, kernel",
+        REORDERED_BRANCHES.values(),
+        ids=REORDERED_BRANCHES,
+    )
+    def test_matches_oracle(self, monkeypatch, elements, s, variant, kernel):
+        t = group_tuple(elements)
+        kernel_calls = recording(monkeypatch, [tuples_module], "_decide_packed")
+        c = classify(t, s)
+        assert c.variant == variant
+        assert c == oracle_classify(t, s)
+        if kernel is None:
+            assert c.property_holds is None
+        else:
+            packed = _charged_packing(t, len(t), s)
+            assert _fails_by_order(packed, len(t), s) == (not kernel)
+        # The oracle's own has_property runs the kernel once more.
+        assert len(kernel_calls) == (1 if kernel else 0) + (kernel is not None)
+
+    @pytest.mark.parametrize(
+        "elements, s, variant, kernel",
+        REORDERED_BRANCHES.values(),
+        ids=REORDERED_BRANCHES,
+    )
+    def test_class_key_rank_matches_classify(self, elements, s, variant, kernel):
+        t = group_tuple(elements)
+        key = _rational_row_basis(zip(*t.elements))
+        assert _classify(t, s, len(key)) == classify(t, s)
+
+    @given(st.one_of(generated_instances(), near_misses()))
+    @settings(max_examples=200, deadline=None)
+    def test_generated_class_key_rank_matches_classify(self, case):
+        # exhaustive hands _classify the row count of a holder's class key.
+        t, s = case
+        key = _rational_row_basis(zip(*t.elements))
+        assert _classify(t, s, len(key)) == classify(t, s)
+
+    def test_unclassified_holder_decided_by_the_kernel(self, monkeypatch):
+        # No holder of (P_{q,s}) in classify's domain is Unclassified in any
+        # enumerated cell, so a refusing block test makes one of a type-B
+        # holder; the order statistics never refute a holder, so the kernel
+        # decides it, as has_property does.
+        t = group_tuple(K2_S3)
+        assert has_property(t, 6, 3).holds
+
+        def refuse(*args):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(classify_module, "_block_certificate", refuse)
+        kernel_calls = recording(monkeypatch, [tuples_module], "_decide_packed")
+        c = classify(t, 3)
+        assert c == Classification(
+            variant=VARIANT_UNCLASSIFIED, s=3, rank=2, property_holds=True
+        )
+        assert len(kernel_calls) == 1
+
+
+class TestWorkPinned:
+    @pytest.mark.parametrize(
+        "t, s, variant",
+        [
+            (group_tuple(TYPE_A_S3), 3, VARIANT_TYPE_A),
+            (generated_holder("a", 5), 5, VARIANT_TYPE_A),
+            (group_tuple(K2_S3), 3, VARIANT_TYPE_B),
+            (generated_holder("b", 5), 5, VARIANT_TYPE_B),
+        ],
+        ids=["type_a_s3", "type_a_s5", "type_b_s3", "type_b_s5"],
+    )
+    def test_one_elimination_per_holder(self, monkeypatch, t, s, variant):
+        # The rank is read off the shape's own elimination: no separate
+        # ``rank`` in tuples, one ``_rational_row_basis`` in all.
+        calls = recording(
+            monkeypatch, [classify_module, tuples_module], "_rational_row_basis"
+        )
+        c = classify(t, s)
+        assert c.variant == variant and c.rank == s - 1
+        assert len(calls) == 1
+
+    def test_known_rank_is_not_recomputed(self, monkeypatch):
+        t = group_tuple(TYPE_A_S3)
+        calls = recording(
+            monkeypatch, [classify_module, tuples_module], "_rational_row_basis"
+        )
+        assert _classify(t, 3, 2).variant == VARIANT_TYPE_A
+        assert calls == []
+
+    def test_order_statistics_spare_the_kernel_on_g12(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(tuples_module, "_decide_packed", forbidden)
+        t = group_tuple(G12)
+        assert _property_holds(t, 6) is False
+        assert classify(t, 6).property_holds is False

@@ -117,6 +117,24 @@ class TestClassify:
         assert payload["variant"] == "unclassified"
         assert payload["property_holds"] is False
 
+    def test_generic_unclassified_pinned(self, capsys, tuple_file, monkeypatch):
+        # Order statistics refute the tuple, but the check bills C(12, 6) =
+        # 924 sums first, as has_property does: 923 refuses, 924 decides.
+        path = tuple_file(GENERIC_Q12)
+        code = main(["classify", "--s", "6", path])
+        out = capsys.readouterr()
+        assert code == 1
+        text = out.out.removesuffix("\n")
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "789610508a564fb8"
+        assert out.err == "unclassified (property fails, nothing to match)\n"
+        monkeypatch.setenv("ABTUPLE_BUDGET", "923")
+        code, payload, _ = run_cli(capsys, "classify", "--s", "6", path)
+        assert code == 3
+        assert payload["error"] == "(P_{12,6}) check forms 924 subset sums, budget is 923"
+        monkeypatch.setenv("ABTUPLE_BUDGET", "924")
+        code, payload, _ = run_cli(capsys, "classify", "--s", "6", path)
+        assert code == 1 and payload["property_holds"] is False
+
     def test_missing_zero_exit_two(self, capsys, tuple_file):
         code, payload, _ = run_cli(
             capsys, "classify", "--s", "2", tuple_file("1\n1\n2\n-2\n")

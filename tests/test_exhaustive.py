@@ -24,7 +24,6 @@ from abtuple.classify import VARIANT_UNCLASSIFIED, _classify, classify
 from abtuple.cli import main
 from abtuple.exhaustive import (
     EnumerationJob,
-    _fails_by_order,
     _holder_facts,
     _process_share,
     _tables,
@@ -41,6 +40,7 @@ from abtuple.tuples import (
     BudgetExceeded,
     GroupTuple,
     _decide_packed,
+    _fails_by_order,
     _packed,
     equal_pair,
     group_tuple,
@@ -700,19 +700,24 @@ def test_enumeration_checks_property_of_subtuples_only(monkeypatch, s, q, dim, b
     calls = []
     reports = []
     real_check = has_property
+    classify_module = importlib.import_module("abtuple.classify")
+    real_verdict = classify_module._property_holds
     real_audit = exhaustive._audit_holder
 
     def counting(t, r, s_inner):
         calls.append((len(t), r))
         return real_check(t, r, s_inner)
 
+    def counting_verdict(t, s_inner):
+        calls.append((len(t), len(t)))
+        return real_verdict(t, s_inner)
+
     def recording(t, s_outer, *private):
         reports.append(real_audit(t, s_outer, *private))
         return reports[-1]
 
     monkeypatch.setattr(structure, "has_property", counting)
-    classify_module = importlib.import_module("abtuple.classify")
-    monkeypatch.setattr(classify_module, "has_property", counting)
+    monkeypatch.setattr(classify_module, "_property_holds", counting_verdict)
     monkeypatch.setattr(exhaustive, "_audit_holder", recording)
     rep = run_enumeration(EnumerationJob(s=s, q=q, dim=dim, bound=bound))
     assert rep["ok"] and not rep["unclassified"]

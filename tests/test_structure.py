@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abtuple import structure
+from abtuple import lattice, structure
 from abtuple.lattice import contains, hnf_rows, sublattice_index
 from abtuple.structure import (
     adequate_basis_decide,
@@ -266,14 +266,18 @@ class TestAdequateBasis:
             adequate_basis_decide(group_tuple([(0,), (0,)]))
 
     def test_representatives_computed_once(self, monkeypatch):
+        # Every representative is read off its element's one solve over the
+        # span basis, in ``structure`` or, via primitive_representative,
+        # in ``lattice``.
         calls = []
-        real = structure.primitive_representative
+        real = lattice.solve_coordinates
 
         def counting(lat, v):
             calls.append(v)
             return real(lat, v)
 
-        monkeypatch.setattr(structure, "primitive_representative", counting)
+        monkeypatch.setattr(structure, "solve_coordinates", counting)
+        monkeypatch.setattr(lattice, "solve_coordinates", counting)
         for elements in (EXAMPLE_FULL_RANK, ((0, 0, 0),) + EXAMPLE_FULL_RANK):
             t = group_tuple(elements)
             calls.clear()
