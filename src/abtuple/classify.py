@@ -303,14 +303,16 @@ def _block_certificate(s: int, values, reduced):
 
 
 def _outside_domain(t: GroupTuple, s: int) -> str | None:
-    """Why ``classify`` refuses (t, s), or None when it accepts them.  The
-    one statement of the domain: ``verify_classification``, the audit's
-    zero-axis claims and ``exhaustive``'s holder facts read it too."""
+    """What (t, s) lacks to lie in ``classify``'s domain, such as
+    ``2 <= s < q <= 2s, got s=1, q=2``, or None when they lie in it.  The
+    one statement of the domain: ``classify`` and ``audit_claims`` prefix
+    the reason with their own name, and ``verify_classification``, the
+    audit's zero-axis claims and ``exhaustive``'s holder facts read it too."""
     q = len(t)
     if not (2 <= s < q <= 2 * s):
-        return f"classify requires 2 <= s < q <= 2s, got s={s}, q={q}"
+        return f"2 <= s < q <= 2s, got s={s}, q={q}"
     if zero_vector(t.dim) not in t.elements:
-        return "classify requires the zero element to occur in the tuple"
+        return "the zero element to occur in the tuple"
     return None
 
 
@@ -347,7 +349,7 @@ def classify(t: GroupTuple, s: int) -> Classification:
     """
     refusal = _outside_domain(t, s)
     if refusal is not None:
-        raise ValueError(refusal)
+        raise ValueError(f"classify requires {refusal}")
     return _classify(t, s)
 
 

@@ -40,13 +40,13 @@ one per negation pair; every tuple of the universe is still counted, by
   t's facts.  Canonical -t is -t with its nonzero positions reversed, so
   it has them too as far as the facts are invariant under position
   permutation, which the first paragraph already takes for granted: rank,
-  the missing equal pair, (P_{r,s}) and the ``classify`` variant are facts
-  of the multiset.  The audit's case and failed claims read positions (the
-  first equal pair, the greedy basis), so sharing them, like visiting one
-  representative per multiset, quotes the audit of one representative; on
-  every holder of the cells in ``tests/test_exhaustive.py`` canonical -t's
-  own facts equal t's.  Quoted lists are sorted by key at the merge, so
-  they come out in canonical order.
+  (P_{r,s}) and the ``classify`` variant are facts of the multiset.  The
+  audit's case and failed claims read positions (the first equal pair,
+  the greedy basis), so sharing them, like visiting one representative per
+  multiset, quotes the audit of one representative; on every holder of
+  the cells in ``tests/test_exhaustive.py`` canonical -t's own facts equal
+  t's.  Quoted lists are sorted by key at the merge, so they come out in
+  canonical order.
 
 Each job packs every grid value once into 2d tables of ints indexed like
 the grid, one in dim 1 (see ``_tables``): table 2k packs it with its
@@ -59,12 +59,10 @@ any other table refute (P_{q,s}) (see ``tuples._fails_by_order``) is no
 holder, and is dropped without forming a sum.  The survivors are tested for
 (P_{q,s}) by the kernel, ``tuples._decide_packed``, on their table-0 ints;
 it returns a failure witness or None, and only the tuples it returns None
-for, the holders, are looked up as vectors.  They are then ranked, classified,
-checked for an equal pair, and audited, once per class (below); the rank,
-and the audit's rational-basis certificate when the audit needs no
-translation, are read off the class key (see ``_holder_facts``).  The
-report aggregates counts and quotes verbatim every tuple that is
-Unclassified, fails an audit claim, or lacks an equal pair — those are
+for, the holders, are looked up as vectors.  They are then ranked, classified
+and audited, once per class (below); the rank is read off the class key
+(see ``_holder_facts``).  The report aggregates counts and quotes verbatim
+every tuple that is Unclassified or fails an audit claim — those are
 counterexample candidates for the classification lemma and force ok=false.
 
 Holders whose coordinates span the same rational row space are analysed
@@ -82,9 +80,9 @@ Every fact the report reads off a holder is stated through the tuple's own
 elements, never by comparing a subgroup with Z^d, and phi preserves each:
 
 - rank: the rational spans are isomorphic.
-- a missing equal pair: t_i = t_j exactly when the relation with 1 at i
-  and -1 at j is in Rel, so exactly when t'_i = t'_j; the first equal
-  pair, and zero, sit at the same positions.
+- equal values, which the next two facts read: t_i = t_j exactly when
+  the relation with 1 at i and -1 at j is in Rel, so exactly when t'_i =
+  t'_j; the first equal pair, and zero, sit at the same positions.
 - the ``classify`` variant.  ``classify`` reads the rank, the value
   multiplicities, which equal pairs fix, and for type B rational
   coordinates over the chosen basis; it compares no lattices.  Rank below
@@ -140,7 +138,6 @@ from .tuples import (
     _decide_packed,
     _fails_by_order,
     _packed,
-    equal_pair,
     property_work,
 )
 from .lattice import _rational_row_basis
@@ -280,31 +277,28 @@ def _holder_facts(job: EnumerationJob, elements, key) -> tuple:
     ``key`` is the holder's class key, the primitive RREF of its coordinate
     columns (``lattice._rational_row_basis``), which ``_process_share``
     already computed: its row count is the holder's rank, which
-    ``classify`` is handed, and when the holder holds zero twice the audit
-    needs no translation and reads its rational-basis certificate off it.
-    Returns (rank, variant, property_holds, equal pair missing, audit),
-    where ``audit`` is None when the audit passes or is skipped, and else its
-    case and failed claim names.  Every holder whose coordinate columns
-    span the same rational row space has the same entries (see the module
-    docstring), so ``run_enumeration`` calls this once per class per run,
-    in the calling process, on the class's least-key holder.  A holder
-    without an equal pair is not audited: ``_audit_holder`` cannot
-    normalise it, and the missing pair is already quoted.  Only this
-    function reads the budget, in its nested checks: the audit's subtuple
-    checks, and ``classify``'s property check of an Unclassified holder.
+    ``classify`` is handed.  Returns (rank, variant, property_holds,
+    audit), where ``audit`` is None when the audit passes or is skipped,
+    and else its case and failed claim names.  Every holder whose
+    coordinate columns span the same rational row space has the same
+    entries (see the module docstring), so ``run_enumeration`` calls this
+    once per class per run, in the calling process, on the class's
+    least-key holder.  Only this function reads the budget, in its nested
+    checks: the audit's subtuple checks, and ``classify``'s property check
+    of an Unclassified holder.  No holder lacks an equal pair, so none is
+    checked for one: sorted in lex order, a (P_{q,s}) tuple with q > s ties
+    at positions q-s-1 and q-s, by the contrapositive of
+    ``tuples._fails_by_order``.
     """
     t = GroupTuple(dim=job.dim, elements=elements)
-    missing = equal_pair(t) is None
     tr = len(key)
     if _outside_domain(t, job.s) is not None:
-        return tr, VARIANT_OUT_OF_RANGE, None, missing, None
+        return tr, VARIANT_OUT_OF_RANGE, None, None
     cls = _classify(t, job.s, tr)
-    audit = None
-    if not missing:
-        report = _audit_holder(t, job.s, key)
-        if not report.all_pass:
-            audit = report.case, tuple(c.name for c in report.failures)
-    return tr, cls.variant, cls.property_holds, missing, audit
+    report = _audit_holder(t, job.s)
+    failed = tuple(c.name for c in report.failures)
+    audit = (report.case, failed) if failed else None
+    return tr, cls.variant, cls.property_holds, audit
 
 
 def _process_share(job: EnumerationJob, tables: tuple, i: int, n: int) -> dict:
@@ -368,6 +362,8 @@ def run_enumeration(job: EnumerationJob) -> dict:
     share of one analyses first, and the report does not depend on how the
     walk was split.  A class that quotes quotes every member, and the
     canonical -t of each member t that is not its own negation.
+    ``equal_pair_missing`` stays empty: every holder has an equal pair (see
+    ``_holder_facts``).
     """
     job.validate()
     bill = nominal_bill(job)
@@ -397,22 +393,20 @@ def run_enumeration(job: EnumerationJob) -> dict:
         return (grid[top // 2],) + tuple(grid[k] for k in key)
 
     with_property, ranks, variants = 0, {}, {}
-    quoted = {"equal_pair_missing": [], "unclassified": [], "audit_failures": []}
+    quoted = {"unclassified": [], "audit_failures": []}
     for span, members in classes.items():
         facts = _holder_facts(job, canonical(min(members)[0]), span)
-        tr, variant, property_holds, missing, audit = facts
+        tr, variant, property_holds, audit = facts
         weight = sum(w for _, w in members)
         with_property += weight
         ranks[str(tr)] = ranks.get(str(tr), 0) + weight
         variants[variant] = variants.get(variant, 0) + weight
-        if not (missing or variant == VARIANT_UNCLASSIFIED or audit is not None):
+        if not (variant == VARIANT_UNCLASSIFIED or audit is not None):
             continue
         keys = [key for key, _ in members]
         keys += [tuple(map(top.__sub__, reversed(k))) for k, w in members if w == 2]
         for key in keys:
             listed = [list(e) for e in canonical(key)]
-            if missing:
-                quoted["equal_pair_missing"].append((key, {"elements": listed}))
             if variant == VARIANT_UNCLASSIFIED:
                 entry = {"elements": listed, "rank": tr, "property_holds": property_holds}
                 quoted["unclassified"].append((key, entry))
@@ -421,8 +415,8 @@ def run_enumeration(job: EnumerationJob) -> dict:
                 quoted["audit_failures"].append((key, entry))
     for name, entries in quoted.items():
         quoted[name] = [entry for _, entry in sorted(entries, key=itemgetter(0))]
-    # Every universe pins zero.  The report still says so, and counts no
-    # holder without zero, in the keys it has always had.
+    # Every universe pins zero and every holder has an equal pair.  The
+    # report still says so, in the keys it has always had.
     report = {
         "job": {
             "s": job.s,
@@ -435,6 +429,7 @@ def run_enumeration(job: EnumerationJob) -> dict:
         "with_property": with_property,
         "ranks": ranks,
         "variants": variants,
+        "equal_pair_missing": [],
         **quoted,
         "without_zero": 0,
         "ok": not any(quoted.values()),

@@ -21,8 +21,7 @@ reduced row echelon form with each row scaled to coprime integers and a
 positive pivot, as many rows as the rank.  It serves
 ``solve_rational_combination`` here, ``tuples.rank``, ``classify``'s
 shapes, which read t's rank off it, the certificates and their checks, and
-``exhaustive``'s class key, which also gives the class its rank and, where
-the audit needs no translation, its rational basis certificate.  Beside it
+``exhaustive``'s class key, which also gives the class its rank.  Beside it
 sits the one integer re-check of its answers, ``_failed_recombination``:
 every element must equal its recombination from generators over a common
 denominator, in integers, each coordinate one ``sum(map(mul, ...))`` with a
@@ -284,7 +283,8 @@ def primitive_representative(lat: Lattice, v: Vector) -> tuple[Vector, int]:
 
     Returns (p, d) with v = d * p, p in lat, and no integer e > 1 dividing p
     inside lat.  p's first nonzero coordinate is positive; d carries the sign
-    (negative exactly when v's first nonzero coordinate is negative).
+    (negative exactly when v's first nonzero coordinate is negative).  p is
+    v over +-g, g the gcd of v's coordinates over ``lat``'s basis.
     """
     if is_zero(v):
         raise ValueError("zero vector has no primitive representative")
@@ -292,18 +292,9 @@ def primitive_representative(lat: Lattice, v: Vector) -> tuple[Vector, int]:
     if coords is None:
         raise ValueError("vector does not lie in the lattice")
     g = gcd(*coords)
-    return _primitive_from_coordinates(lat, [c // g for c in coords], g)
-
-
-def _primitive_from_coordinates(lat: Lattice, prim, g: int) -> tuple[Vector, int]:
-    """``primitive_representative`` of the vector whose coordinates over
-    ``lat``'s basis, already solved, are ``prim`` times their gcd ``g``."""
-    p = [0] * lat.dim
-    for c, row in zip(prim, lat.basis):
-        p = [u + c * x for u, x in zip(p, row)]
-    if next(x for x in p if x) < 0:
-        return tuple(-x for x in p), -g
-    return tuple(p), g
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v), g
 
 
 def solve_rational_combination(rows, target: Vector) -> tuple[Fraction, ...] | None:

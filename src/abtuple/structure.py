@@ -45,13 +45,13 @@ from itertools import combinations
 from math import comb, gcd
 from typing import TYPE_CHECKING
 
-from .classify import VARIANT_TYPE_A, _outside_domain, classify
+from .classify import VARIANT_TYPE_A, _classify, _outside_domain
 from .lattice import (
     Vector,
     _failed_recombination,
     _leading_index,
-    _primitive_from_coordinates,
     _rational_row_basis,
+    primitive_representative,
     solve_coordinates,
     zero_vector,
 )
@@ -125,13 +125,7 @@ def q_basis_certificate(t: GroupTuple) -> QBasisCertificate:
     L a_j == sum_tau r_tau[j] (L / p_tau) a_{i_tau} with L = lcm(p_tau); a
     failure raises RuntimeError.  Raises ValueError on a rank-0 tuple.
     """
-    return _certificate_from_rows(t, _rational_row_basis(zip(*t.elements)))
-
-
-def _certificate_from_rows(t: GroupTuple, rows) -> QBasisCertificate:
-    """``q_basis_certificate`` from ``rows``, the primitive RREF of t's
-    coordinate columns, which the caller already has.  The integer
-    recombination re-check runs all the same."""
+    rows = _rational_row_basis(zip(*t.elements))
     if not rows:
         raise ValueError("rank-0 tuple admits no basis certificate")
     chosen = [_leading_index(r) for r in rows]
@@ -404,11 +398,11 @@ def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
     in the span, so it is the (unique up to sign) primitive representative of
     that element.  It therefore suffices to scan rank-sized subsets of the
     nonzero positions (a zero element is in no independent subset) in
-    lexicographic order.  Each nonzero element is solved once over the HNF
-    basis of the span, and its coordinates divided by their gcd are those
-    of its representative up to sign, which no |det| sees; a witness's
-    representatives and signed multipliers are rebuilt from them and their
-    gcd, not solved again.  A subset's index is |det| of its
+    lexicographic order.  The scan solves each nonzero element once over the
+    HNF basis of the span, and its coordinates divided by their gcd are
+    those of its representative up to sign, which no |det| sees.  A
+    witness's representatives and signed multipliers come from
+    ``primitive_representative``.  A subset's index is |det| of its
     representatives' coordinate rows: 0 when the subset is dependent
     (skipped), 1 when the representatives generate the span (the witness),
     and otherwise the sublattice index they generate, recorded in the
@@ -427,18 +421,18 @@ def adequate_basis_decide(t: GroupTuple) -> AdequateBasisDecision:
     nonzero = [i for i, e in enumerate(t.elements) if any(e)]
     work = comb(len(nonzero), tr)
     _charge(work, f"adequate-basis scan tests {work} subsets")
-    solved = {}
+    rows = []
     for i in nonzero:
         c = solve_coordinates(lat, t.elements[i])
         g = gcd(*c)
-        solved[i] = [x // g for x in c], g
+        rows.append((i, [x // g for x in c]))
     refutation = []
-    subset = _nonzero_minors([(i, p) for i, (p, _) in solved.items()], tr, refutation)
+    subset = _nonzero_minors(rows, tr, refutation)
     if subset is None:
         return AdequateBasisDecision(
             exists=False, witness=None, refutation=tuple(refutation)
         )
-    prims, mults = zip(*(_primitive_from_coordinates(lat, *solved[i]) for i in subset))
+    prims, mults = zip(*(primitive_representative(lat, t.elements[i]) for i in subset))
     return AdequateBasisDecision(
         exists=True,
         witness=AdequateBasisWitness(indices=subset, multipliers=mults, basis=prims),
@@ -521,10 +515,11 @@ def _one_based(indices) -> list[int]:
 def audit_claims(t: GroupTuple, s: int) -> AuditReport:
     """Audit the structural claims on a (P_{q,s}) instance containing zero.
 
-    Preconditions (violations raise ValueError): 2 <= s < q <= 2s, the zero
-    element occurs in t, and t has property (P_{q,s}) — the last is verified
-    here by exhaustive search.  That check and every nested property check
-    and ``classify`` call read the budget (ABTUPLE_BUDGET, else 10**9).
+    Preconditions (violations raise ValueError): ``classify``'s domain,
+    2 <= s < q <= 2s and the zero element occurs in t, and t has property
+    (P_{q,s}) — the last is verified here by exhaustive search.  That check
+    and every nested property check and ``classify`` call read the budget
+    (ABTUPLE_BUDGET, else 10**9).
 
     The tuple is first normalized so the zero value occurs at least twice:
     when it does not, every element is translated by the first duplicated
@@ -537,11 +532,10 @@ def audit_claims(t: GroupTuple, s: int) -> AuditReport:
     at every rank within their case.  Whether the zero-axis claims should
     cover holders below rank s-1 is open.
     """
+    refusal = _outside_domain(t, s)
+    if refusal is not None:
+        raise ValueError(f"audit requires {refusal}")
     q = len(t)
-    if not (2 <= s < q <= 2 * s):
-        raise ValueError(f"audit requires 2 <= s < q <= 2s, got s={s}, q={q}")
-    if zero_vector(t.dim) not in t.elements:
-        raise ValueError("audit requires the zero element to occur in the tuple")
     prop = has_property(t, q, s)
     if not prop.holds:
         raise ValueError(
@@ -552,19 +546,17 @@ def audit_claims(t: GroupTuple, s: int) -> AuditReport:
     return _audit_holder(t, s)
 
 
-def _audit_holder(t: GroupTuple, s: int, rows=None) -> AuditReport:
+def _audit_holder(t: GroupTuple, s: int) -> AuditReport:
     """``audit_claims`` without its precondition checks.
 
     The caller guarantees 2 <= s < q <= 2s, that zero occurs in t and that t
-    has (P_{q,s}); the tuple's own property is not re-checked.  ``rows``,
-    when given, is the primitive RREF of t's coordinate columns
-    (``lattice._rational_row_basis``); the certificate is read off it when
-    t needs no translation, and otherwise off the translated tuple's.  The
-    property checks of the zero-axis subtuples, and ``classify``'s check of
-    a subtuple it leaves Unclassified, read the budget (ABTUPLE_BUDGET,
-    else 10**9).  Every claim is built by ``_verdict`` or ``_skip``, and
-    the claims come in ``_CLAIM_NAMES`` order, the zero-axis ones once per
-    negative axis.
+    has (P_{q,s}); the tuple's own property is not re-checked.  The
+    certificate is ``q_basis_certificate`` of the normalized tuple, which
+    is t itself when zero occurs twice.  The property checks of the
+    zero-axis subtuples, and ``classify``'s check of a subtuple it leaves
+    Unclassified, read the budget (ABTUPLE_BUDGET, else 10**9).  Every
+    claim is built by ``_verdict`` or ``_skip``, and the claims come in
+    ``_CLAIM_NAMES`` order, the zero-axis ones once per negative axis.
     """
     q = len(t)
     zero = zero_vector(t.dim)
@@ -576,9 +568,6 @@ def _audit_holder(t: GroupTuple, s: int, rows=None) -> AuditReport:
             raise RuntimeError("property instance without an equal pair")
         translation = t.elements[pair[0]]
         nt = translate(t, translation)
-        rows = None
-    if rows is None:
-        rows = _rational_row_basis(zip(*nt.elements))
 
     def report(case, claims):
         return AuditReport(
@@ -587,7 +576,7 @@ def _audit_holder(t: GroupTuple, s: int, rows=None) -> AuditReport:
 
     sums_name, pattern_name, property_name, rank_name, type_a_name = _CLAIM_NAMES
     # An all-zero tuple has no certificate: one class of size q, no axes.
-    cert = _certificate_from_rows(nt, rows) if rows else None
+    cert = q_basis_certificate(nt) if nt.elements.count(zero) < q else None
     tr = cert.rank if cert else 0
     neg_axes = [
         tau for tau in range(tr) if any(row[tau] < 0 for row in cert.exponents)
@@ -649,7 +638,7 @@ def _audit_holder(t: GroupTuple, s: int, rows=None) -> AuditReport:
         # sub holds zero, whose exponents vanish, so only the sizes can put
         # it outside classify's domain.  classify reads the subtuple's rank
         # anyway, so read it off the result.
-        inner_cls = None if _outside_domain(sub, s_inner) else classify(sub, s_inner)
+        inner_cls = None if _outside_domain(sub, s_inner) else _classify(sub, s_inner)
         sub_rank = rank(sub) if inner_cls is None else inner_cls.rank
         witness = dict(base, rank=sub_rank, expected=tr - 1)
         claims.append(_verdict(rank_name, sub_rank == tr - 1, witness))

@@ -16,12 +16,10 @@ representative's coordinates; ``oracle_minors`` checks the scan's own
 summed a generator expression per coordinate.  The library must agree with
 them on every result, ``None`` included, and on every verdict, tampered
 certificates included.  An adequate witness's members must also be what
-``primitive_representative`` returns for them, though the scan no longer
-calls it.
+``primitive_representative`` returns for them.
 """
 
 import dataclasses
-import importlib
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -654,22 +652,3 @@ class TestAdequateWitnessAgainstPrimitiveRepresentative:
         w = dec.witness
         for i, d, b in zip(w.indices, w.multipliers, w.basis):
             assert (b, d) == primitive_representative(lat, t.elements[i])
-
-    def test_one_solve_per_nonzero_element(self, monkeypatch):
-        # (1,0), (2,0) are dependent, (1,0), (1,2) index 2, and (1,0), (0,1)
-        # the witness: its members are not solved again.
-        lattice = importlib.import_module("abtuple.lattice")
-        structure = importlib.import_module("abtuple.structure")
-        real = lattice.solve_coordinates
-        calls = []
-
-        def recording(lat, v):
-            calls.append(v)
-            return real(lat, v)
-
-        monkeypatch.setattr(lattice, "solve_coordinates", recording)
-        monkeypatch.setattr(structure, "solve_coordinates", recording)
-        t = group_tuple([(0, 0), (1, 0), (2, 0), (1, 2), (0, 1)])
-        dec = adequate_basis_decide(t)
-        assert dec.exists and dec.witness.indices == (1, 4)
-        assert calls == [e for e in t.elements if any(e)]

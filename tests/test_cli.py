@@ -421,6 +421,24 @@ class TestAudit:
         assert code == 2
         assert "error" in payload
 
+    @pytest.mark.parametrize(
+        "text, s, message",
+        [
+            ("0\n0\n", "1", "audit requires 2 <= s < q <= 2s, got s=1, q=2"),
+            (
+                "1\n2\n3\n",
+                "2",
+                "audit requires the zero element to occur in the tuple",
+            ),
+        ],
+        ids=["sizes", "no_zero"],
+    )
+    def test_domain_refusal_exit_two(self, capsys, tuple_file, text, s, message):
+        code, payload, err = run_cli(capsys, "audit", "--s", s, tuple_file(text))
+        assert code == 2
+        assert payload == {"error": message}
+        assert err == f"error: {message}\n"
+
 
 class TestGenerate:
     def test_identity_type_a(self, capsys):

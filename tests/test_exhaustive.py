@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from abtuple import exhaustive, structure
 from abtuple.classify import VARIANT_UNCLASSIFIED, _classify, classify
-from abtuple.cli import main
 from abtuple.exhaustive import (
     EnumerationJob,
     _holder_facts,
@@ -685,9 +684,8 @@ def test_holder_pass_matches_public_functions(s, q, dim, bound):
         audit = None
         if not report.all_pass:
             audit = report.case, tuple(c.name for c in report.failures)
-        missing = equal_pair(t) is None
         assert holder_facts(job, t.elements) == (
-            rank(t), cls.variant, cls.property_holds, missing, audit
+            rank(t), cls.variant, cls.property_holds, audit
         )
     assert holders > 0
 
@@ -712,8 +710,8 @@ def test_enumeration_checks_property_of_subtuples_only(monkeypatch, s, q, dim, b
         calls.append((len(t), len(t)))
         return real_verdict(t, s_inner)
 
-    def recording(t, s_outer, *private):
-        reports.append(real_audit(t, s_outer, *private))
+    def recording(t, s_outer):
+        reports.append(real_audit(t, s_outer))
         return reports[-1]
 
     monkeypatch.setattr(structure, "has_property", counting)
@@ -736,29 +734,67 @@ def test_enumeration_checks_property_of_subtuples_only(monkeypatch, s, q, dim, b
     assert all(n < q and r == n for n, r in calls)
 
 
-def test_holder_without_equal_pair_is_quoted(monkeypatch, capsys):
-    # Real holders always have an equal pair, so pretend one lacks it: the
-    # first holder with a single zero, where the audit would have to
-    # translate by an equal pair.  It heads its class, since every member
-    # of a class has zero at the same positions.
-    job = EnumerationJob(s=3, q=6, dim=2, bound=1)
-    target = next(
-        t.elements for t in cell_holders(job) if t.elements.count((0, 0)) == 1
-    )
+# ---------------------------------------------------------------------------
+# Every holder has an equal pair, so the report's equal_pair_missing is empty
 
-    def patched(t):
-        return None if t.elements == target else equal_pair(t)
 
-    monkeypatch.setattr(exhaustive, "equal_pair", patched)
-    monkeypatch.setattr(structure, "equal_pair", patched)
-    rep = run_enumeration(job)
-    assert rep["ok"] is False
-    assert [list(e) for e in target] in [
-        entry["elements"] for entry in rep["equal_pair_missing"]
-    ]
-    argv = ["enumerate", "--s", "3", "--q", "6", "--dim", "2", "--bound", "1"]
-    assert main(argv) == 1
-    assert json.loads(capsys.readouterr().out) == rep
+@st.composite
+def walk_shares(draw):
+    """(q, s, g, i, n): s 1-5, q s+1 to 2s+1, g odd up to 9, and share i
+    of n, with at most 3,000 walked tuples."""
+    s = draw(st.integers(1, 5))
+    q = draw(st.integers(s + 1, 2 * s + 1))
+    free = q - len({s, q - s})
+    sizes = [g for g in (1, 3, 5, 7, 9) if comb(g + free - 2, free - 1) <= 3000]
+    n = draw(st.integers(1, 3))
+    return q, s, draw(st.sampled_from(sizes)), draw(st.integers(0, n - 1)), n
+
+
+@given(walk_shares())
+@settings(max_examples=200, deadline=None)
+# The cells whose walk has no free slot: s=1 q=2, s=1 q=3, s=2 q=3.
+@example((2, 1, 5, 0, 1))
+@example((3, 1, 3, 0, 1))
+@example((3, 2, 9, 0, 1))
+@example((3, 2, 9, 1, 2))
+def test_every_visit_repeats_a_grid_index(case):
+    # Each walked tuple is an expansion, which copies an entry.
+    q, s, g, i, n = case
+    for w, _ in _visits(q, s, g, i, n):
+        assert len(w) == q
+        assert len(set(w)) < q
+
+
+@st.composite
+def small_tuples(draw):
+    """(t, q, s): q elements of [-2, 2]^dim, dim 1 or 2, s 1-4, q s+1 to
+    2s+1; the elements are distinct half the time, else drawn from a pool
+    of at most q values."""
+    dim = draw(st.integers(1, 2))
+    s = draw(st.integers(1, 4))
+    q = draw(st.integers(s + 1, 2 * s + 1))
+    values = st.tuples(*[st.integers(-2, 2)] * dim)
+    if draw(st.booleans()):
+        elements = draw(st.lists(values, min_size=q, max_size=q, unique=True))
+    else:
+        pool = draw(st.lists(values, min_size=1, max_size=q))
+        elements = draw(st.lists(st.sampled_from(pool), min_size=q, max_size=q))
+    return group_tuple(elements, dim=dim), q, s
+
+
+@given(small_tuples())
+@settings(max_examples=400, deadline=None)
+# Holders with a single equal pair, and distinct values that do not hold.
+@example((group_tuple([(0,), (0,)]), 2, 1))
+@example((group_tuple([(0,), (1,), (1,), (2,)]), 4, 2))
+@example((group_tuple([(0,), (1,), (2,), (3,)]), 4, 2))
+@example((group_tuple([(0, 0), (1, 0), (0, 1), (1, 1)]), 4, 2))
+def test_every_holder_has_an_equal_pair(case):
+    # Sorted in lex order, a (P_{q,s}) tuple with q > s ties at positions
+    # q-s-1 and q-s, by the contrapositive of _fails_by_order.
+    t, q, s = case
+    if has_property(t, q, s).holds:
+        assert equal_pair(t) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -1033,8 +1069,7 @@ def test_every_member_of_a_failing_class_is_quoted(monkeypatch, patched):
 
     def failing(real):
         # exhaustive calls _classify with the rank it read off the class
-        # key, and _audit_holder with the key; the oracle calls classify
-        # and _audit_holder without them.
+        # key; the oracle calls classify without it.
         def double(t, s, *private):
             result = real(t, s, *private)
             if multiset_kind(t) != kind:
@@ -1127,8 +1162,8 @@ def test_report_does_not_depend_on_the_share_split(monkeypatch, in_process_pool)
         least.setdefault(class_key(t), t.elements)
     real = exhaustive._audit_holder
 
-    def failing(t, s, *private):
-        result = real(t, s, *private)
+    def failing(t, s):
+        result = real(t, s)
         if least[class_key(t)] == t.elements:
             return result
         claims = (replace(result.claims[0], status="fail"),) + result.claims[1:]

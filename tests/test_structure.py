@@ -266,9 +266,9 @@ class TestAdequateBasis:
             adequate_basis_decide(group_tuple([(0,), (0,)]))
 
     def test_representatives_computed_once(self, monkeypatch):
-        # Every representative is read off its element's one solve over the
-        # span basis, in ``structure`` or, via primitive_representative,
-        # in ``lattice``.
+        # A refuting scan reads every representative off its element's one
+        # solve over the span basis; only a witness's members are solved
+        # again, by primitive_representative in ``lattice``.
         calls = []
         real = lattice.solve_coordinates
 
@@ -437,6 +437,24 @@ class TestAuditClaims:
             audit_claims(group_tuple([(0,), (0,), (0,)]), 3)
         with pytest.raises(ValueError, match="zero element"):
             audit_claims(group_tuple([(1,), (1,), (1,)]), 2)
+
+    @pytest.mark.parametrize(
+        "elements, s, message",
+        [
+            ([(0,), (0,)], 1, "audit requires 2 <= s < q <= 2s, got s=1, q=2"),
+            (
+                [(1,), (2,), (3,)],
+                2,
+                "audit requires the zero element to occur in the tuple",
+            ),
+        ],
+        ids=["sizes", "no_zero"],
+    )
+    def test_domain_refusal_texts(self, elements, s, message):
+        # classify's domain, stated once, under the audit's own name.
+        with pytest.raises(ValueError) as refusal:
+            audit_claims(group_tuple(elements), s)
+        assert str(refusal.value) == message
 
     def test_json_shape(self):
         rep = audit_claims(group_tuple(TYPE_A_S3), 3)
