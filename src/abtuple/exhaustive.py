@@ -57,28 +57,34 @@ the integer order of a linear map, so it is compatible with addition.  An
 expanded tuple already ties in grid order; one whose order statistics in
 any other table refute (P_{q,s}) (see ``tuples._fails_by_order``) is no
 holder, and is dropped without forming a sum.  The survivors are tested for
-(P_{q,s}) by the kernel, ``tuples._decide_packed``, on their table-0 ints;
-it returns a failure witness or None, and only the tuples it returns None
-for, the holders, are looked up as vectors.  They are then ranked, classified
-and audited, once per class (below); the rank is read off the class key
-(see ``_holder_facts``).  The report aggregates counts and quotes verbatim
-every tuple that is Unclassified or fails an audit claim — those are
-counterexample candidates for the classification lemma and force ok=false.
+(P_{q,s}) by the kernel, ``tuples._decide_packed``, on their table-0 ints,
+once per class (below) per share; it returns a failure witness or None, and
+the tuples of the classes it returns None for are the holders.  They are
+then ranked, classified and audited, once per class per run; the rank is
+read off the class key (see ``_holder_facts``).  The report aggregates
+counts and quotes verbatim every tuple that is Unclassified or fails an
+audit claim — those are counterexample candidates for the classification
+lemma and force ok=false.
 
-Holders whose coordinates span the same rational row space are analysed
-once.  Read a tuple of q elements of Z^d as the d x q matrix M whose rows
-are its d coordinate columns, and key a holder by the canonical basis of
-M's row space over Q (``lattice._rational_row_basis``).  Two holders t and
-t' with one key have the same integer relations Rel = {n in Z^q : M n = 0},
-the integer points of the row space's orthogonal complement.  So
+Tuples whose coordinates span the same rational row space are decided and
+analysed once.  Read a tuple of q elements of Z^d as the d x q matrix M
+whose rows are its d coordinate columns, and key it by the canonical basis
+of M's row space over Q (``lattice._rational_row_basis``).  Two tuples t
+and t' with one key have the same integer relations
+Rel = {n in Z^q : M n = 0}, the integer points of the row space's
+orthogonal complement.  So
 phi(sum n_i t_i) = sum n_i t'_i is a well-defined group isomorphism
 span(t) -> span(t') with phi(t_i) = t'_i at every position i, and it
 extends to a Q-linear isomorphism of the rational spans.
 When M' = W M for an integer matrix W of nonzero determinant, phi is W;
 a unimodular W, a change of coordinates, is the special case.
-Every fact the report reads off a holder is stated through the tuple's own
+Every fact the report reads off a tuple is stated through the tuple's own
 elements, never by comparing a subgroup with Z^d, and phi preserves each:
 
+- the tuple's own (P_{q,s}), which the kernel decides.  Its one window is
+  the whole tuple, so it reads which selections have equal sums, that is
+  integer relations, and no position order: phi maps equal sums to equal
+  sums and back.
 - rank: the rational spans are isomorphic.
 - equal values, which the next two facts read: t_i = t_j exactly when
   the relation with 1 at i and -1 at j is in Rel, so exactly when t'_i =
@@ -105,9 +111,14 @@ elements, never by comparing a subgroup with Z^d, and phi preserves each:
   and their (P_{r,s}), rank and ``classify`` results agree by the
   arguments above.
 
-So ``run_enumeration`` analyses each class once per run, in the calling
-process, on its least-key holder, and quotes every member with its own
-elements.
+So ``_process_share`` runs the kernel once per class key per share, on the
+first tuple of the class its filters keep, and every other kept tuple of the
+class takes that verdict.  ``run_enumeration`` analyses each class of
+holders once per run, in the calling process, on its least-key holder, and
+quotes every member with its own elements.  The audits of one run check each
+distinct nested subtuple once: those checks read only the subtuple's
+elements, in order, and its sizes, so classes whose audits meet one
+subtuple share its checks (see ``structure._audit_holder``).
 
 The walk is split by position, not by value: of n shares, share i takes
 every n-th walked tuple from the i-th on, before any is checked, and
@@ -232,7 +243,8 @@ def _visits(q: int, s: int, g: int, i: int, n: int):
     Python work only for its own tuples.  For each u <= -u it yields
     (the expansion of u, weight); -u is u negated, x -> g-1-x, and
     re-sorted, and the weight is 1 when u = -u and else 2 (see the module
-    docstring).  The expansion positions {s, q-s} are sorted once per share.
+    docstring).  The expansion is one gather of u's entries (``itemgetter``),
+    built once per share from the positions {s, q-s}.
 
     Sorted index tuples of one length compare as their least entries first,
     and -u's least entry is g-1 minus u's greatest.  So u > -u whenever
@@ -247,6 +259,10 @@ def _visits(q: int, s: int, g: int, i: int, n: int):
     zero = top // 2
     positions = sorted({s, q - s})
     free = q - len(positions) - 1
+    slots = tuple(range(free + 1))
+    for p in positions:
+        slots = slots[:p] + slots[p - 1 :]
+    expand = itemgetter(*slots)
     walk = [()]
     if free:
         walk = chain.from_iterable(
@@ -266,12 +282,10 @@ def _visits(q: int, s: int, g: int, i: int, n: int):
                 continue
             if u == negated:
                 weight = 1
-        for p in positions:
-            u = u[:p] + u[p - 1 :]
-        yield u, weight
+        yield expand(u), weight
 
 
-def _holder_facts(job: EnumerationJob, elements, key) -> tuple:
+def _holder_facts(job: EnumerationJob, elements, key, checks: dict) -> tuple:
     """What the report reads off one holder.
 
     ``key`` is the holder's class key, the primitive RREF of its coordinate
@@ -285,17 +299,19 @@ def _holder_facts(job: EnumerationJob, elements, key) -> tuple:
     once per class per run, in the calling process, on the class's
     least-key holder.  Only this function reads the budget, in its nested
     checks: the audit's subtuple checks, and ``classify``'s property check
-    of an Unclassified holder.  No holder lacks an equal pair, so none is
-    checked for one: sorted in lex order, a (P_{q,s}) tuple with q > s ties
-    at positions q-s-1 and q-s, by the contrapositive of
-    ``tuples._fails_by_order``.
+    of an Unclassified holder.  ``checks`` is the run's record of the
+    audit's subtuple checks, which ``structure._audit_holder`` reads and
+    fills, so each distinct subtuple is checked once per run.  No holder
+    lacks an equal pair, so none is checked for one: sorted in lex order, a
+    (P_{q,s}) tuple with q > s ties at positions q-s-1 and q-s, by the
+    contrapositive of ``tuples._fails_by_order``.
     """
     t = GroupTuple(dim=job.dim, elements=elements)
     tr = len(key)
     if _outside_domain(t, job.s) is not None:
         return tr, VARIANT_OUT_OF_RANGE, None, None
     cls = _classify(t, job.s, tr)
-    report = _audit_holder(t, job.s)
+    report = _audit_holder(t, job.s, checks)
     failed = tuple(c.name for c in report.failures)
     audit = (report.case, failed) if failed else None
     return tr, cls.variant, cls.property_holds, audit
@@ -307,35 +323,48 @@ def _process_share(job: EnumerationJob, tables: tuple, i: int, n: int) -> dict:
 
     ``_visits`` yields the share's expanded tuples as sorted grid indices,
     one per negation pair.  One that ``_fails_by_order`` on any table but
-    table 0 is dropped (table 0 drops none of them), and the kernel decides
-    the (P_{q,s}) of the others on their table-0 ints: a tuple it returns
-    no witness for is a holder.  A holder's key is its indices without
-    zero's; its canonical form is zero, then the values at its key.
-    Returns {class key: [(key, weight), ...]}, in walk order, where the
-    class key is ``_rational_row_basis`` of the canonical form's coordinate
-    columns.  The share analyses no holder.
+    table 0 is dropped (table 0 drops none of them); the tables are tried
+    from the last to table 1, an order that drops the same tuples with
+    fewer calls on every cell measured.  A kept tuple's key is its indices
+    without zero's; its canonical form is zero, then the values at its key,
+    and its class key is ``_rational_row_basis`` of the canonical form's
+    coordinate columns.  The kernel decides (P_{q,s}) on the table-0 ints
+    of the share's first kept tuple of each class key, and every later kept
+    tuple with that key takes its verdict: tuples with one key have the
+    same equal-sum selections, and (P_{q,s}) reads no position order (see
+    the module docstring).  The kept tuples of the classes the kernel
+    returns no witness for are the holders.  Returns {class key: [(key,
+    weight), ...]} over the holders, in walk order.  The share analyses no
+    holder.
 
-    This is the one check of each tuple's (P_{q,s}), and it skips
-    ``has_property``'s budget guard: a check decides at most
-    ``property_work(q, q, s)`` selections, which is at most ``nominal_bill``
-    (the walk visits at least one tuple), and ``run_enumeration`` refuses
-    the job up front when that bill exceeds the budget.
+    This is the one check of each tuple's (P_{q,s}), made once per class
+    per share, and it skips ``has_property``'s budget guard: a check
+    decides at most ``property_work(q, q, s)`` selections, which is at most
+    ``nominal_bill`` (the walk visits at least one tuple), and
+    ``run_enumeration`` refuses the job up front when that bill exceeds the
+    budget.
     """
     grid, (table0, *others) = tables
+    others.reverse()
     q, s = job.q, job.s
     zero = (len(grid) - 1) // 2
+    # Class key -> its holders, or None when the kernel refuted the class.
     classes = {}
     for w, weight in _visits(q, s, len(grid), i, n):
         for t in others:
             if _fails_by_order(map(t.__getitem__, w), q, s):
                 break
         else:
-            if _decide_packed([table0[k] for k in w], q, s) is None:
-                j = bisect_left(w, zero)
-                key = w[:j] + w[j + 1 :]
-                span = _rational_row_basis(zip(grid[zero], *map(grid.__getitem__, key)))
-                classes.setdefault(span, []).append((key, weight))
-    return classes
+            j = bisect_left(w, zero)
+            key = w[:j] + w[j + 1 :]
+            span = _rational_row_basis(zip(grid[zero], *map(grid.__getitem__, key)))
+            if span not in classes:
+                holds = _decide_packed([table0[k] for k in w], q, s) is None
+                classes[span] = [] if holds else None
+            members = classes[span]
+            if members is not None:
+                members.append((key, weight))
+    return {span: members for span, members in classes.items() if members is not None}
 
 
 def run_enumeration(job: EnumerationJob) -> dict:
@@ -345,10 +374,10 @@ def run_enumeration(job: EnumerationJob) -> dict:
     counts every tuple of the universe (see the module docstring).
 
     Raises BudgetExceeded before any work when ``nominal_bill`` exceeds the
-    budget (ABTUPLE_BUDGET, else 10**9).  Each tuple's (P_{q,s}) is checked
-    once, in ``_process_share``, under that bill; only the nested checks of
-    the audit's zero-axis subtuples, and ``classify``'s check of an
-    Unclassified holder, read the budget again.
+    budget (ABTUPLE_BUDGET, else 10**9).  Each tuple's (P_{q,s}) is
+    decided in ``_process_share``, once per class key per share, under that
+    bill; only the nested checks of the audit's zero-axis subtuples, and
+    ``classify``'s check of an Unclassified holder, read the budget again.
 
     The packed tables (``_tables``) are built once per call.  One worker
     runs share 0 of 1 of the walk in process.  Otherwise a pool runs one
@@ -360,8 +389,10 @@ def run_enumeration(job: EnumerationJob) -> dict:
     docstring), is analysed once per run, in this process, on its
     least-key holder.  The walk is in key order, so that is the holder one
     share of one analyses first, and the report does not depend on how the
-    walk was split.  A class that quotes quotes every member, and the
-    canonical -t of each member t that is not its own negation.
+    walk was split.  The audits share one dict of zero-axis subtuple
+    checks, so each distinct subtuple is checked once per run.  A class
+    that quotes quotes every member, and the canonical -t of each member t
+    that is not its own negation.
     ``equal_pair_missing`` stays empty: every holder has an equal pair (see
     ``_holder_facts``).
     """
@@ -394,8 +425,9 @@ def run_enumeration(job: EnumerationJob) -> dict:
 
     with_property, ranks, variants = 0, {}, {}
     quoted = {"unclassified": [], "audit_failures": []}
+    checks = {}
     for span, members in classes.items():
-        facts = _holder_facts(job, canonical(min(members)[0]), span)
+        facts = _holder_facts(job, canonical(min(members)[0]), span, checks)
         tr, variant, property_holds, audit = facts
         weight = sum(w for _, w in members)
         with_property += weight

@@ -546,7 +546,23 @@ def audit_claims(t: GroupTuple, s: int) -> AuditReport:
     return _audit_holder(t, s)
 
 
-def _audit_holder(t: GroupTuple, s: int) -> AuditReport:
+def _nested_checks(sub: GroupTuple, s_inner: int) -> tuple:
+    """The zero-axis checks of one subtuple: its (P_{n0,s_inner}) report,
+    or None when s_inner is out of range for its n0 elements; its
+    ``classify`` result, or None outside classify's domain; and its rank.
+
+    sub holds zero, whose exponents vanish, so only the sizes can put it
+    outside classify's domain.  classify reads the subtuple's rank anyway,
+    so the rank is read off its result when there is one.
+    """
+    n0 = len(sub)
+    inner = has_property(sub, n0, s_inner) if 1 <= s_inner < n0 else None
+    inner_cls = None if _outside_domain(sub, s_inner) else _classify(sub, s_inner)
+    sub_rank = rank(sub) if inner_cls is None else inner_cls.rank
+    return inner, inner_cls, sub_rank
+
+
+def _audit_holder(t: GroupTuple, s: int, checks: dict | None = None) -> AuditReport:
     """``audit_claims`` without its precondition checks.
 
     The caller guarantees 2 <= s < q <= 2s, that zero occurs in t and that t
@@ -557,7 +573,17 @@ def _audit_holder(t: GroupTuple, s: int) -> AuditReport:
     Unclassified, read the budget (ABTUPLE_BUDGET, else 10**9).  Every
     claim is built by ``_verdict`` or ``_skip``, and the claims come in
     ``_CLAIM_NAMES`` order, the zero-axis ones once per negative axis.
+
+    ``checks`` maps (subtuple elements, s_inner) to ``_nested_checks`` of
+    that subtuple, and is filled as the audit goes.  Those checks read only
+    the subtuple's exact elements, in order, and the sizes, which its
+    length and s_inner fix, so a caller that audits many tuples may hand
+    every audit one dict and run each distinct subtuple's checks once;
+    ``run_enumeration`` does.  Without it the audit starts its own.  A
+    check the budget refuses stores nothing.
     """
+    if checks is None:
+        checks = {}
     q = len(t)
     zero = zero_vector(t.dim)
     translation: Vector | None = None
@@ -621,8 +647,12 @@ def _audit_holder(t: GroupTuple, s: int) -> AuditReport:
             "counts": {"plus": len(sp.plus), "zero": n0, "minus": len(sp.minus)},
         }
 
-        if 1 <= s_inner < n0:
-            inner = has_property(sub, n0, s_inner)
+        found = checks.get((sub.elements, s_inner))
+        if found is None:
+            found = checks[sub.elements, s_inner] = _nested_checks(sub, s_inner)
+        inner, inner_cls, sub_rank = found
+
+        if inner is not None:
             witness = dict(base, r=n0, s=s_inner)
             if not inner.holds:
                 window, sel = inner.failure_witness
@@ -635,11 +665,6 @@ def _audit_holder(t: GroupTuple, s: int) -> AuditReport:
             reason = f"selection size {s_inner} out of range for {n0} zero positions"
             claims.append(_skip(property_name, reason, base))
 
-        # sub holds zero, whose exponents vanish, so only the sizes can put
-        # it outside classify's domain.  classify reads the subtuple's rank
-        # anyway, so read it off the result.
-        inner_cls = None if _outside_domain(sub, s_inner) else _classify(sub, s_inner)
-        sub_rank = rank(sub) if inner_cls is None else inner_cls.rank
         witness = dict(base, rank=sub_rank, expected=tr - 1)
         claims.append(_verdict(rank_name, sub_rank == tr - 1, witness))
 

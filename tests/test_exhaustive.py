@@ -45,6 +45,7 @@ from abtuple.tuples import (
     group_tuple,
     has_property,
     rank,
+    translate,
 )
 
 
@@ -69,7 +70,7 @@ def expand(u: tuple, q: int, s: int) -> tuple:
     """The sorted q-multiset whose order statistics tie at (s-1, s) and
     (q-s-1, q-s) that the sorted (q-c)-multiset ``u`` stands for: for p in
     {s, q-s} in increasing order, insert at p a copy of the entry at p-1.
-    The reference for the expansion ``_visits`` applies inline to each
+    The reference for the expansion ``_visits`` gathers for each
     walked tuple; entries are anything ordered."""
     for p in sorted({s, q - s}):
         u = u[:p] + u[p - 1 :]
@@ -433,11 +434,12 @@ class TestOrderFilter:
 
     @pytest.mark.parametrize(
         "s, q, dim, bound, calls",
-        [(3, 6, 2, 2, 2021), (4, 8, 2, 1, 585), (4, 8, 3, 1, 26962)],
+        [(3, 6, 2, 2, 493), (4, 8, 2, 1, 213), (4, 8, 3, 1, 3178)],
     )
     def test_kernel_calls_pinned(self, monkeypatch, s, q, dim, bound, calls):
-        # The visits no table drops, each decided once by the kernel.  With
-        # the d rotations alone as tables, 4,101, 947 and 80,251 reach it.
+        # One kernel call per class key among the visits no table drops:
+        # 2,021, 585 and 26,962 visits are kept, and with the d rotations
+        # alone as tables 4,101, 947 and 80,251 would be.
         decided = Counter()
 
         def counting(ints, r, s_inner):
@@ -448,6 +450,34 @@ class TestOrderFilter:
         job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
         _process_share(job, _tables(job), 0, 1)
         assert decided == {(q, s): calls}
+
+    @pytest.mark.parametrize(
+        "s, q, dim, bound",
+        [(3, 6, 2, 2), (4, 8, 2, 1), (3, 6, 3, 1), (3, 5, 3, 1), (2, 4, 4, 1)],
+    )
+    def test_every_kept_tuple_has_its_class_verdict(self, s, q, dim, bound):
+        # The kernel decides each class key's first kept tuple, and the
+        # later ones take its verdict.  Decide every kept tuple on its own:
+        # each verdict is the one stored for its key, and the share's
+        # holders are the kept tuples the kernel passes, in walk order.
+        job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
+        tables = _tables(job)
+        grid, (table0, *others) = tables
+        zero = (len(grid) - 1) // 2
+        verdicts, holders = {}, {}
+        shared = 0
+        for w, weight in _visits(q, s, len(grid), 0, 1):
+            if any(_fails_by_order([t[k] for k in w], q, s) for t in others):
+                continue
+            key = without_zero(w, len(grid))
+            span = _rational_row_basis(zip(grid[zero], *(grid[k] for k in key)))
+            holds = _decide_packed([table0[k] for k in w], q, s) is None
+            shared += span in verdicts
+            assert verdicts.setdefault(span, holds) == holds
+            if holds:
+                holders.setdefault(span, []).append((key, weight))
+        assert shared and holders
+        assert _process_share(job, tables, 0, 1) == holders
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +685,9 @@ HOLDER_CELLS = [
 
 def holder_facts(job, elements):
     """``_holder_facts`` of one holder, handed its class key as the slow
-    oracle ``class_key`` computes it."""
+    oracle ``class_key`` computes it, and no nested checks made before."""
     key = class_key(GroupTuple(dim=job.dim, elements=elements))
-    return _holder_facts(job, elements, key)
+    return _holder_facts(job, elements, key, {})
 
 
 def cell_holders(job):
@@ -692,11 +722,12 @@ def test_holder_pass_matches_public_functions(s, q, dim, bound):
 
 @pytest.mark.parametrize("s, q, dim, bound", [(3, 6, 2, 1), (4, 8, 2, 1)])
 def test_enumeration_checks_property_of_subtuples_only(monkeypatch, s, q, dim, bound):
-    # Each holder's own (P_{q,s}) is decided once, by the packed kernel; the
+    # Each holder's own (P_{q,s}) is decided by the packed kernel; the
     # has_property calls left are the audit's zero-axis subtuple checks, and
-    # classify's check of a subtuple it leaves Unclassified.
+    # classify's check of a subtuple it leaves Unclassified, each made once
+    # per distinct subtuple and selection size.
     calls = []
-    reports = []
+    audits = []
     real_check = has_property
     classify_module = importlib.import_module("abtuple.classify")
     real_verdict = classify_module._property_holds
@@ -710,28 +741,65 @@ def test_enumeration_checks_property_of_subtuples_only(monkeypatch, s, q, dim, b
         calls.append((len(t), len(t)))
         return real_verdict(t, s_inner)
 
-    def recording(t, s_outer):
-        reports.append(real_audit(t, s_outer))
-        return reports[-1]
+    def recording(t, s_outer, checks=None):
+        audits.append((t, real_audit(t, s_outer, checks)))
+        return audits[-1][1]
 
     monkeypatch.setattr(structure, "has_property", counting)
     monkeypatch.setattr(classify_module, "_property_holds", counting_verdict)
     monkeypatch.setattr(exhaustive, "_audit_holder", recording)
     rep = run_enumeration(EnumerationJob(s=s, q=q, dim=dim, bound=bound))
     assert rep["ok"] and not rep["unclassified"]
-    claims = [c for report in reports for c in report.claims]
-    checked = sum(
-        c.name == "zero_axis_property" and c.status != "skip" for c in claims
-    )
-    unclassified = sum(
-        c.name == "zero_axis_not_type_a"
-        and c.witness.get("variant") == VARIANT_UNCLASSIFIED
-        for c in claims
-        if c.witness
-    )
+    checked, unclassified = set(), set()
+    for t, report in audits:
+        nt = t if report.translation is None else translate(t, report.translation)
+        for c in report.claims:
+            if c.status == "skip" or not c.name.startswith("zero_axis"):
+                continue
+            w = c.witness
+            sub = tuple(nt.elements[i - 1] for i in w["zero_positions"])
+            s_inner = s - min(w["counts"]["plus"], w["counts"]["minus"])
+            if c.name == "zero_axis_property":
+                checked.add((sub, s_inner))
+            elif c.name == "zero_axis_not_type_a" and w["variant"] == VARIANT_UNCLASSIFIED:
+                unclassified.add((sub, s_inner))
     assert checked
-    assert len(calls) == checked + unclassified
+    assert len(calls) == len(checked) + len(unclassified)
     assert all(n < q and r == n for n, r in calls)
+
+
+@pytest.mark.parametrize(
+    "s, q, dim, bound, checks, classified, ranked",
+    [(4, 8, 2, 1, 63, 62, 2), (3, 6, 2, 2, 18, 17, 1)],
+)
+def test_each_run_makes_each_nested_check_once(
+    monkeypatch, in_process_pool, s, q, dim, bound, checks, classified, ranked
+):
+    # The audits of one run share their zero-axis checks: one has_property,
+    # classify or rank call per distinct subtuple and selection size, where
+    # auditing each class on its own made 199, 198 and 2 calls on the first
+    # cell, and 32, 28 and 4 on the second.  A split walk makes as many.
+    counted = Counter()
+
+    def counting(name):
+        real = getattr(structure, name)
+
+        def double(*args):
+            counted[name] += 1
+            return real(*args)
+
+        return double
+
+    calls = {"has_property": checks, "_classify": classified, "rank": ranked}
+    for name in calls:
+        monkeypatch.setattr(structure, name, counting(name))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    job = EnumerationJob(s=s, q=q, dim=dim, bound=bound)
+    for jobs in (1, 2):
+        counted.clear()
+        assert run_enumeration(replace(job, jobs=jobs))["ok"]
+        assert counted == calls
+    assert in_process_pool == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -1108,10 +1176,10 @@ def test_each_run_analyses_each_class_once(
     analysed = []
     real = exhaustive._holder_facts
 
-    def counting(job, elements, key):
+    def counting(job, elements, key, checks):
         assert key == class_key(GroupTuple(dim=job.dim, elements=elements))
         analysed[-1].append(key)
-        return real(job, elements, key)
+        return real(job, elements, key, checks)
 
     monkeypatch.setattr(exhaustive, "_holder_facts", counting)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -1132,10 +1200,10 @@ def test_each_share_analyses_each_of_its_classes_once(monkeypatch, in_process_po
     analysed = []
     real = exhaustive._holder_facts
 
-    def counting(job, elements, key):
+    def counting(job, elements, key, checks):
         assert key == class_key(GroupTuple(dim=job.dim, elements=elements))
         analysed.append(key)
-        return real(job, elements, key)
+        return real(job, elements, key, checks)
 
     monkeypatch.setattr(exhaustive, "_holder_facts", counting)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -1162,8 +1230,8 @@ def test_report_does_not_depend_on_the_share_split(monkeypatch, in_process_pool)
         least.setdefault(class_key(t), t.elements)
     real = exhaustive._audit_holder
 
-    def failing(t, s):
-        result = real(t, s)
+    def failing(t, s, checks=None):
+        result = real(t, s, checks)
         if least[class_key(t)] == t.elements:
             return result
         claims = (replace(result.claims[0], status="fail"),) + result.claims[1:]
